@@ -194,13 +194,19 @@ def sim_task(config: CoreConfig, trace, *,
              warmup_fraction: float = 0.0,
              max_instructions: Optional[int] = None,
              tier: str = "detailed",
-             tags: Tuple[str, ...] = ()) -> ExecTask:
+             tags: Tuple[str, ...] = (),
+             trace_fingerprint: Optional[str] = None) -> ExecTask:
     """A timing-model run as a pure task.
 
     ``tier`` selects the simulator tier (``"detailed"`` | ``"fast"``).
     The tier is part of the task fingerprint — via the kind *and* the
     params — so a warm detailed-tier cache can never answer a fast-tier
     request or vice versa.
+
+    ``trace_fingerprint`` is ``fingerprint_trace(trace)`` precomputed
+    by a caller that memoizes its traces (the server), so a repeated
+    request does not re-hash the whole trace.  The key is the same
+    either way.
     """
     kind = _SIM_KINDS.get(tier)
     if kind is None:
@@ -210,8 +216,10 @@ def sim_task(config: CoreConfig, trace, *,
               "max_instructions": max_instructions}
     if tier != "detailed":
         params["tier"] = tier
+    if trace_fingerprint is None:
+        trace_fingerprint = fingerprint_trace(trace)
     key = task_fingerprint(kind, fingerprint_config(config),
-                           fingerprint_trace(trace), params)
+                           trace_fingerprint, params)
     return ExecTask(kind=kind, key=key,
                     payload=(config, trace, params), tags=tuple(tags))
 

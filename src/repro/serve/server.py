@@ -33,13 +33,14 @@ import os
 import signal
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from ..errors import (DeadlineError, DrainingError, OverloadError,
                       ReproError, ServeError)
-from ..exec.cache import sim_result_from_json
+from ..exec.cache import fingerprint_trace, sim_result_from_json
 from ..exec.executor import Engine, campaign_task, sim_task
 from ..obs.context import (RequestContext, activate, clean_request_id,
                            current_request_id, deactivate,
@@ -61,6 +62,9 @@ from .slo import SloTracker
 __all__ = ["MAX_BODY_BYTES", "MAX_HEADERS", "ServeConfig",
            "ReproServer", "ServerHandle", "run_server",
            "start_in_thread"]
+
+#: distinct (workload, instructions) traces a server keeps in memory
+_TRACE_MEMO_SIZE = 128
 
 
 def _publish_port(port_file: str, port: int) -> None:
@@ -128,7 +132,8 @@ class ReproServer:
         self._draining = False
         self._conn_tasks: set = set()
         self._configs: Dict[str, object] = {}
-        self._traces: Dict[Tuple[str, int], object] = {}
+        # (workload, instructions) -> (trace, fingerprint), LRU order
+        self._traces: OrderedDict = OrderedDict()
         self._trace_lock = threading.Lock()
         self._handlers = {
             protocol.SimulateRequest.ROUTE: self._handle_simulate,
@@ -242,18 +247,27 @@ class ReproServer:
 
     # ---- shared helpers ----------------------------------------------
 
-    def _build_trace(self, workload: str, instructions: int):
-        """Resolve-and-memoize a workload trace (bounded in-memory)."""
+    def _build_trace(self, workload: str,
+                     instructions: int) -> Tuple[object, str]:
+        """Resolve-and-memoize a workload trace with its fingerprint.
+
+        The memo is an LRU bounded at ``_TRACE_MEMO_SIZE`` entries.  The
+        fingerprint is taken once, when the trace is built, so a warm
+        hit never walks the trace again; callers run this through
+        ``asyncio.to_thread``, so no trace is hashed on the event loop.
+        """
         from ..workloads.resolve import resolve_workload
         key = (workload, instructions)
         with self._trace_lock:
-            trace = self._traces.get(key)
-            if trace is None:
-                if len(self._traces) >= 128:
-                    self._traces.clear()
-                trace = resolve_workload(workload, instructions)
-                self._traces[key] = trace
-        return trace
+            entry = self._traces.get(key)
+            if entry is not None:
+                self._traces.move_to_end(key)
+                return entry
+            if len(self._traces) >= _TRACE_MEMO_SIZE:
+                self._traces.popitem(last=False)
+            trace = resolve_workload(workload, instructions)
+            entry = self._traces[key] = (trace, fingerprint_trace(trace))
+        return entry
 
     def _deadline_s(self, deadline_ms: Optional[int]) -> float:
         return (deadline_ms if deadline_ms is not None
@@ -308,11 +322,12 @@ class ReproServer:
             return 200, body, {}
         try:
             deadline_s = self._deadline_s(req.deadline_ms)
-            trace = await asyncio.to_thread(
+            trace, fingerprint = await asyncio.to_thread(
                 self._build_trace, req.workload, req.instructions)
             task = sim_task(self._configs[req.config], trace,
                             warmup_fraction=req.warmup_fraction,
-                            tags=_task_tags())
+                            tags=_task_tags(),
+                            trace_fingerprint=fingerprint)
             try:
                 payload = await asyncio.wait_for(
                     self.batcher.submit(task, deadline_s=deadline_s),
@@ -346,12 +361,14 @@ class ReproServer:
             return 200, body, {}
         try:
             deadline_s = self._deadline_s(req.deadline_ms)
-            traces = [await asyncio.to_thread(self._build_trace, w,
-                                              req.instructions)
-                      for w in req.workloads]
+            built = [await asyncio.to_thread(self._build_trace, w,
+                                             req.instructions)
+                     for w in req.workloads]
+            traces = [trace for trace, _ in built]
             generations = ("power9", "power10")
-            tasks = [sim_task(self._configs[g], t, tags=_task_tags())
-                     for g in generations for t in traces]
+            tasks = [sim_task(self._configs[g], t, tags=_task_tags(),
+                              trace_fingerprint=fp)
+                     for g in generations for t, fp in built]
             try:
                 payloads = await asyncio.wait_for(
                     asyncio.gather(*[

@@ -56,6 +56,18 @@ class TestFingerprints:
         assert sim_task(p10, t).key \
             != sim_task(p10, t, max_instructions=100).key
 
+    @pytest.mark.parametrize("tier", ["detailed", "fast"])
+    def test_precomputed_trace_fingerprint_same_key(self, p10, tier):
+        t = daxpy_trace(400)
+        assert sim_task(p10, t, tier=tier,
+                        trace_fingerprint=fingerprint_trace(t)).key \
+            == sim_task(p10, t, tier=tier).key
+
+    def test_trace_fingerprint_is_keyword_only(self, p10):
+        t = daxpy_trace(400)
+        with pytest.raises(TypeError):
+            sim_task(p10, t, fingerprint_trace(t))
+
     def test_task_fingerprint_is_hex(self):
         key = task_fingerprint("anything", 1, {"a": [2, 3]})
         assert len(key) == 32

@@ -22,8 +22,9 @@ from repro.core.simulator import measurement_from_result
 from repro.errors import (ConfigError, DrainingError, OverloadError,
                           ServeError)
 from repro.obs.metrics import get_registry
-from repro.serve import (EstimateRequest, LoadgenConfig, ServeClient,
-                         ServeConfig, SimulateRequest, TokenBucket,
+from repro.serve import (EstimateRequest, LoadgenConfig, ReproServer,
+                         ServeClient, ServeConfig, SimulateRequest,
+                         TokenBucket,
                          build_schedule, error_body, error_status,
                          run_loadgen, start_in_thread)
 from repro.serve.admission import AdmissionController
@@ -270,6 +271,81 @@ class TestLiveServer:
             doc = json.loads(resp.read())
             assert resp.status == 200 and doc["status"] == "ok"
         conn.close()
+
+
+# ---- the trace memo: one resolve and one fingerprint per trace -----------
+
+@pytest.fixture
+def fingerprint_calls(monkeypatch):
+    """Thread id of every ``fingerprint_trace`` call the serving path
+    makes, in the server and in ``sim_task`` alike."""
+    import repro.exec.executor
+    import repro.serve.server
+    from repro.exec import cache
+    calls = []
+
+    def counted(trace):
+        calls.append(threading.get_ident())
+        return cache.fingerprint_trace(trace)
+
+    monkeypatch.setattr(repro.serve.server, "fingerprint_trace", counted)
+    monkeypatch.setattr(repro.exec.executor, "fingerprint_trace", counted)
+    return calls
+
+
+class TestTraceMemo:
+    def test_lru_keeps_the_hot_trace(self, monkeypatch):
+        """128 cold keys, each followed by a touch of one hot key, then
+        one more cold key: the hot trace survives every eviction."""
+        from types import SimpleNamespace
+        import repro.workloads.resolve
+        resolved = []
+
+        def fake_resolve(workload, instructions):
+            resolved.append((workload, instructions))
+            return SimpleNamespace(name=workload, instructions=())
+
+        monkeypatch.setattr(repro.workloads.resolve, "resolve_workload",
+                            fake_resolve)
+        srv = ReproServer()
+        hot, _ = srv._build_trace("daxpy", 1)
+        for n in range(128):
+            srv._build_trace("xz", 1000 + n)
+            assert srv._build_trace("daxpy", 1)[0] is hot
+        srv._build_trace("xz", 5000)
+        assert srv._build_trace("daxpy", 1)[0] is hot
+        assert resolved.count(("daxpy", 1)) == 1
+        assert len(srv._traces) == 128
+
+    def test_warm_hits_fingerprint_each_trace_once(self, fingerprint_calls):
+        handle = start_in_thread(ServeConfig(window_ms=1.0))
+        try:
+            client = _client(handle, timeout_s=120.0)
+            bodies = {json.dumps(client.simulate(
+                workload="daxpy", instructions=700).body, sort_keys=True)
+                for _ in range(3)}
+            assert len(fingerprint_calls) == 1
+            assert len(bodies) == 1
+            # one call per trace, not one per (trace, generation)
+            fingerprint_calls.clear()
+            assert client.compare(["xz", "mcf"],
+                                  instructions=500).ok
+            assert len(fingerprint_calls) == 2
+        finally:
+            handle.stop()
+
+    def test_no_trace_is_hashed_on_the_event_loop(self,
+                                                   fingerprint_calls):
+        handle = start_in_thread(ServeConfig(window_ms=1.0))
+        try:
+            client = _client(handle, timeout_s=120.0)
+            client.simulate(workload="daxpy", instructions=600)
+            client.compare(["daxpy", "xz"], instructions=600)
+            loop_thread = handle._thread.ident
+        finally:
+            handle.stop()
+        assert len(fingerprint_calls) == 2
+        assert loop_thread not in fingerprint_calls
 
 
 # ---- overload: degrade before 503 ----------------------------------------
