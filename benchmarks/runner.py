@@ -4,9 +4,7 @@ A thin wrapper over :mod:`repro.exec.benchrun` (the same backend the
 ``repro bench`` CLI subcommand uses) so the benchmark suite can be run
 without installing the package — only ``src/`` on ``sys.path`` is
 needed.  Writes one ``BENCH_<scenario>.json`` per scenario plus
-``BENCH_sweep.json`` (and, with ``--tier fast``, the differential
-fidelity report ``BENCH_fastsim.json``); see ``repro bench --help``
-for options.
+``BENCH_sweep.json``; see ``repro bench --help`` for options.
 """
 
 from __future__ import annotations

@@ -457,8 +457,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         argv.append("--list")
     if args.quick:
         argv.append("--quick")
-    argv += ["--scale", str(args.scale), "--out", args.out,
-             "--tier", args.tier]
+    argv += ["--scale", str(args.scale), "--out", args.out]
     if args.no_sweep:
         argv.append("--no-sweep")
     if args.workers is not None:
@@ -813,11 +812,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true",
                    help="run every scenario at its reduced "
                         "golden-harness scale")
-    p.add_argument("--tier", choices=("detailed", "fast"),
-                   default="detailed",
-                   help="simulator tier; 'fast' runs the differential "
-                        "fidelity harness and writes "
-                        "BENCH_fastsim.json")
     p.add_argument("--scale", type=float, default=1.0,
                    help="instruction-budget scale factor (default 1.0)")
     p.add_argument("--workers", type=int, default=None,

@@ -15,6 +15,11 @@ The model's outputs are total cycles plus the per-unit activity stream
 tool in :mod:`repro.power`.  It is intentionally not latch-accurate —
 the reproduction targets the paper's *relative* power/performance
 mechanisms, not absolute POWER10 timing.
+
+The walk here (:func:`simulate_reference`) defines the model.  The
+entry point, :func:`simulate`, runs the same model through
+:mod:`repro.fastsim`'s extract-then-replay unless a sampler or an
+active fault injector needs the walk; both give identical results.
 """
 
 from __future__ import annotations
@@ -173,9 +178,9 @@ class SimResult:
 def build_ports(issue) -> Dict[InstrClass, _Ports]:
     """The per-class execution-port map for an ``IssueConfig``.
 
-    Shared by :class:`CorePipeline` and the fast replay tier
-    (:mod:`repro.fastsim`) so both tiers arbitrate issue bandwidth
-    through bit-identical port state machines.
+    Shared by the per-instruction walk (:class:`CorePipeline`) and the
+    replay (:mod:`repro.fastsim`) so both paths of :func:`simulate`
+    arbitrate issue bandwidth through bit-identical port state machines.
     """
     ports: Dict[InstrClass, _Ports] = {
         InstrClass.FX: _Ports(issue.fx_ports),
@@ -240,11 +245,26 @@ def simulate(config: CoreConfig, trace, *,
     receives interval snapshots of the activity stream as simulated time
     advances — the OCC-style telemetry tap.  Sampling is observational:
     results are identical with or without it.
+
+    This is the one simulation entry point, and it picks its own path:
+    a plain run replays the pre-extracted activity stream
+    (:func:`repro.fastsim.replay.simulate_fast`, the repo's APEX); a run
+    with a sampler or under an active fault-injection campaign walks the
+    trace instruction by instruction (:func:`simulate_reference`).  The
+    two paths are bit-identical (``tests/test_fastsim_diff.py``).
     """
     with _obs_span("pipeline.simulate", "core", config=config.name,
                    trace=getattr(trace, "name", "?")) as sp:
-        result = _simulate(config, trace, max_instructions=max_instructions,
-                           warmup_fraction=warmup_fraction, sampler=sampler)
+        if _replays(sampler):
+            # lazy: repro.fastsim imports this module
+            from ..fastsim.replay import simulate_fast
+            result = simulate_fast(config, trace,
+                                   max_instructions=max_instructions,
+                                   warmup_fraction=warmup_fraction)
+        else:
+            result = simulate_reference(
+                config, trace, max_instructions=max_instructions,
+                warmup_fraction=warmup_fraction, sampler=sampler)
         sp.set(cycles=result.cycles, instructions=result.instructions,
                ipc=round(result.ipc, 4))
         registry = _obs_registry()
@@ -258,10 +278,27 @@ def simulate(config: CoreConfig, trace, *,
         return result
 
 
-def _simulate(config: CoreConfig, trace, *,
-              max_instructions: Optional[int],
-              warmup_fraction: float,
-              sampler: Optional["CycleIntervalSampler"]) -> SimResult:
+def _replays(sampler) -> bool:
+    """Whether :func:`simulate` may replay instead of walking.
+
+    Interval samplers observe, and fault injection perturbs, mid-run
+    state the replay never materializes; either one needs the walk.
+    """
+    from ..resilience.injector import get_injector
+    return sampler is None and get_injector() is None
+
+
+def simulate_reference(config: CoreConfig, trace, *,
+                       max_instructions: Optional[int] = None,
+                       warmup_fraction: float = 0.0,
+                       sampler: Optional["CycleIntervalSampler"] = None,
+                       ) -> SimResult:
+    """The per-instruction walk behind :func:`simulate`.
+
+    Runs only when a sampler or an active injector needs it, and as the
+    reference the replay is checked against.  Same arguments and
+    results as :func:`simulate`, without its span and counters.
+    """
     if not 0.0 <= warmup_fraction < 1.0:
         raise SimulationError("warmup_fraction must be in [0, 1)")
     # Fault-injection hook (lazy import keeps core free of a static

@@ -25,25 +25,22 @@ def simulate_trace(config: CoreConfig, trace, *,
                    sampler=None,
                    warmup_fraction: float = 0.0,
                    max_instructions: Optional[int] = None,
-                   tier: str = "detailed",
                    ) -> "RunMeasurement":
     """Simulate one trace; optionally attach an Einspower power report.
 
     ``sampler`` (a :class:`repro.obs.sampler.CycleIntervalSampler`) is
     forwarded to the timing model for interval telemetry capture;
     ``warmup_fraction``/``max_instructions`` pass through to
-    :func:`repro.core.pipeline.simulate`.  ``tier`` selects the
-    simulator tier: ``"detailed"`` (the oracle) or ``"fast"`` (the
-    columnar replay, :mod:`repro.fastsim`).
+    :func:`repro.core.pipeline.simulate`, which replays the extracted
+    activity stream unless the sampler (or an active fault injector)
+    needs the per-instruction walk.
     """
     with _obs_span("simulator.simulate_trace", "core",
-                   config=config.name, tier=tier,
+                   config=config.name,
                    trace=getattr(trace, "name", "?")) as sp:
-        from ..fastsim.dispatch import simulate_tiered
-        result = simulate_tiered(config, trace, tier=tier,
-                                 sampler=sampler,
-                                 warmup_fraction=warmup_fraction,
-                                 max_instructions=max_instructions)
+        result = simulate(config, trace, sampler=sampler,
+                          warmup_fraction=warmup_fraction,
+                          max_instructions=max_instructions)
         measurement = measurement_from_result(config, result,
                                               with_power=with_power)
         if measurement.power_w is not None:
@@ -171,7 +168,7 @@ class SuiteResult:
 
 def simulate_suite(config: CoreConfig, traces: Sequence,
                    with_power: bool = True, sampler=None,
-                   engine=None, tier: str = "detailed") -> SuiteResult:
+                   engine=None) -> SuiteResult:
     """Run a whole trace suite and aggregate by trace weight.
 
     Runs route through the execution engine
@@ -184,14 +181,14 @@ def simulate_suite(config: CoreConfig, traces: Sequence,
     """
     if sampler is not None:
         runs = [simulate_trace(config, t, with_power=with_power,
-                               sampler=sampler, tier=tier)
+                               sampler=sampler)
                 for t in traces]
     else:
         from ..exec.executor import Engine, run_sim_plan, sim_task
         if engine is None:
             engine = Engine()
         results = run_sim_plan(
-            engine, [sim_task(config, t, tier=tier) for t in traces])
+            engine, [sim_task(config, t) for t in traces])
         runs = [measurement_from_result(config, r,
                                         with_power=with_power)
                 for r in results]
@@ -201,8 +198,7 @@ def simulate_suite(config: CoreConfig, traces: Sequence,
 
 def compare_configs(configs: Sequence[CoreConfig], traces: Sequence,
                     with_power: bool = True,
-                    engine=None,
-                    tier: str = "detailed") -> Dict[str, SuiteResult]:
+                    engine=None) -> Dict[str, SuiteResult]:
     """Run the same suite across configs; keys are config names.
 
     All (config, trace) runs go to the engine as one flat plan, so
@@ -214,8 +210,7 @@ def compare_configs(configs: Sequence[CoreConfig], traces: Sequence,
         engine = Engine()
     traces = list(traces)
     results = run_sim_plan(
-        engine, [sim_task(c, t, tier=tier)
-                 for c in configs for t in traces])
+        engine, [sim_task(c, t) for c in configs for t in traces])
     weights = [getattr(t, "weight", 1.0) for t in traces]
     out: Dict[str, SuiteResult] = {}
     for ci, config in enumerate(configs):

@@ -31,23 +31,17 @@ from .figs import SCENARIOS, get_scenario, run_scenario
 QUICK_SCALE_CAP = 1.0
 
 
-def _scenario_payload(name: str, scale: float, engine: Engine,
-                      tier: str = "detailed") -> Dict[str, object]:
+def _scenario_payload(name: str, scale: float,
+                      engine: Engine) -> Dict[str, object]:
     """Scalars for one scenario, served from the scenario-level cache
     when possible (the inner sim tasks hit the same cache either way,
-    but the scenario key also skips the non-sim analysis work).
-
-    The tier is part of the fingerprint: a warm detailed-tier cache
-    must never answer a fast-tier request (and vice versa), even
-    though today the tiers agree bit-for-bit — the cache key encodes
-    *how* a result was produced, not just what it should equal."""
-    key = task_fingerprint("scenario", name, scale, tier)
+    but the scenario key also skips the non-sim analysis work)."""
+    key = task_fingerprint("scenario", name, scale)
     if engine.cache is not None:
         cached = engine.cache.get(key, kind="scenario")
         if cached is not None:
             return cached
-    _rich, scalars = run_scenario(name, scale=scale, engine=engine,
-                                  tier=tier)
+    _rich, scalars = run_scenario(name, scale=scale, engine=engine)
     payload = {"scalars": scalars}
     if engine.cache is not None:
         engine.cache.put(key, payload)
@@ -57,18 +51,8 @@ def _scenario_payload(name: str, scale: float, engine: Engine,
 def run_bench(names: Optional[Sequence[str]] = None, *,
               scale: float = 1.0, quick: bool = False,
               workers: Optional[int] = None, cache_dir=None,
-              out_dir=".", sweep: bool = True,
-              tier: str = "detailed") -> Dict[str, object]:
-    """Run the named scenarios (all when None); write BENCH_*.json.
-
-    ``tier="fast"`` runs the differential fidelity flow: every
-    scenario runs on *both* tiers, the per-scenario maximum relative
-    scalar error and the measured speedup land in
-    ``BENCH_fastsim.json``, and the sweep times the fast tier against
-    the detailed oracle.
-    """
-    from ..fastsim.dispatch import validate_tier
-    validate_tier(tier)
+              out_dir=".", sweep: bool = True) -> Dict[str, object]:
+    """Run the named scenarios (all when None); write BENCH_*.json."""
     if quick and scale != 1.0:
         raise ExecError("--quick and --scale are mutually exclusive")
     engine = Engine(workers=workers, cache=cache_dir)
@@ -76,27 +60,20 @@ def run_bench(names: Optional[Sequence[str]] = None, *,
     out_path.mkdir(parents=True, exist_ok=True)
     selected = list(names) if names else list(SCENARIOS)
     summary: Dict[str, object] = {"scenarios": {}, "workers":
-                                  engine.workers, "tier": tier}
-    fidelity: Dict[str, Dict[str, object]] = {}
+                                  engine.workers}
     for name in selected:
         spec = get_scenario(name)
         run_scale = min(QUICK_SCALE_CAP, spec.quick_scale) \
             if quick else scale
-        if tier != "detailed" and spec.detailed_only:
-            summary["scenarios"][name] = {"skipped": "detailed-only"}
-            fidelity[name] = {"skipped": "detailed-only"}
-            continue
         hits0 = engine.cache.hits if engine.cache is not None else 0
         misses0 = engine.cache.misses \
             if engine.cache is not None else 0
-        with _obs_span("bench.scenario", "exec", scenario=name,
-                       tier=tier) as sp:
-            payload = _scenario_payload(name, run_scale, engine, tier)
+        with _obs_span("bench.scenario", "exec", scenario=name) as sp:
+            payload = _scenario_payload(name, run_scale, engine)
         doc = {
             "scenario": name,
             "title": spec.title,
             "scale": run_scale,
-            "tier": tier,
             "workers": engine.workers,
             "wall_s": sp.duration_s,
             "scalars": payload["scalars"],
@@ -109,131 +86,11 @@ def run_bench(names: Optional[Sequence[str]] = None, *,
         artifact.write_text(json.dumps(doc, indent=2, sort_keys=True))
         summary["scenarios"][name] = {"wall_s": doc["wall_s"],
                                       "artifact": str(artifact)}
-        if tier == "fast":
-            fidelity[name] = _scenario_fidelity(
-                name, spec, run_scale, workers=engine.workers,
-                fast_wall_s=sp.duration_s,
-                fast_scalars=payload["scalars"])
     if sweep:
         summary["sweep"] = run_sweep(out_dir=out_path, quick=quick,
                                      workers=engine.workers,
                                      cache_dir=cache_dir)
-    if tier == "fast":
-        summary["fastsim"] = write_fastsim_report(
-            fidelity, out_dir=out_path, quick=quick,
-            workers=engine.workers)
     return summary
-
-
-def _scenario_fidelity(name: str, spec, scale: float, *,
-                       workers: int, fast_wall_s: float,
-                       fast_scalars: Dict[str, float],
-                       ) -> Dict[str, object]:
-    """Re-run one scenario on the detailed oracle and compare scalars.
-
-    The detailed run uses a fresh cache-less engine so its wall time is
-    a real measurement, not a cache replay; the fast numbers come from
-    the bench run that already happened."""
-    with _obs_span("bench.fidelity", "exec", scenario=name) as sp:
-        _rich, detailed = run_scenario(
-            name, scale=scale, engine=Engine(workers=workers),
-            tier="detailed")
-    max_rel_err = 0.0
-    worst_scalar = None
-    for key, ref in detailed.items():
-        # scalars may arrive as numpy floats; normalize so the doc
-        # stays json-serializable
-        err = float(abs(fast_scalars[key] - ref)
-                    / max(abs(ref), 1e-12))
-        if err >= max_rel_err:
-            max_rel_err, worst_scalar = err, key
-    return {
-        "detailed_wall_s": sp.duration_s,
-        "fast_wall_s": fast_wall_s,
-        "speedup": sp.duration_s / max(fast_wall_s, 1e-9),
-        "max_rel_err": max_rel_err,
-        "worst_scalar": worst_scalar,
-        "rtol": spec.rtol,
-        "within_rtol": max_rel_err <= spec.rtol,
-    }
-
-
-def write_fastsim_report(fidelity: Dict[str, Dict[str, object]], *,
-                         out_dir=".", quick: bool = False,
-                         workers: Optional[int] = None,
-                         ) -> Dict[str, object]:
-    """Assemble ``BENCH_fastsim.json``: per-scenario fidelity plus the
-    fast-vs-detailed sweep speedup.
-
-    The speedup target is 10x; the artifact reports the measured
-    number either way, so a container that cannot hit the target still
-    publishes an honest figure (the fidelity gate — every scenario
-    within its rtol — is the hard failure)."""
-    sweep = run_fastsim_sweep(quick=quick, workers=workers)
-    compared = {k: v for k, v in fidelity.items()
-                if "max_rel_err" in v}
-    doc: Dict[str, object] = {
-        "scenarios": fidelity,
-        "fidelity": {
-            "max_rel_err": max(
-                (v["max_rel_err"] for v in compared.values()),
-                default=0.0),
-            "all_within_rtol": all(
-                v["within_rtol"] for v in compared.values()),
-            "compared": len(compared),
-            "skipped": [k for k, v in fidelity.items()
-                        if "skipped" in v],
-        },
-        "sweep": sweep,
-        "speedup_target": 10.0,
-        "speedup_target_met":
-            sweep["speedup"] >= 10.0,
-    }
-    out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
-    (out_path / "BENCH_fastsim.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True))
-    if not doc["fidelity"]["all_within_rtol"]:
-        bad = [k for k, v in compared.items() if not v["within_rtol"]]
-        raise ExecError(
-            "fast tier out of tolerance on: " + ", ".join(bad))
-    return doc
-
-
-def run_fastsim_sweep(*, quick: bool = False,
-                      workers: Optional[int] = None,
-                      ) -> Dict[str, object]:
-    """Time the acceptance sweep on both tiers, serially and without a
-    cache, and verify bit-identity of every simulation result."""
-    from ..core import power9_config, power10_config
-    from ..core.simulator import compare_configs
-    from ..workloads import resolve_workload
-    n = 2000 if quick else 40000
-    configs = [power9_config(), power10_config(),
-               power10_config(smt=4)]
-    traces = [resolve_workload(w, n)
-              for w in ("daxpy", "dgemm-vsu", "stream-triad",
-                        "pointer-chase")]
-    with _obs_span("bench.fastsim.detailed", "exec") as sp_det:
-        detailed = compare_configs(configs, traces,
-                                   engine=Engine(workers=1))
-    with _obs_span("bench.fastsim.fast", "exec") as sp_fast:
-        fast = compare_configs(configs, traces,
-                               engine=Engine(workers=1), tier="fast")
-    bit_identical = _sweep_snapshot(detailed) == _sweep_snapshot(fast)
-    if not bit_identical:
-        raise ExecError(
-            "fast-tier sweep diverged from the detailed oracle")
-    return {
-        "configs": [c.name for c in configs],
-        "workloads": [t.name for t in traces],
-        "n_sims": len(configs) * len(traces),
-        "instructions": n,
-        "detailed_s": sp_det.duration_s,
-        "fast_s": sp_fast.duration_s,
-        "speedup": sp_det.duration_s / max(sp_fast.duration_s, 1e-9),
-        "bit_identical": bit_identical,
-    }
 
 
 def _sweep_snapshot(out) -> str:
@@ -325,11 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quick", action="store_true",
                         help="run every scenario at its reduced "
                              "golden-harness scale")
-    parser.add_argument("--tier", choices=("detailed", "fast"),
-                        default="detailed",
-                        help="simulator tier; 'fast' also runs the "
-                             "differential fidelity harness and "
-                             "writes BENCH_fastsim.json")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="instruction-budget scale factor "
                              "(default 1.0)")
@@ -359,26 +211,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.scenarios or None, scale=args.scale,
             quick=args.quick, workers=args.workers,
             cache_dir=args.cache_dir, out_dir=args.out,
-            sweep=not args.no_sweep, tier=args.tier)
+            sweep=not args.no_sweep)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for name, info in summary["scenarios"].items():
-        if "skipped" in info:
-            print(f"{name:16s}  skipped ({info['skipped']})")
-            continue
         print(f"{name:16s} {info['wall_s']:8.2f}s  "
               f"-> {info['artifact']}")
-    fastsim = summary.get("fastsim")
-    if fastsim is not None:
-        fid = fastsim["fidelity"]
-        fsweep = fastsim["sweep"]
-        print(f"fastsim: {fid['compared']} scenarios compared, "
-              f"max_rel_err {fid['max_rel_err']:.3e}, sweep speedup "
-              f"{fsweep['speedup']:.2f}x "
-              f"(target {fastsim['speedup_target']:.0f}x, "
-              f"met: {fastsim['speedup_target_met']}); "
-              f"bit-identical: {fsweep['bit_identical']}")
     sweep = summary.get("sweep")
     if sweep is None:
         return 0

@@ -32,6 +32,7 @@ from __future__ import annotations
 import atexit
 import concurrent.futures
 import os
+import stat
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -108,16 +109,6 @@ def _run_sim(payload) -> Dict[str, object]:
     return sim_result_to_json(result)
 
 
-def _run_sim_fast(payload) -> Dict[str, object]:
-    from ..fastsim.replay import simulate_fast
-    config, trace, params = payload
-    result = simulate_fast(
-        config, trace,
-        max_instructions=params.get("max_instructions"),
-        warmup_fraction=params.get("warmup_fraction", 0.0))
-    return sim_result_to_json(result)
-
-
 # Per-process campaign-runner cache: building a CampaignRunner resolves
 # the workload trace and the golden reference once, which every
 # subsequent run_one() of the same campaign reuses.
@@ -137,14 +128,8 @@ def _run_campaign(payload) -> Dict[str, object]:
 
 _TASK_RUNNERS = {
     "sim": _run_sim,
-    "sim_fast": _run_sim_fast,
     "campaign": _run_campaign,
 }
-
-# simulation tier -> task kind; the kind is the first component of
-# task_fingerprint, so detailed- and fast-tier runs of the same
-# (config, trace, params) can never share a cache entry
-_SIM_KINDS = {"detailed": "sim", "fast": "sim_fast"}
 
 
 def register_task_kind(kind: str, runner) -> None:
@@ -188,39 +173,58 @@ def _execute_task_traced(task: ExecTask,
     return payload, tracer.to_wire()
 
 
+def _release_inherited_sockets() -> None:
+    """Pool-worker initializer: drop every socket inherited by fork.
+
+    A forked worker holds copies of all the parent's descriptors,
+    including the listening and accepted sockets of any server running
+    in the parent (a thread-hosted cluster shard, say).  While a worker
+    holds them, closing them in the parent neither refuses new
+    connections nor sends EOF to a peer, so a killed shard's in-flight
+    requests would hang instead of failing over.  Each socket is
+    replaced by ``/dev/null`` rather than closed, so a stale socket
+    object finalized in the worker closes that, never a reused number.
+    The pool talks to its workers over pipes, which are left alone.
+    """
+    fd_dir = next((d for d in ("/proc/self/fd", "/dev/fd")
+                   if os.path.isdir(d)), None)
+    if fd_dir is None:
+        return
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in os.listdir(fd_dir):
+            fd = int(name)
+            try:
+                if fd != devnull \
+                        and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd)
+            except OSError:
+                pass                    # the listing's own, now closed
+    finally:
+        os.close(devnull)
+
+
 # ---- task builders -------------------------------------------------------
 
 def sim_task(config: CoreConfig, trace, *,
              warmup_fraction: float = 0.0,
              max_instructions: Optional[int] = None,
-             tier: str = "detailed",
              tags: Tuple[str, ...] = (),
              trace_fingerprint: Optional[str] = None) -> ExecTask:
     """A timing-model run as a pure task.
-
-    ``tier`` selects the simulator tier (``"detailed"`` | ``"fast"``).
-    The tier is part of the task fingerprint — via the kind *and* the
-    params — so a warm detailed-tier cache can never answer a fast-tier
-    request or vice versa.
 
     ``trace_fingerprint`` is ``fingerprint_trace(trace)`` precomputed
     by a caller that memoizes its traces (the server), so a repeated
     request does not re-hash the whole trace.  The key is the same
     either way.
     """
-    kind = _SIM_KINDS.get(tier)
-    if kind is None:
-        from ..fastsim.dispatch import validate_tier
-        validate_tier(tier)                      # raises with tier list
     params = {"warmup_fraction": warmup_fraction,
               "max_instructions": max_instructions}
-    if tier != "detailed":
-        params["tier"] = tier
     if trace_fingerprint is None:
         trace_fingerprint = fingerprint_trace(trace)
-    key = task_fingerprint(kind, fingerprint_config(config),
+    key = task_fingerprint("sim", fingerprint_config(config),
                            trace_fingerprint, params)
-    return ExecTask(kind=kind, key=key,
+    return ExecTask(kind="sim", key=key,
                     payload=(config, trace, params), tags=tuple(tags))
 
 
@@ -298,7 +302,8 @@ class Engine:
     def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
         if self._pool is None:
             self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers)
+                max_workers=self.workers,
+                initializer=_release_inherited_sockets)
             _LIVE_ENGINES.add(self)
         return self._pool
 
@@ -529,7 +534,7 @@ def run_sim_plan(engine: Engine, tasks: Sequence[ExecTask],
                  ) -> List[SimResult]:
     """Execute sim tasks and decode the payloads back to SimResults."""
     for task in tasks:
-        if task.kind not in ("sim", "sim_fast"):
+        if task.kind != "sim":
             raise ExecError(
                 f"run_sim_plan got a {task.kind!r} task")
     return [sim_result_from_json(p)

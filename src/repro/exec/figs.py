@@ -36,13 +36,7 @@ DEFAULT_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One registered figure scenario.
-
-    ``detailed_only`` marks scenarios whose semantics require the
-    detailed simulator tier (e.g. interval samplers or fault
-    injection); the golden harness and ``repro bench --tier fast``
-    skip them instead of running them on the fast tier.
-    """
+    """One registered figure scenario."""
 
     name: str
     title: str
@@ -50,7 +44,6 @@ class ScenarioSpec:
     scalars: Callable
     quick_scale: float = 0.25
     rtol: float = DEFAULT_RTOL
-    detailed_only: bool = False
 
 
 SCENARIOS: Dict[str, ScenarioSpec] = {}
@@ -77,16 +70,9 @@ def get_scenario(name: str) -> ScenarioSpec:
 
 
 def run_scenario(name: str, *, scale: Optional[float] = None,
-                 engine: Optional[Engine] = None,
-                 tier: str = "detailed"):
+                 engine: Optional[Engine] = None):
     """Run one scenario; returns ``(rich_result, scalars_dict)``."""
-    from ..fastsim.dispatch import validate_tier
-    validate_tier(tier)
     spec = get_scenario(name)
-    if spec.detailed_only and tier != "detailed":
-        raise ExecError(
-            f"scenario {name!r} is detailed-only and cannot run on "
-            f"tier {tier!r}")
     if scale is None:
         scale = 1.0
     if scale <= 0:
@@ -94,8 +80,8 @@ def run_scenario(name: str, *, scale: Optional[float] = None,
     if engine is None:
         engine = Engine()
     with _obs_span("figs.scenario", "exec", scenario=name,
-                   scale=scale, tier=tier):
-        rich = spec.fn(scale=scale, engine=engine, tier=tier)
+                   scale=scale):
+        rich = spec.fn(scale=scale, engine=engine)
         scalars = spec.scalars(rich)
     return rich, scalars
 
@@ -111,8 +97,7 @@ def _n(base: int, scale: float, floor: int) -> int:
 _FIG02_BUDGETS = (0.5, 0.7, 0.85, 1.0)
 
 
-def fig02_pipeline_depth(scale: float = 1.0, engine=None,
-                         tier: str = "detailed"):
+def fig02_pipeline_depth(scale: float = 1.0, engine=None):
     from ..power import depth_study
     return depth_study(fo4_values=tuple(range(9, 46, 2)),
                        budgets=_FIG02_BUDGETS)
@@ -137,8 +122,7 @@ _register(ScenarioSpec(
 # Fig. 4 — per-unit design-change gains (the big simulation fan-out).
 # ---------------------------------------------------------------------
 
-def fig04_unit_gains(scale: float = 1.0, engine=None,
-                     tier: str = "detailed"):
+def fig04_unit_gains(scale: float = 1.0, engine=None):
     from ..core import (FEATURE_NAMES, apply_features, power9_config,
                         power10_config)
     from ..workloads import merge_smt, specint_suite
@@ -161,13 +145,11 @@ def fig04_unit_gains(scale: float = 1.0, engine=None,
     for label, cfg in st_configs.items():
         for t in traces_st:
             keys.append(("st", label, t.name))
-            tasks.append(sim_task(cfg, t, warmup_fraction=0.4,
-                                  tier=tier))
+            tasks.append(sim_task(cfg, t, warmup_fraction=0.4))
     for label, cfg in smt_configs.items():
         for t in traces_smt8:
             keys.append(("smt8", label, t.name))
-            tasks.append(sim_task(cfg, t, warmup_fraction=0.4,
-                                  tier=tier))
+            tasks.append(sim_task(cfg, t, warmup_fraction=0.4))
     results = dict(zip(keys, run_sim_plan(engine, tasks)))
 
     out = {}
@@ -214,8 +196,7 @@ _register(ScenarioSpec(
 # Fig. 5 — DGEMM FLOPs/cycle and core power.
 # ---------------------------------------------------------------------
 
-def fig05_dgemm(scale: float = 1.0, engine=None,
-                tier: str = "detailed"):
+def fig05_dgemm(scale: float = 1.0, engine=None):
     from ..core import power9_config, power10_config
     from ..power import EinspowerModel
     from ..workloads import dgemm_mma_trace, dgemm_vsu_trace
@@ -226,14 +207,14 @@ def fig05_dgemm(scale: float = 1.0, engine=None,
               ("p10_vsu", p10, dgemm_vsu_trace(n)),
               ("p10_mma", p10, dgemm_mma_trace(n))]
     probes = run_sim_plan(
-        engine, [sim_task(cfg, trace, warmup_fraction=0.2, tier=tier)
+        engine, [sim_task(cfg, trace, warmup_fraction=0.2)
                  for _label, cfg, trace in combos])
     window_keys, window_tasks = [], []
     for (label, cfg, trace), probe in zip(combos, probes):
         instr_per_window = max(200, int(5000 / probe.cpi))
         for window in trace.windows(instr_per_window):
             window_keys.append((label, cfg))
-            window_tasks.append(sim_task(cfg, window, tier=tier))
+            window_tasks.append(sim_task(cfg, window))
     window_results = run_sim_plan(engine, window_tasks)
     flops: Dict[str, List[float]] = {}
     power: Dict[str, List[float]] = {}
@@ -267,8 +248,7 @@ _register(ScenarioSpec(
 # Fig. 6 — end-to-end AI inference (analytic model composition).
 # ---------------------------------------------------------------------
 
-def fig06_ai_models(scale: float = 1.0, engine=None,
-                    tier: str = "detailed"):
+def fig06_ai_models(scale: float = 1.0, engine=None):
     from ..workloads.ai import (bert_large_profile, figure6_rows,
                                 resnet50_profile, socket_ai_speedup)
     out = {}
@@ -303,8 +283,7 @@ _register(ScenarioSpec(
 # Fig. 10 — core model vs chip model on SPECint simpoints.
 # ---------------------------------------------------------------------
 
-def fig10_core_vs_chip(scale: float = 1.0, engine=None,
-                       tier: str = "detailed"):
+def fig10_core_vs_chip(scale: float = 1.0, engine=None):
     from ..core import power10_config
     from ..power.apex import compare_core_vs_chip
     from ..tracegen import simpoint_suite
@@ -324,8 +303,7 @@ def fig10_core_vs_chip(scale: float = 1.0, engine=None,
                                 cache_scale=fscale)
     chip_model = power10_config(smt=2, cache_scale=fscale)
     return compare_core_vs_chip(core_model, chip_model, smt2,
-                                warmup_fraction=0.25, engine=engine,
-                                tier=tier)
+                                warmup_fraction=0.25, engine=engine)
 
 
 def _fig10_scalars(points) -> Dict[str, float]:
@@ -357,14 +335,13 @@ _register(ScenarioSpec(
 _FIG11_INPUTS = (1, 2, 4, 8, 16, 32)
 
 
-def fig11_m1_model(scale: float = 1.0, engine=None,
-                   tier: str = "detailed"):
+def fig11_m1_model(scale: float = 1.0, engine=None):
     from ..core import power10_config
     from ..power import build_training_set, input_sweep
     from ..workloads import specint_proxies
     config = power10_config()
     traces = specint_proxies(instructions=_n(5000, scale, 1200))
-    training = build_training_set(config, traces, tier=tier)
+    training = build_training_set(config, traces)
     return {
         "unconstrained": input_sweep(training, _FIG11_INPUTS),
         "nonnegative": input_sweep(training, _FIG11_INPUTS,
@@ -388,23 +365,20 @@ _register(ScenarioSpec(
 # Fig. 12 — top-down vs bottom-up power models (lstsq/NNLS-based).
 # ---------------------------------------------------------------------
 
-def fig12_topdown_bottomup(scale: float = 1.0, engine=None,
-                           tier: str = "detailed"):
+def fig12_topdown_bottomup(scale: float = 1.0, engine=None):
     from ..core import power10_config
     from ..power import (build_training_set, compare_top_down_bottom_up,
                          fit_bottom_up, fit_top_down)
     from ..workloads import specint_proxies, specint_suite
     config = power10_config()
     train = build_training_set(
-        config, specint_proxies(instructions=_n(5000, scale, 1200)),
-        tier=tier)
+        config, specint_proxies(instructions=_n(5000, scale, 1200)))
     eval_set = build_training_set(
         config,
         specint_suite(instructions=_n(6000, scale, 1500),
                       footprint_scale=8)
         + specint_proxies(instructions=_n(3000, scale, 1000),
-                          names=["xz", "x264"]),
-        tier=tier)
+                          names=["xz", "x264"]))
     top = fit_top_down(train, max_inputs=16)
     bottom = fit_bottom_up(train, max_inputs_per_component=3)
     stats = compare_top_down_bottom_up(top, bottom, eval_set)
@@ -437,8 +411,7 @@ _register(ScenarioSpec(
 _FIG13_VT = (10, 50, 90)
 
 
-def fig13_derating(scale: float = 1.0, engine=None,
-                   tier: str = "detailed"):
+def fig13_derating(scale: float = 1.0, engine=None):
     from ..core import power10_config
     from ..reliability import SERMiner
     from ..workloads import (derating_suites, merge_smt,
@@ -457,7 +430,7 @@ def fig13_derating(scale: float = 1.0, engine=None,
             suites[label] = [merge_smt([t] * smt,
                                        name=f"{t.name}x{smt}")
                              for t in spec]
-    return SERMiner(power10_config(), tier=tier).per_suite(
+    return SERMiner(power10_config()).per_suite(
         suites, vt_values=_FIG13_VT)
 
 
@@ -483,8 +456,7 @@ _register(ScenarioSpec(
 _FIG14_VT = tuple(range(10, 100, 20))
 
 
-def fig14_generation_derating(scale: float = 1.0, engine=None,
-                              tier: str = "detailed"):
+def fig14_generation_derating(scale: float = 1.0, engine=None):
     from ..core import power9_config, power10_config
     from ..reliability import compare_generations
     from ..workloads import derating_suites, specint_proxies
@@ -493,8 +465,7 @@ def fig14_generation_derating(scale: float = 1.0, engine=None,
     suites += specint_proxies(instructions=_n(2500, scale, 800),
                               names=["xz", "x264", "leela"])
     return compare_generations(power9_config(), power10_config(),
-                               suites, vt_values=_FIG14_VT,
-                               tier=tier)
+                               suites, vt_values=_FIG14_VT)
 
 
 def _fig14_scalars(results) -> Dict[str, float]:
@@ -519,12 +490,11 @@ _register(ScenarioSpec(
 _FIG15_GRANULARITIES = (10, 25, 50, 100, 400, 1600)
 
 
-def fig15_power_proxy(scale: float = 1.0, engine=None,
-                      tier: str = "detailed"):
+def fig15_power_proxy(scale: float = 1.0, engine=None):
     from ..core import power10_config
     from ..power import PowerProxyDesigner
     from ..workloads import specint_proxies
-    designer = PowerProxyDesigner(power10_config(), tier=tier)
+    designer = PowerProxyDesigner(power10_config())
     traces = specint_proxies(instructions=_n(6000, scale, 1200))
     feats, active, total = designer.characterize(traces)
     space = designer.design_space(feats, active, total,
@@ -564,8 +534,7 @@ _register(ScenarioSpec(
 # Table I — chip features and efficiency projections.
 # ---------------------------------------------------------------------
 
-def table1_efficiency(scale: float = 1.0, engine=None,
-                      tier: str = "detailed"):
+def table1_efficiency(scale: float = 1.0, engine=None):
     from ..core import (POWER9_SOCKET, POWER10_SOCKET, power9_config,
                         power10_config, project_socket)
     from ..power import EinspowerModel
@@ -573,7 +542,7 @@ def table1_efficiency(scale: float = 1.0, engine=None,
     engine = engine if engine is not None else Engine()
     proxies = specint_proxies(instructions=_n(8000, scale, 1200))
     p9, p10 = power9_config(), power10_config()
-    tasks = [sim_task(cfg, t, warmup_fraction=0.3, tier=tier)
+    tasks = [sim_task(cfg, t, warmup_fraction=0.3)
              for t in proxies for cfg in (p9, p10)]
     results = run_sim_plan(engine, tasks)
     rows = []
@@ -616,8 +585,7 @@ _register(ScenarioSpec(
 # Ablations — one mechanism off at a time.
 # ---------------------------------------------------------------------
 
-def ablations(scale: float = 1.0, engine=None,
-              tier: str = "detailed"):
+def ablations(scale: float = 1.0, engine=None):
     from ..core import power10_config
     from ..power import EinspowerModel
     from ..workloads import specint_proxies
@@ -642,8 +610,7 @@ def ablations(scale: float = 1.0, engine=None,
     for name, config in variants.items():
         for trace in traces:
             keys.append((name, config))
-            tasks.append(sim_task(config, trace, warmup_fraction=0.3,
-                                  tier=tier))
+            tasks.append(sim_task(config, trace, warmup_fraction=0.3))
     sims = run_sim_plan(engine, tasks)
     per_variant: Dict[str, List] = {}
     for (name, config), result in zip(keys, sims):
@@ -684,8 +651,7 @@ _register(ScenarioSpec(
 # Section III-C — APEX speedup over detailed power integration.
 # ---------------------------------------------------------------------
 
-def apex_speedup(scale: float = 1.0, engine=None,
-                 tier: str = "detailed"):
+def apex_speedup(scale: float = 1.0, engine=None):
     from ..core import power10_config
     from ..power import (apex_power_from_activity,
                          detailed_reference_power)
@@ -695,8 +661,7 @@ def apex_speedup(scale: float = 1.0, engine=None,
     trace = specint_suite(instructions=_n(30000, scale, 4000),
                           footprint_scale=8, names=["xz"])[0]
     activity = run_sim_plan(
-        engine, [sim_task(config, trace, warmup_fraction=0.2,
-                          tier=tier)])[0].activity
+        engine, [sim_task(config, trace, warmup_fraction=0.2)])[0].activity
 
     with _obs_span("figs.apex_detailed", "exec") as sp_slow:
         slow = detailed_reference_power(config, activity)
@@ -726,8 +691,7 @@ _register(ScenarioSpec(
 # Section III-A — Chopstix proxy-generation coverage.
 # ---------------------------------------------------------------------
 
-def proxy_coverage(scale: float = 1.0, engine=None,
-                   tier: str = "detailed"):
+def proxy_coverage(scale: float = 1.0, engine=None):
     from ..core import power9_config
     from ..tracegen import (build_tracepoint, pick_simpoints,
                             validate_against_reference)
@@ -743,13 +707,11 @@ def proxy_coverage(scale: float = 1.0, engine=None,
                         footprint_scale=8, names=["leela"])[0]
     epoch = _n(1600, scale, 400)
     tp = build_tracepoint(config, app, epoch_instructions=epoch,
-                          epochs_to_select=4, tier=tier)
-    tp_stats = validate_against_reference(config, app, tp.trace,
-                                          tier=tier)
+                          epochs_to_select=4)
+    tp_stats = validate_against_reference(config, app, tp.trace)
     sp = pick_simpoints(app, interval=epoch, max_clusters=4)
     best_sp = max(sp.simpoints, key=lambda s: s.weight)
-    sp_stats = validate_against_reference(config, app, best_sp.trace,
-                                          tier=tier)
+    sp_stats = validate_against_reference(config, app, best_sp.trace)
     return per_bench, tp_stats, sp_stats
 
 

@@ -25,13 +25,6 @@ normalized to [0, 1], so "current may be at most ``max_drop`` below
 baseline" is the meaningful contract (a ratio on a number near 1.0
 would make a catastrophic 0.5 -> 0.4 collapse look like -20%).
 
-Fast-tier fidelity (the ``fidelity.max_rel_err`` section ``repro
-bench --tier fast`` writes into ``BENCH_fastsim.json``) is likewise
-judged against an *absolute* budget: the fast simulator's worst
-relative scalar error across all compared scenarios may never exceed
-``budget``, regardless of what the baseline run measured — accuracy
-drift is a correctness bug, not a performance ratio.
-
 Baseline schema::
 
     {"schema": 1,
@@ -39,7 +32,6 @@ Baseline schema::
      "scenarios": {"fig05": {"wall_s": 1.23, "tolerance": 4.0}},
      "serve": {"p99_s": 0.8, "tolerance": 4.0},
      "availability": {"rate": 1.0, "max_drop": 0.25},
-     "fastsim": {"max_rel_err": 0.0, "budget": 0.001},
      "cluster": {"rate": 1.0, "max_drop": 0.1}}
 
 The ``cluster`` row watches ``BENCH_cluster.json`` (``repro loadgen
@@ -61,12 +53,9 @@ BASELINE_SCHEMA = 1
 DEFAULT_TOLERANCE = 0.5
 #: how far availability.rate may fall below the baseline (absolute)
 DEFAULT_AVAILABILITY_DROP = 0.1
-#: absolute ceiling on the fast tier's worst relative scalar error
-DEFAULT_FIDELITY_BUDGET = 1e-3
 # artifacts in the bench dir that are not per-scenario timings
 _SPECIAL = ("BENCH_sweep.json", "BENCH_serve.json",
-            "BENCH_chaos.json", "BENCH_fastsim.json",
-            "BENCH_cluster.json")
+            "BENCH_chaos.json", "BENCH_cluster.json")
 
 
 def collect_current(bench_dir) -> Dict[str, object]:
@@ -99,16 +88,6 @@ def collect_current(bench_dir) -> Dict[str, object]:
         if isinstance(avail, dict) \
                 and isinstance(avail.get("rate"), (int, float)):
             availability = float(avail["rate"])
-    fastsim: Optional[float] = None
-    fastsim_path = root / "BENCH_fastsim.json"
-    if fastsim_path.exists():
-        doc = _load(fastsim_path)
-        fid = doc.get("fidelity")
-        err = fid.get("max_rel_err") if isinstance(fid, dict) else None
-        if not isinstance(err, (int, float)):
-            raise ExecError(
-                f"{fastsim_path} lacks fidelity.max_rel_err")
-        fastsim = float(err)
     cluster: Optional[float] = None
     cluster_path = root / "BENCH_cluster.json"
     if cluster_path.exists():
@@ -120,12 +99,10 @@ def collect_current(bench_dir) -> Dict[str, object]:
             raise ExecError(
                 f"{cluster_path} lacks availability.rate")
         cluster = float(rate)
-    if not scenarios and serve is None and fastsim is None \
-            and cluster is None:
+    if not scenarios and serve is None and cluster is None:
         raise ExecError(f"no BENCH_*.json artifacts in {root}")
     return {"scenarios": scenarios, "serve": serve,
-            "availability": availability, "fastsim": fastsim,
-            "cluster": cluster}
+            "availability": availability, "cluster": cluster}
 
 
 def _load(path: Path) -> Dict[str, object]:
@@ -165,9 +142,6 @@ def build_baseline(current: Dict[str, object], *,
     if current.get("availability") is not None:
         doc["availability"] = {"rate": current["availability"],
                                "max_drop": DEFAULT_AVAILABILITY_DROP}
-    if current.get("fastsim") is not None:
-        doc["fastsim"] = {"max_rel_err": current["fastsim"],
-                          "budget": DEFAULT_FIDELITY_BUDGET}
     if current.get("cluster") is not None:
         doc["cluster"] = {"rate": current["cluster"],
                           "max_drop": DEFAULT_AVAILABILITY_DROP}
@@ -251,21 +225,6 @@ def compare(baseline: Dict[str, object], current: Dict[str, object],
                      "drop": drop, "max_drop": max_drop,
                      "status": ("regression" if drop > max_drop
                                 else "ok")})
-    base_fast = baseline.get("fastsim")
-    if base_fast is not None and current.get("fastsim") is not None:
-        # absolute budget: fast-tier accuracy is a contract, not a
-        # trend — any error above the budget fails even if the
-        # baseline run happened to measure worse
-        budget = float(base_fast.get("budget",
-                                     DEFAULT_FIDELITY_BUDGET))
-        cur_err = float(current["fastsim"])
-        rows.append({"name": "fastsim:fidelity",
-                     "baseline_max_rel_err":
-                     float(base_fast["max_rel_err"]),
-                     "current_max_rel_err": cur_err,
-                     "budget": budget,
-                     "status": ("regression" if cur_err > budget
-                                else "ok")})
     regressions = [r for r in rows if r["status"] == "regression"]
     return {"rows": rows, "regressions": len(regressions),
             "ok": not regressions}
@@ -299,13 +258,6 @@ def run_perfwatch(bench_dir, baseline_path, *,
             detail = (f"{row['current_s']:8.3f}s"
                       if status == "new" else "        -")
             print(f"{row['name']:16s} {detail}  [{status}]", file=out)
-            continue
-        if "budget" in row:
-            print(f"{row['name']:16s} "
-                  f"{row['baseline_max_rel_err']:8.2e} -> "
-                  f"{row['current_max_rel_err']:8.2e}   "
-                  f"(budget {row['budget']:.1e})  [{status}]",
-                  file=out)
             continue
         if "baseline_rate" in row:
             print(f"{row['name']:16s} {row['baseline_rate']:8.3f}  -> "

@@ -1,33 +1,27 @@
-"""Fast replay tier: columnar activity extraction + vectorized replay.
+"""Columnar activity extraction + vectorized replay: the repo's APEX.
 
-The detailed pipeline (:mod:`repro.core.pipeline`) is the oracle — the
-bit-honest stand-in for the paper's RTLSim/M1 substrate.  This package
-is the repo's APEX: a calibrated fast path that separates the *stateful
-event derivation* (caches, TLBs, branch predictors, fusion — all
-independent of instruction timing) from the *serial occupancy
-recurrence*, precomputes the former once per workload as numpy tensors,
-and replays only the latter.  Results are validated differentially
-against the oracle (``tests/test_fastsim_diff.py``) and through the
-golden figure harness on both tiers; ``repro bench --tier fast``
-measures and enforces the fidelity budget (``BENCH_fastsim.json``).
+:func:`repro.core.pipeline.simulate` is the one simulation entry point.
+A plain run lands here: the *stateful event derivation* (caches, TLBs,
+branch predictors, fusion — all independent of instruction timing) is
+extracted once per run as numpy tensors, and only the serial occupancy
+recurrence is replayed over them.  Runs with an interval sampler or
+under an active fault-injection campaign take the per-instruction walk
+(:func:`repro.core.pipeline.simulate_reference`) instead, which is also
+the reference ``tests/test_fastsim_diff.py`` checks the replay against,
+bit for bit.
 
 Public surface:
 
-* :func:`simulate_fast` — drop-in for ``core.pipeline.simulate`` (no
-  sampler / no fault injection; both force the detailed tier).
-* :func:`simulate_tiered` / :data:`TIERS` / :func:`validate_tier` —
-  the tier selector used by ``core.simulator`` and the figure code.
-* :func:`extract_stream` — the per-workload activity tensor.
+* :func:`simulate_fast` — the replay ``simulate`` dispatches to.
+* :func:`extract_stream` — the per-run activity tensor.
 * :func:`batch_power` — array-at-a-time power evaluation over many
   activity streams through the existing ``power/`` coefficients.
 """
 
-from .dispatch import TIERS, simulate_tiered, validate_tier
 from .extract import ActivityStream, extract_stream
 from .power_eval import batch_power
 from .replay import simulate_fast
 
 __all__ = [
-    "ActivityStream", "TIERS", "batch_power", "extract_stream",
-    "simulate_fast", "simulate_tiered", "validate_tier",
+    "ActivityStream", "batch_power", "extract_stream", "simulate_fast",
 ]

@@ -1,6 +1,6 @@
-"""Activity-stream extraction: the tensor half of the fast tier.
+"""Activity-stream extraction: the tensor half of the replay.
 
-``core.pipeline._simulate`` interleaves two kinds of work in one
+``core.pipeline.simulate_reference`` interleaves two kinds of work in one
 per-instruction loop: *stateful event derivation* (I-cache/D-cache and
 TLB walks, branch prediction, fusion classification — none of which
 depend on instruction timing) and the *serial occupancy recurrence*
@@ -9,36 +9,33 @@ ports).  This module performs only the first kind, driving the very
 same component classes (:class:`~repro.core.caches.CacheHierarchy`,
 :class:`~repro.core.tlb.MMU`, the branch predictors,
 :class:`~repro.core.fusion.FusionEngine`) in the exact order the
-detailed pipeline would, and stores the outcomes as numpy arrays over
+walk would, and stores the outcomes as numpy arrays over
 instruction index — the activity tensor that
 :mod:`repro.fastsim.replay` consumes.
 
-Extraction is split into sub-passes with independent memo keys so a
-config sweep amortizes work (the APEX lever):
+Extraction runs four sub-passes, each depending on only part of the
+config:
 
 * **static** — config-independent: instruction classes, register
   dependence edges (CSR), FLOPs, addresses, I-cache lines.
-* **branch** — keyed by predictor kind/scale: per-branch mispredict
-  outcomes.
-* **fusion** — keyed by (fusion_enabled, decode_width): fused masks,
+* **branch** — predictor kind/scale: per-branch mispredict outcomes.
+* **fusion** — fusion_enabled and decode width: fused masks,
   post-fusion latencies, fusion-rate stats.
-* **memory** — keyed by the cache/MMU geometry plus everything that
-  changes *which* accesses happen (decode width, fusion, branch kind,
-  EA tagging, store merging): per-access hit/miss outcomes, extra
+* **memory** — the cache/MMU geometry plus everything that changes
+  *which* accesses happen (decode width, fusion, branch kind, EA
+  tagging, store merging): per-access hit/miss outcomes, extra
   translation latencies, per-group fetch stalls, prefetcher totals.
 
-Notably absent from every key: SMT mode, queue/window sizes, port
-counts, completion width — a sweep over those replays the same tensor.
-
-Memoization is per trace object (``id`` + ``weakref.finalize``
-eviction) so windows and suites do not leak; results are exact — the
-differential harness asserts bit-identical event counts against the
-detailed tier.
+SMT mode, queue/window sizes, port counts and completion width enter
+none of them; only the replay's occupancy recurrence reads those.
+Nothing is memoized: the tensor lives only as long as its replay.
+Results are exact — the differential harness asserts bit-identical
+event counts against the walk.
 """
 
 from __future__ import annotations
 
-import weakref
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -56,7 +53,7 @@ from ..errors import SimulationError
 CLASS_ORDER: Tuple[InstrClass, ...] = tuple(InstrClass)
 _CODE = {cls: i for i, cls in enumerate(CLASS_ORDER)}
 _BASE_LAT = np.array([BASE_LATENCY[cls] for cls in CLASS_ORDER],
-                     dtype=np.int64)
+                     dtype=np.int16)
 _MMA_CODE = _CODE[InstrClass.MMA]
 
 
@@ -66,27 +63,25 @@ class StaticPass:
 
     n: int
     codes: np.ndarray          # int8, index into CLASS_ORDER
-    base_lat: np.ndarray       # int64, BASE_LATENCY per instruction
+    base_lat: np.ndarray       # int16, BASE_LATENCY per instruction
     is_load: np.ndarray        # bool
     is_store: np.ndarray       # bool
     is_branch: np.ndarray      # bool
     is_memory: np.ndarray      # bool
-    n_srcs: np.ndarray         # int64
-    n_dests: np.ndarray        # int64
-    flops: np.ndarray          # int64
-    lines: np.ndarray          # int64, pc >> 5
+    n_srcs: np.ndarray         # int8
+    n_dests: np.ndarray        # int8
+    flops: np.ndarray          # int32
+    pc: np.ndarray             # int64
     addr: np.ndarray           # int64, -1 when no address
-    size: np.ndarray           # int64
-    pcs: List[int]             # raw pcs for I-cache walks
-    addrs: List[int]           # raw addresses for D-cache walks (0 if none)
+    size: np.ndarray           # int16
     # register dependences in CSR form, aligned with flattened srcs:
     # edge d of instruction i lives in [dep_off[i], dep_off[i+1]);
     # dep_p[d] is the producer index (-1: no in-trace producer) and
-    # dep_acc[d] marks MMA accumulator forwarding (ready at issue+1
-    # instead of finish).
+    # dep_acc[d] (0/1) marks MMA accumulator forwarding (ready at
+    # issue+1 instead of finish).
     dep_off: np.ndarray        # int64, length n+1
-    dep_p: np.ndarray          # int64
-    dep_acc: np.ndarray        # bool
+    dep_p: np.ndarray          # int32
+    dep_acc: np.ndarray        # int8
     branch_idx: List[int]      # indices of branches, program order
 
 
@@ -95,7 +90,7 @@ class FusionPass:
     """Per-instruction fusion outcome (consumer side)."""
 
     fused: np.ndarray          # bool: fused with predecessor
-    latency: np.ndarray        # int64, post-fusion base latency
+    latency: np.ndarray        # int16, post-fusion base latency
     single_agen: np.ndarray    # bool
     single_storeq: np.ndarray  # bool
     fusion_rate: float
@@ -108,14 +103,14 @@ class MemoryPass:
     newline: np.ndarray        # bool: I-cache access (new 32B sector)
     ic_miss: np.ndarray        # bool: I-cache miss
     gstall: np.ndarray         # int64 per decode group: fetch stall
-    erat_lookup: np.ndarray    # int64 per instruction (0..2)
-    erat_miss: np.ndarray      # int64 (== tlb_lookup)
-    tlb_miss: np.ndarray       # int64 (== tablewalk)
+    erat_lookup: np.ndarray    # int8 per instruction (0..2)
+    erat_miss: np.ndarray      # int8 (== tlb_lookup)
+    tlb_miss: np.ndarray       # int8 (== tablewalk)
     access_store: np.ndarray   # bool: store that performed a D access
     merged: np.ndarray         # bool: store-queue merge
     load_miss: np.ndarray      # bool
     store_miss: np.ndarray     # bool
-    load_delay: np.ndarray     # int64: hierarchy latency + xlat extra
+    load_delay: np.ndarray     # int32: hierarchy latency + xlat extra
     dm_l3: np.ndarray          # bool: data miss serviced at L3 or memory
     dm_mem: np.ndarray         # bool: data miss serviced at memory
     l1d_miss_rate: float
@@ -135,131 +130,79 @@ class ActivityStream:
 
 
 # --------------------------------------------------------------------------
-# Per-trace memo (id keyed, evicted when the trace is collected).
-# --------------------------------------------------------------------------
-
-_MEMO: Dict[int, Dict[tuple, object]] = {}
-
-
-def _memo_slot(trace) -> Optional[Dict[tuple, object]]:
-    key = id(trace)
-    slot = _MEMO.get(key)
-    if slot is None:
-        slot = {}
-        try:
-            weakref.finalize(trace, _MEMO.pop, key, None)
-        except TypeError:
-            return None        # un-weakref-able trace: skip caching
-        _MEMO[key] = slot
-    return slot
-
-
-def memo_size() -> int:
-    """Number of live per-trace memo slots (introspection/tests)."""
-    return len(_MEMO)
-
-
-# --------------------------------------------------------------------------
 # Sub-passes.
 # --------------------------------------------------------------------------
 
+def _column(values: array) -> np.ndarray:
+    """A numpy view of an ``array`` column, without a copy."""
+    return np.frombuffer(values, dtype=values.typecode)
+
+
 def _static_pass(instructions) -> StaticPass:
+    # Columns are built as typed arrays, not lists: a list holds a
+    # Python int per element, several times the memory of the tensor.
     n = len(instructions)
-    codes_l: List[int] = []
-    n_srcs_l: List[int] = []
-    n_dests_l: List[int] = []
-    flops_l: List[int] = []
-    addr_l: List[int] = []
-    size_l: List[int] = []
-    pcs: List[int] = []
-    addrs: List[int] = []
+    codes = array("b")
+    n_srcs = array("b")
+    n_dests = array("b")
+    flops = array("i")
+    pc = array("q")
+    addr = array("q")
+    size = array("h")
     branch_idx: List[int] = []
-    # flattened read/write edges for vectorized last-writer resolution;
-    # (thread, register) packed into one int key (registers < 2**40)
-    r_key: List[int] = []
-    w_key: List[int] = []
-    w_idx: List[int] = []
-    w_acc: List[int] = []
+    dep_p = array("i")
+    dep_acc = array("b")
+    # reg_ready semantics: each read depends on the most recent earlier
+    # write of the same (thread, register), packed into one int key
+    # (registers < 2**40); the value is 2 * writer + accumulator flag
+    last_write: Dict[int, int] = {}
+    last_get = last_write.get
     code_of = {id(cls): code for cls, code in _CODE.items()}
     mma = InstrClass.MMA
     br = InstrClass.BRANCH
     bri = InstrClass.BRANCH_IND
     for i, ins in enumerate(instructions):
         cls = ins.iclass
-        codes_l.append(code_of[id(cls)])
+        codes.append(code_of[id(cls)])
         srcs = ins.srcs
         dests = ins.dests
-        n_srcs_l.append(len(srcs))
-        n_dests_l.append(len(dests))
-        flops_l.append(ins.flops)
-        pcs.append(ins.pc)
+        n_srcs.append(len(srcs))
+        n_dests.append(len(dests))
+        flops.append(ins.flops)
+        pc.append(ins.pc)
         a = ins.address
-        if a is None:
-            addrs.append(0)
-            addr_l.append(-1)
-        else:
-            addrs.append(a)
-            addr_l.append(a)
-        size_l.append(ins.size)
+        addr.append(-1 if a is None else a)
+        size.append(ins.size)
         if cls is br or cls is bri:
             branch_idx.append(i)
         tbase = ins.thread << 40
-        for s in srcs:
-            r_key.append(tbase + s)
+        for r in srcs:
+            w = last_get(tbase + r, -2)
+            dep_p.append(w >> 1)
+            dep_acc.append(w & 1)
         if dests:
             is_acc_producer = cls is mma
             for d in dests:
-                w_key.append(tbase + d)
-                w_idx.append(i)
-                w_acc.append(1 if is_acc_producer and d >= ACC_BASE
-                             else 0)
+                last_write[tbase + d] = 2 * i + (
+                    1 if is_acc_producer and d >= ACC_BASE else 0)
 
-    codes = np.array(codes_l, dtype=np.int8)
-    n_srcs = np.array(n_srcs_l, dtype=np.int64)
-    n_dests = np.array(n_dests_l, dtype=np.int64)
-    flops = np.array(flops_l, dtype=np.int64)
-    addr = np.array(addr_l, dtype=np.int64)
-    size = np.array(size_l, dtype=np.int64)
-    lines = np.array(pcs, dtype=np.int64) >> 5
-
-    # dependence edges: for each read, the most recent earlier write of
-    # the same (thread, register) — reg_ready semantics, vectorized
-    rk = np.array(r_key, dtype=np.int64) \
-        if r_key else np.empty(0, dtype=np.int64)
-    wk = np.array(w_key, dtype=np.int64) \
-        if w_key else np.empty(0, dtype=np.int64)
-    wi = np.array(w_idx, dtype=np.int64)
-    wa = np.array(w_acc, dtype=bool)
-    ri = np.repeat(np.arange(n, dtype=np.int64), n_srcs)
-    dep_p = np.full(len(rk), -1, dtype=np.int64)
-    dep_acc = np.zeros(len(rk), dtype=bool)
-    if len(rk) and len(wk):
-        w_combo = wk * (n + 1) + wi
-        order = np.argsort(w_combo, kind="stable")
-        w_sorted = w_combo[order]
-        pos = np.searchsorted(w_sorted, rk * (n + 1) + ri, side="left") - 1
-        valid = pos >= 0
-        cand = order[np.clip(pos, 0, None)]
-        valid &= wk[cand] == rk
-        dep_p[valid] = wi[cand[valid]]
-        dep_acc[valid] = wa[cand[valid]]
+    codes_a = _column(codes)
+    n_srcs_a = _column(n_srcs)
     dep_off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(n_srcs, out=dep_off[1:])
-
-    icodes = codes.astype(np.int64)
-    is_load = (codes == _CODE[InstrClass.LOAD]) \
-        | (codes == _CODE[InstrClass.VSX_LOAD])
-    is_store = (codes == _CODE[InstrClass.STORE]) \
-        | (codes == _CODE[InstrClass.VSX_STORE])
-    is_branch = (codes == _CODE[InstrClass.BRANCH]) \
-        | (codes == _CODE[InstrClass.BRANCH_IND])
+    np.cumsum(n_srcs_a, out=dep_off[1:])
+    is_load = (codes_a == _CODE[InstrClass.LOAD]) \
+        | (codes_a == _CODE[InstrClass.VSX_LOAD])
+    is_store = (codes_a == _CODE[InstrClass.STORE]) \
+        | (codes_a == _CODE[InstrClass.VSX_STORE])
+    is_branch = (codes_a == _CODE[InstrClass.BRANCH]) \
+        | (codes_a == _CODE[InstrClass.BRANCH_IND])
     return StaticPass(
-        n=n, codes=codes, base_lat=_BASE_LAT[icodes],
+        n=n, codes=codes_a, base_lat=_BASE_LAT[codes_a],
         is_load=is_load, is_store=is_store, is_branch=is_branch,
         is_memory=is_load | is_store,
-        n_srcs=n_srcs, n_dests=n_dests, flops=flops, lines=lines,
-        addr=addr, size=size, pcs=pcs, addrs=addrs,
-        dep_off=dep_off, dep_p=dep_p, dep_acc=dep_acc,
+        n_srcs=n_srcs_a, n_dests=_column(n_dests), flops=_column(flops),
+        pc=_column(pc), addr=_column(addr), size=_column(size),
+        dep_off=dep_off, dep_p=_column(dep_p), dep_acc=_column(dep_acc),
         branch_idx=branch_idx)
 
 
@@ -311,7 +254,7 @@ def _memory_pass(static: StaticPass, wrong: np.ndarray, fus: FusionPass,
     # I-cache "new sector" mask: last_icache_line always equals the
     # previous instruction's line, except at the start of a group that
     # follows a mispredict (the redirect resets the tracker to -1).
-    lines = static.lines
+    lines = static.pc >> 5
     newline = np.empty(n, dtype=bool)
     newline[0] = True
     if n > 1:
@@ -347,12 +290,12 @@ def _memory_pass(static: StaticPass, wrong: np.ndarray, fus: FusionPass,
     access_instruction = hier.access_instruction
     access_data = hier.access_data
     translate = mmu.translate
-    pcs = static.pcs
-    addrs = static.addrs
+    pcs = memoryview(static.pc)
+    addrs = memoryview(static.addr)
     load_l = static.is_load.tolist()
 
     gstall = np.zeros(n_groups, dtype=np.int64)
-    load_delay = np.zeros(n, dtype=np.int64)
+    load_delay = np.zeros(n, dtype=np.int32)
     load_miss = np.zeros(n, dtype=bool)
     store_miss = np.zeros(n, dtype=bool)
     ic_miss = np.zeros(n, dtype=bool)
@@ -418,17 +361,17 @@ def _memory_pass(static: StaticPass, wrong: np.ndarray, fus: FusionPass,
                     dm_lvl.append(res.level)
 
     # translation event tensors
-    erat_miss = np.zeros(n, dtype=np.int64)
+    erat_miss = np.zeros(n, dtype=np.int8)
     if erat_miss_at:
         np.add.at(erat_miss, erat_miss_at, 1)
-    tlb_miss = np.zeros(n, dtype=np.int64)
+    tlb_miss = np.zeros(n, dtype=np.int8)
     if tlb_miss_at:
         np.add.at(tlb_miss, tlb_miss_at, 1)
     # erat_lookup policy: RA-tagged L1s translate on every access,
     # EA-tagged only on an L1 miss (I-side lookups follow the same
     # policy but the I-side RA lookup is counted per access, miss or
-    # not, exactly as the detailed fetch loop does)
-    erat_lookup = np.zeros(n, dtype=np.int64)
+    # not, exactly as the walk's fetch loop does)
+    erat_lookup = np.zeros(n, dtype=np.int8)
     if ea_tagged:
         erat_lookup += ic_miss
         erat_lookup += load_miss
@@ -466,43 +409,22 @@ def _memory_pass(static: StaticPass, wrong: np.ndarray, fus: FusionPass,
 def extract_stream(config: CoreConfig, trace, *,
                    max_instructions: Optional[int] = None,
                    ) -> ActivityStream:
-    """The activity tensor for ``(config, trace)``, memoized per pass.
+    """The activity tensor for ``(config, trace)``.
 
     Raises :class:`~repro.errors.SimulationError` on an empty trace,
-    mirroring the detailed tier.
+    mirroring the walk.
     """
     instructions = trace.instructions
     if max_instructions is not None:
         instructions = instructions[:max_instructions]
     if not instructions:
         raise SimulationError("cannot simulate an empty trace")
-    n = len(instructions)
-    slot = _memo_slot(trace)
-
-    def memo(key, fn):
-        if slot is None:
-            return fn()
-        value = slot.get(key)
-        if value is None:
-            value = fn()
-            slot[key] = value
-        return value
-
     fe = config.front_end
-    static = memo(("static", n), lambda: _static_pass(instructions))
-    wrong = memo(
-        ("branch", n, fe.branch_kind, fe.branch_scale),
-        lambda: _branch_pass(instructions, static,
-                             fe.branch_kind, fe.branch_scale))
-    fus = memo(
-        ("fusion", n, fe.fusion_enabled, fe.decode_width),
-        lambda: _fusion_pass(instructions, static,
-                             fe.fusion_enabled, fe.decode_width))
-    mem = memo(
-        ("memory", n, fe.decode_width, fe.fusion_enabled,
-         fe.branch_kind, fe.branch_scale, config.ea_tagged_l1,
-         config.lsu.store_merge_enabled, repr(config.hierarchy),
-         repr(config.mmu)),
-        lambda: _memory_pass(static, wrong, fus, config))
+    static = _static_pass(instructions)
+    wrong = _branch_pass(instructions, static,
+                         fe.branch_kind, fe.branch_scale)
+    fus = _fusion_pass(instructions, static,
+                       fe.fusion_enabled, fe.decode_width)
+    mem = _memory_pass(static, wrong, fus, config)
     return ActivityStream(static=static, wrong=wrong, fusion=fus,
                           memory=mem)

@@ -1,26 +1,28 @@
-"""Table-driven replay: the timing half of the fast tier.
+"""Table-driven replay: the default path of ``core.pipeline.simulate``.
 
 Consumes the activity tensor from :mod:`repro.fastsim.extract` and runs
 only the serial occupancy recurrence — dispatch/issue/retire through
 the window, issue queue, load/store/load-miss queues and execution
 ports — with every stateful derivation (cache hits, translations,
 mispredicts, fusion) already resolved to table lookups.  The port
-arbiters are the *same* ``_Ports`` state machines the detailed pipeline
+arbiters are the *same* ``_Ports`` state machines the per-instruction walk
 uses (via :func:`repro.core.pipeline.build_ports`), and the queue
 models replicate ``_Ring``/``_Pool`` semantics with plain lookback
 lists and heaps, so replayed cycle counts are bit-identical to the
-oracle; ``ActivityCounters`` are then tallied array-at-a-time from the
+walk; ``ActivityCounters`` are then tallied array-at-a-time from the
 tensor (full-run totals minus a warmup prefix at the same decode-group
-boundary the detailed tier snapshots).
+boundary the walk snapshots).
 
-Unsupported in this tier (both force ``tier="detailed"`` upstream and
-raise here): interval samplers and active fault-injection campaigns,
-which observe or perturb mid-run state the replay never materializes.
+Interval samplers and active fault-injection campaigns observe or
+perturb mid-run state the replay never materializes, so
+:func:`repro.core.pipeline.simulate` sends those runs to the
+per-instruction walk instead; this module never sees them.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from typing import Optional
 
 import numpy as np
@@ -37,16 +39,19 @@ from .extract import CLASS_ORDER, ActivityStream, extract_stream
 
 _IDX = {cls: i for i, cls in enumerate(CLASS_ORDER)}
 
+#: decode groups whose loop rows exist at once
+_CHUNK_GROUPS = 256
+
 
 def simulate_fast(config: CoreConfig, trace, *,
                   max_instructions: Optional[int] = None,
                   warmup_fraction: float = 0.0) -> SimResult:
-    """Fast-tier counterpart of :func:`repro.core.pipeline.simulate`.
+    """Replay one trace; :func:`repro.core.pipeline.simulate` calls this.
 
-    Returns a :class:`~repro.core.pipeline.SimResult` built to be
-    bit-identical to the detailed tier for the same inputs (enforced by
-    ``tests/test_fastsim_diff.py``).  No ``sampler`` parameter: interval
-    sampling requires the detailed tier.
+    Returns a :class:`~repro.core.pipeline.SimResult` bit-identical to
+    :func:`repro.core.pipeline.simulate_reference` for the same inputs
+    (enforced by ``tests/test_fastsim_diff.py``).  No ``sampler``
+    parameter: sampled runs take the walk.
     """
     with _obs_span("fastsim.simulate", "fastsim", config=config.name,
                    trace=getattr(trace, "name", "?")) as sp:
@@ -65,11 +70,6 @@ def _replay(config: CoreConfig, trace, *,
             warmup_fraction: float) -> SimResult:
     if not 0.0 <= warmup_fraction < 1.0:
         raise SimulationError("warmup_fraction must be in [0, 1)")
-    from ..resilience.injector import get_injector
-    if get_injector() is not None:
-        raise SimulationError(
-            "the fast tier cannot run under an active fault-injection "
-            "campaign; use tier='detailed'")
     stream = extract_stream(config, trace,
                             max_instructions=max_instructions)
     st, fus, mem, wrong = (stream.static, stream.fusion, stream.memory,
@@ -109,7 +109,7 @@ def _replay(config: CoreConfig, trace, *,
     # (the common case); each distinct _Ports group gets one mutable
     # state cell [occ, low_water, count, interval, obj, occ.get] so
     # classes sharing physical ports (VSX_LOAD->LOAD, VSX_STORE->STORE)
-    # share occupancy exactly as in the detailed tier.
+    # share occupancy exactly as in the walk.
     port_state: dict = {}
     state_by_code = []
     for p in port_by_code:
@@ -123,27 +123,36 @@ def _replay(config: CoreConfig, trace, *,
             port_state[id(p)] = cell
         state_by_code.append(cell)
 
-    # tensor -> one row tuple per instruction: single unpack in the loop
-    kinds = (st.is_load.astype(np.int8)
-             + 2 * st.is_store.astype(np.int8)).tolist()
-    rows = list(zip(
-        [state_by_code[c] for c in st.codes.tolist()],
-        fus.fused.tolist(),
-        kinds,
-        (st.is_store & ~(fus.fused & fus.single_storeq)).tolist(),
-        wrong.tolist(),
-        fus.latency.tolist(),
-        mem.load_miss.tolist(),
-        mem.load_delay.tolist(),
-    ))
+    # The warmup boundary is the first decode-group start at or past
+    # the warmup count (the walk snapshots there); without one the
+    # whole run is measured.
+    warmup_count = int(n * warmup_fraction)
+    idx0 = -(-warmup_count // decode_w) * decode_w
+    if idx0 >= n:
+        idx0 = 0
+    # Everything but the wrong-path volumes is tallied before the loop,
+    # so the loop holds only the columns it reads: peak memory is the
+    # tensor the loop needs plus one chunk of rows, not the whole
+    # activity tensor plus Python objects for every instruction.
+    ev = _tally(stream, idx0)
+    mispredicts = int(np.count_nonzero(wrong[idx0:]))
+    flops = int(st.flops[idx0:].sum())
+    l1d_miss_rate, l2_miss_rate = mem.l1d_miss_rate, mem.l2_miss_rate
+    fusion_rate = fus.fusion_rate
+    columns = (st.codes,
+               st.is_load.astype(np.int8) + 2 * st.is_store.astype(np.int8),
+               fus.fused,
+               st.is_store & ~(fus.fused & fus.single_storeq),
+               wrong, fus.latency, mem.load_miss, mem.load_delay)
     gstall_l = mem.gstall.tolist()
-    dep_off = st.dep_off.tolist()
-    dep_p = st.dep_p.tolist()
-    dep_acc = st.dep_acc.tolist()
+    dep_off = memoryview(st.dep_off)
+    dep_p = memoryview(st.dep_p)
+    dep_acc = memoryview(st.dep_acc)
+    del stream, st, fus, mem, wrong
 
-    issue_ts = [0] * n
-    finish_ts = [0] * n
-    retires: list = []
+    issue_ts = array("q", bytes(8 * n))
+    finish_ts = array("q", bytes(8 * n))
+    retires = array("q")
     retires_append = retires.append
     heap_push = heapq.heappush
     heap_replace = heapq.heapreplace
@@ -151,10 +160,10 @@ def _replay(config: CoreConfig, trace, *,
     iq_len = 0
     lmq: list = []
     lmq_len = 0
-    lq_rel: list = []
+    lq_rel = array("q")
     lq_append = lq_rel.append
     nl = 0
-    sq_rel: list = []
+    sq_rel = array("q")
     sq_append = sq_rel.append
     ns = 0
 
@@ -163,150 +172,156 @@ def _replay(config: CoreConfig, trace, *,
     retire_in_cycle = 0
     wp_flush = 0
     wp_decode = 0
-    warmup_count = int(n * warmup_fraction)
     snap = None
     g = 0
-    for s in range(0, n, decode_w):
-        if snap is None and s >= warmup_count and warmup_count:
-            snap = (front_cycle, last_retire, wp_flush, wp_decode, s)
-        e = s + decode_w
-        if e > n:
-            e = n
-        front_cycle += 1 + gstall_l[g]
-        g += 1
-        dispatch_base = front_cycle + front_depth
-        prev_issue = 0
-        for i in range(s, e):
-            pstate, fused, kind, sqf, wr, lat, lmiss, ldel = rows[i]
-            dispatch = dispatch_base
-            if i >= window_n:
-                v = retires[i - window_n]
-                if v > dispatch:
-                    dispatch = v
-            if not fused and iq_len == issueq_n:
-                v = iq[0]
-                if v > dispatch:
-                    dispatch = v
-            if kind == 1:
-                if nl >= loadq_n:
-                    v = lq_rel[nl - loadq_n]
+    chunk = decode_w * _CHUNK_GROUPS     # splits only between groups
+    for c0 in range(0, n, chunk):
+        c1 = min(n, c0 + chunk)
+        codes, *rest = (col[c0:c1].tolist() for col in columns)
+        # one row tuple per instruction: single unpack in the loop
+        rows = list(zip([state_by_code[c] for c in codes], *rest))
+        for s in range(c0, c1, decode_w):
+            if s == idx0 and idx0:
+                snap = (front_cycle, last_retire, wp_flush, wp_decode)
+            e = s + decode_w
+            if e > c1:
+                e = c1
+            front_cycle += 1 + gstall_l[g]
+            g += 1
+            dispatch_base = front_cycle + front_depth
+            prev_issue = 0
+            for i in range(s, e):
+                pstate, kind, fused, sqf, wr, lat, lmiss, ldel = rows[i - c0]
+                dispatch = dispatch_base
+                if i >= window_n:
+                    v = retires[i - window_n]
                     if v > dispatch:
                         dispatch = v
-            elif kind == 2 and sqf:
-                if ns >= storeq_n:
-                    v = sq_rel[ns - storeq_n]
+                if not fused and iq_len == issueq_n:
+                    v = iq[0]
                     if v > dispatch:
                         dispatch = v
-            if dispatch > dispatch_base:
-                # structural stall backs up the front end
-                front_cycle += dispatch - dispatch_base
-                dispatch_base = dispatch
-            ready = dispatch + 1
-            d0 = dep_off[i]
-            d1 = dep_off[i + 1]
-            while d0 < d1:
-                p = dep_p[d0]
-                if p >= 0:
-                    v = issue_ts[p] + 1 if dep_acc[d0] else finish_ts[p]
-                    if v > ready:
-                        ready = v
-                d0 += 1
-            if fused and prev_issue > ready:
-                ready = prev_issue
-            if pstate[3] == 1:
-                cycle = ready if ready > pstate[1] else pstate[1]
-                og = pstate[5]
-                cnt = pstate[2]
-                v = og(cycle, 0)
-                while v >= cnt:
-                    cycle += 1
+                if kind == 1:
+                    if nl >= loadq_n:
+                        v = lq_rel[nl - loadq_n]
+                        if v > dispatch:
+                            dispatch = v
+                elif kind == 2 and sqf:
+                    if ns >= storeq_n:
+                        v = sq_rel[ns - storeq_n]
+                        if v > dispatch:
+                            dispatch = v
+                if dispatch > dispatch_base:
+                    # structural stall backs up the front end
+                    front_cycle += dispatch - dispatch_base
+                    dispatch_base = dispatch
+                ready = dispatch + 1
+                d0 = dep_off[i]
+                d1 = dep_off[i + 1]
+                while d0 < d1:
+                    p = dep_p[d0]
+                    if p >= 0:
+                        v = issue_ts[p] + 1 if dep_acc[d0] else finish_ts[p]
+                        if v > ready:
+                            ready = v
+                    d0 += 1
+                if fused and prev_issue > ready:
+                    ready = prev_issue
+                if pstate[3] == 1:
+                    cycle = ready if ready > pstate[1] else pstate[1]
+                    og = pstate[5]
+                    cnt = pstate[2]
                     v = og(cycle, 0)
-                occ = pstate[0]
-                occ[cycle] = v + 1
-                if len(occ) > 65536:
-                    cutoff = cycle - 4096
-                    occ = {c: x for c, x in occ.items() if c >= cutoff}
-                    pstate[0] = occ
-                    pstate[5] = occ.get
-                    if cutoff > pstate[1]:
-                        pstate[1] = cutoff
-                issue_at = cycle
-            else:
-                issue_at = pstate[4].issue(ready)
-            prev_issue = issue_at
-            if kind == 1:
-                lq_append(issue_at + lat)
-                nl += 1
-                if lmiss:
-                    le = lmq[0] if lmq_len == lmq_n else 0
-                    lmq_at = issue_at if issue_at > le else le
-                    fill = lmq_at + ldel
-                    if lmq_len >= lmq_n:
-                        heap_replace(lmq, fill)
-                    else:
-                        heap_push(lmq, fill)
-                        lmq_len += 1
-                    v = fill - issue_at
-                    if v > lat:
-                        lat = v
-                elif ldel > lat:
-                    lat = ldel
-            elif kind == 2 and sqf:
-                sq_append(issue_at + lat + 4)
-                ns += 1
-            finish = issue_at + lat
-            issue_ts[i] = issue_at
-            finish_ts[i] = finish
-            if wr:
-                ahead = finish - front_cycle
-                stall = ahead + redirect
-                if smt > 1:
-                    stall = stall // smt
-                    if stall < 1:
-                        stall = 1
-                if ahead < 0:
-                    ahead = 0
-                elif ahead > wrong_window:
-                    ahead = wrong_window
-                wp = int(wp_factor * ahead)
-                wp_flush += wp
-                wp_decode += wp >> 1
-                if stall > 0:
-                    front_cycle += stall
-            retire = finish + 1
-            if retire < last_retire:
-                retire = last_retire
-            if retire == last_retire:
-                retire_in_cycle += 1
-                if retire_in_cycle >= completion_w:
-                    retire += 1
-                    retire_in_cycle = 0
-            else:
-                retire_in_cycle = 1
-            last_retire = retire
-            retires_append(retire)
-            if not fused:
-                v = issue_at + 1
-                if iq_len >= issueq_n:
-                    heap_replace(iq, v)
+                    while v >= cnt:
+                        cycle += 1
+                        v = og(cycle, 0)
+                    occ = pstate[0]
+                    occ[cycle] = v + 1
+                    if len(occ) > 65536:
+                        cutoff = cycle - 4096
+                        occ = {c: x for c, x in occ.items() if c >= cutoff}
+                        pstate[0] = occ
+                        pstate[5] = occ.get
+                        if cutoff > pstate[1]:
+                            pstate[1] = cutoff
+                    issue_at = cycle
                 else:
-                    heap_push(iq, v)
-                    iq_len += 1
+                    issue_at = pstate[4].issue(ready)
+                prev_issue = issue_at
+                if kind == 1:
+                    lq_append(issue_at + lat)
+                    nl += 1
+                    if lmiss:
+                        le = lmq[0] if lmq_len == lmq_n else 0
+                        lmq_at = issue_at if issue_at > le else le
+                        fill = lmq_at + ldel
+                        if lmq_len >= lmq_n:
+                            heap_replace(lmq, fill)
+                        else:
+                            heap_push(lmq, fill)
+                            lmq_len += 1
+                        v = fill - issue_at
+                        if v > lat:
+                            lat = v
+                    elif ldel > lat:
+                        lat = ldel
+                elif kind == 2 and sqf:
+                    sq_append(issue_at + lat + 4)
+                    ns += 1
+                finish = issue_at + lat
+                issue_ts[i] = issue_at
+                finish_ts[i] = finish
+                if wr:
+                    ahead = finish - front_cycle
+                    stall = ahead + redirect
+                    if smt > 1:
+                        stall = stall // smt
+                        if stall < 1:
+                            stall = 1
+                    if ahead < 0:
+                        ahead = 0
+                    elif ahead > wrong_window:
+                        ahead = wrong_window
+                    wp = int(wp_factor * ahead)
+                    wp_flush += wp
+                    wp_decode += wp >> 1
+                    if stall > 0:
+                        front_cycle += stall
+                retire = finish + 1
+                if retire < last_retire:
+                    retire = last_retire
+                if retire == last_retire:
+                    retire_in_cycle += 1
+                    if retire_in_cycle >= completion_w:
+                        retire += 1
+                        retire_in_cycle = 0
+                else:
+                    retire_in_cycle = 1
+                last_retire = retire
+                retires_append(retire)
+                if not fused:
+                    v = issue_at + 1
+                    if iq_len >= issueq_n:
+                        heap_replace(iq, v)
+                    else:
+                        heap_push(iq, v)
+                        iq_len += 1
 
     cycles = max(last_retire, front_cycle) + 1
     if snap is not None:
-        front0, retire0, wp_flush0, wp_decode0, idx0 = snap
+        front0, retire0, wp_flush0, wp_decode0 = snap
         cycles = max(1, cycles - (max(retire0, front0) + 1))
     else:
-        wp_flush0 = wp_decode0 = idx0 = 0
+        wp_flush0 = wp_decode0 = 0
     measured = n - idx0
     flushed = wp_flush - wp_flush0
-    mispredicts = int(np.count_nonzero(wrong[idx0:]))
-    flops = int(st.flops[idx0:].sum())
+    ev["fetch_instr"] += flushed
+    ev["predecode_instr"] += flushed
+    ev["decode_instr"] += wp_decode - wp_decode0
+    ev["flush_instr"] = flushed
 
     act = ActivityCounters()
-    act.events = _tally(stream, idx0, wp_flush - wp_flush0,
-                        wp_decode - wp_decode0)
+    act.events = ev
     act.cycles = cycles
     act.instructions = measured
     derive_busy_cycles(act, config, cycles)
@@ -319,25 +334,24 @@ def _replay(config: CoreConfig, trace, *,
         flushed_instructions=flushed,
         mispredicts=mispredicts,
         flops=flops,
-        l1d_miss_rate=mem.l1d_miss_rate,
-        l2_miss_rate=mem.l2_miss_rate,
-        fusion_rate=fus.fusion_rate,
+        l1d_miss_rate=l1d_miss_rate,
+        l2_miss_rate=l2_miss_rate,
+        fusion_rate=fusion_rate,
         branch_mpki=1000.0 * mispredicts / measured,
         metadata={"trace": getattr(trace, "name", "?"), "smt": smt,
                   "frequency_ghz": config.power.frequency_ghz},
     )
 
 
-def _tally(stream: ActivityStream, idx0: int, wp_flush: int,
-           wp_decode: int) -> dict:
+def _tally(stream: ActivityStream, idx0: int) -> dict:
     """Post-warmup event counts, array-at-a-time from the tensor.
 
-    Equivalent to the detailed tier's "snapshot at the warmup group
+    Equivalent to the walk's "snapshot at the warmup group
     boundary, subtract at the end": every per-instruction event here is
     attributed to its instruction index, and the warmup boundary is a
     decode-group start, so the prefix sum at ``idx0`` *is* the
     snapshot.  Wrong-path volumes (the only timing-dependent events)
-    come pre-split from the replay loop.
+    are left out; the replay loop adds them.
     """
     st, fus, mem, wrong = (stream.static, stream.fusion, stream.memory,
                            stream.wrong)
@@ -366,15 +380,15 @@ def _tally(stream: ActivityStream, idx0: int, wp_flush: int,
     dm_mem = cnt(mem.dm_mem)
 
     ev = dict.fromkeys(EVENT_NAMES, 0)
-    ev["fetch_instr"] = live + wp_flush
+    ev["fetch_instr"] = live
     ev["icache_access"] = cnt(mem.newline)
     ev["icache_miss"] = cnt(mem.ic_miss)
-    ev["predecode_instr"] = live + wp_flush
+    ev["predecode_instr"] = live
     ev["bp_dir_lookup"] = cnt(st.is_branch)
     ev["bp_tgt_lookup"] = ev["bp_dir_lookup"]
     ev["bp_mispredict"] = mispred
     ev["ibuffer_write"] = live
-    ev["decode_instr"] = live + wp_decode
+    ev["decode_instr"] = live
     ev["dispatch_iop"] = live - fused_c
     ev["rename_write"] = dests
     ev["issueq_write"] = live - fused_c
@@ -414,6 +428,5 @@ def _tally(stream: ActivityStream, idx0: int, wp_flush: int,
     ev["l3_miss"] = dm_mem
     ev["mem_access"] = dm_mem
     ev["complete_instr"] = live
-    ev["flush_instr"] = wp_flush
     ev["flush_event"] = mispred
     return ev

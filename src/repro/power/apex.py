@@ -210,7 +210,7 @@ def detailed_reference_power(config: CoreConfig,
 
 def compare_core_vs_chip(core_config: CoreConfig, chip_config: CoreConfig,
                          traces, *, warmup_fraction: float = 0.3,
-                         engine=None, tier: str = "detailed"):
+                         engine=None):
     """Run the Fig. 10 experiment: the same workloads through the core
     model (infinite L2) and the chip model (full hierarchy); returns
     (ipc, power) points for both.
@@ -232,8 +232,7 @@ def compare_core_vs_chip(core_config: CoreConfig, chip_config: CoreConfig,
                                    ("chip", chip_config))]
     results = run_sim_plan(
         engine,
-        [sim_task(config, trace, warmup_fraction=warmup_fraction,
-                  tier=tier)
+        [sim_task(config, trace, warmup_fraction=warmup_fraction)
          for trace, _label, config in pairs])
     points = [{"workload": trace.name} for trace in traces]
     for k, ((_trace, label, config), result) in enumerate(

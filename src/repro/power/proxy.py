@@ -25,6 +25,7 @@ from ..analysis.regression import (FitResult, GreedyFeatureSelector,
                                    mean_abs_pct_error)
 from ..core.activity import EVENT_NAMES
 from ..core.config import CoreConfig
+from ..core.pipeline import simulate
 from ..errors import ModelError
 from .einspower import EinspowerModel
 
@@ -98,15 +99,13 @@ class DesignPoint:
 class PowerProxyDesigner:
     """Runs the counter-selection methodology for one configuration."""
 
-    def __init__(self, config: CoreConfig, *, tier: str = "detailed"):
+    def __init__(self, config: CoreConfig):
         self.config = config
         self._reference = EinspowerModel(config)
-        self.tier = tier
 
     def _simulate(self, trace, *, warmup_fraction: float):
-        from ..fastsim.dispatch import simulate_tiered
-        return simulate_tiered(self.config, trace, tier=self.tier,
-                               warmup_fraction=warmup_fraction)
+        return simulate(self.config, trace,
+                        warmup_fraction=warmup_fraction)
 
     def characterize(self, traces, *, warmup_fraction: float = 0.3):
         """Run workloads, returning (features, active_w, total_w)."""

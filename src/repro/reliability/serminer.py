@@ -29,6 +29,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..core.config import CoreConfig
+from ..core.pipeline import simulate
 from ..errors import ModelError
 from .latches import LatchGroup, LatchPopulation, build_population
 
@@ -48,28 +49,21 @@ class DeratingResult:
 
 
 class SERMiner:
-    """Derating analysis driver for one core configuration.
-
-    ``tier`` selects the simulation tier for the switching-activity
-    runs (``"detailed"`` | ``"fast"``; see :mod:`repro.fastsim`).
-    """
+    """Derating analysis driver for one core configuration."""
 
     def __init__(self, config: CoreConfig,
-                 population: LatchPopulation = None, *,
-                 tier: str = "detailed"):
+                 population: LatchPopulation = None):
         self.config = config
         self.population = population or build_population(config)
-        self.tier = tier
 
     def _switching_matrix(self, traces,
                           warmup_fraction: float) -> np.ndarray:
         """latch-group x workload switching activity."""
-        from ..fastsim.dispatch import simulate_tiered
         rows: List[List[float]] = []
         groups = self.population.groups
         for trace in traces:
-            result = simulate_tiered(self.config, trace, tier=self.tier,
-                                     warmup_fraction=warmup_fraction)
+            result = simulate(self.config, trace,
+                              warmup_fraction=warmup_fraction)
             data_scale = 1.0
             if trace.metadata.get("data_init") == "zero":
                 data_scale = 0.06
@@ -133,12 +127,11 @@ def compare_generations(p9_config: CoreConfig, p10_config: CoreConfig,
                         traces, *,
                         vt_values: Sequence[int] = tuple(
                             range(10, 100, 10)),
-                        tier: str = "detailed",
                         ) -> Dict[str, DeratingResult]:
     """Fig. 14: POWER9 vs POWER10 derating averaged across workloads."""
     out = {}
     for config in (p9_config, p10_config):
-        miner = SERMiner(config, tier=tier)
+        miner = SERMiner(config)
         out[config.name] = miner.analyze(
             traces, vt_values=vt_values, workload_set="all")
     return out

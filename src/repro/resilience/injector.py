@@ -4,9 +4,10 @@ One :class:`FaultInjector` owns one :class:`~repro.resilience.faults.
 FaultSchedule` and is *installed* for the duration of a run via the
 :func:`injection` context manager.  The hook points it serves:
 
-* ``core.pipeline._simulate`` calls :func:`get_injector` once per run;
-  when an injector is active it applies trace-record faults before the
-  walk (:meth:`FaultInjector.begin_sim`) and polls once per decode
+* ``core.pipeline.simulate`` sends every run to the per-instruction
+  walk (``simulate_reference``) while an injector is active; the walk
+  calls :func:`get_injector` once per run, applies trace-record faults
+  up front (:meth:`FaultInjector.begin_sim`) and polls once per decode
   group (:meth:`FaultInjector.poll`) to deliver latch flips and counter
   corruption and to enforce the campaign's cycle-budget watchdog;
 * ``obs.sampler.CycleIntervalSampler._emit`` passes every interval

@@ -15,6 +15,7 @@ from typing import Dict, List
 
 from ..core.config import CoreConfig
 from ..core.isa import InstrClass
+from ..core.pipeline import simulate
 from ..errors import TraceError
 from ..workloads.trace import Trace
 
@@ -40,15 +41,13 @@ class Epoch:
 
 
 def collect_epochs(config: CoreConfig, trace: Trace, *,
-                   epoch_instructions: int = 2000,
-                   tier: str = "detailed") -> List[Epoch]:
+                   epoch_instructions: int = 2000) -> List[Epoch]:
     """Run a workload epoch by epoch and collect counter snapshots."""
-    from ..fastsim.dispatch import simulate_tiered
     if epoch_instructions <= 0:
         raise TraceError("epoch size must be positive")
     epochs: List[Epoch] = []
     for i, window in enumerate(trace.windows(epoch_instructions)):
-        result = simulate_tiered(config, window, tier=tier)
+        result = simulate(config, window)
         ev = result.activity.events
         blas_calls = float(window.metadata.get("blas_calls", 0))
         counters = {

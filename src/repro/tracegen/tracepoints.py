@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.config import CoreConfig
+from ..core.pipeline import simulate
 from ..errors import TraceError
 from ..workloads.trace import Trace
 from .counters import Epoch, aggregate_counters, collect_epochs
@@ -51,8 +52,7 @@ def build_tracepoint(config: CoreConfig, trace: Trace, *,
                      bins: int = 6,
                      epochs_to_select: int = 8,
                      metrics: Sequence[str] = ("cpi", "llc_misses"),
-                     mma_aware: bool = False,
-                     tier: str = "detailed") -> TracepointResult:
+                     mma_aware: bool = False) -> TracepointResult:
     """Build a representative trace from epoch histograms.
 
     Epochs are histogrammed on the requested metrics; the selection
@@ -66,8 +66,7 @@ def build_tracepoint(config: CoreConfig, trace: Trace, *,
     if epochs_to_select <= 0:
         raise TraceError("must select at least one epoch")
     epochs = collect_epochs(config, trace,
-                            epoch_instructions=epoch_instructions,
-                            tier=tier)
+                            epoch_instructions=epoch_instructions)
     if len(epochs) < epochs_to_select:
         epochs_to_select = len(epochs)
     aggregate = aggregate_counters(epochs)
@@ -137,15 +136,12 @@ def build_tracepoint(config: CoreConfig, trace: Trace, *,
 
 
 def validate_against_reference(config: CoreConfig, original: Trace,
-                               representative: Trace, *,
-                               tier: str = "detailed") -> Dict[str, float]:
+                               representative: Trace,
+                               ) -> Dict[str, float]:
     """Validate a representative trace against the full run (the paper
     validates Tracepoints against real POWER9 hardware)."""
-    from ..fastsim.dispatch import simulate_tiered
-    full = simulate_tiered(config, original, tier=tier,
-                           warmup_fraction=0.2)
-    rep = simulate_tiered(config, representative, tier=tier,
-                          warmup_fraction=0.2)
+    full = simulate(config, original, warmup_fraction=0.2)
+    rep = simulate(config, representative, warmup_fraction=0.2)
     return {
         "full_cpi": full.cpi,
         "representative_cpi": rep.cpi,

@@ -7,10 +7,13 @@ bit-identical results for the hot paths that were rewired through it
 """
 
 import json
+import socket
 
 import pytest
 
+import repro.core.pipeline
 from repro.core import power9_config, power10_config
+from repro.core.pipeline import simulate_reference
 from repro.core.simulator import compare_configs, simulate_suite
 from repro.errors import ExecError
 from repro.exec import (Engine, ExecPlan, ResultCache, campaign_task,
@@ -56,12 +59,21 @@ class TestFingerprints:
         assert sim_task(p10, t).key \
             != sim_task(p10, t, max_instructions=100).key
 
-    @pytest.mark.parametrize("tier", ["detailed", "fast"])
-    def test_precomputed_trace_fingerprint_same_key(self, p10, tier):
+    @pytest.mark.parametrize("path", ["detailed", "fast"])
+    def test_precomputed_trace_fingerprint_same_key(self, p10, path,
+                                                     monkeypatch):
+        """One key however the trace is hashed, and one result behind
+        it whichever path ``simulate`` takes: the forced walk
+        ("detailed") or the default replay ("fast")."""
+        if path == "detailed":
+            monkeypatch.setattr(repro.core.pipeline, "_replays",
+                                lambda sampler: False)
         t = daxpy_trace(400)
-        assert sim_task(p10, t, tier=tier,
-                        trace_fingerprint=fingerprint_trace(t)).key \
-            == sim_task(p10, t, tier=tier).key
+        task = sim_task(p10, t, trace_fingerprint=fingerprint_trace(t))
+        assert task.key == sim_task(p10, t).key
+        (result,) = run_sim_plan(Engine(workers=1), [task])
+        assert sim_result_to_json(result) \
+            == sim_result_to_json(simulate_reference(p10, t))
 
     def test_trace_fingerprint_is_keyword_only(self, p10):
         t = daxpy_trace(400)
@@ -257,6 +269,20 @@ class TestEngineLifecycle:
             engine.run(ExecPlan(_plan(p10)[:2]))
             assert engine._pool is not None
         assert engine._pool is None
+
+    def test_pool_workers_do_not_keep_parent_sockets_open(self, p10):
+        """A listener closed in the parent must refuse connections even
+        while pool workers forked after it was opened are alive; a
+        worker-held copy would keep it accepting into its backlog."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        with Engine(workers=2) as engine:
+            engine.run(ExecPlan(_plan(p10)[:2]))
+            assert engine._pool is not None
+            listener.close()
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", port),
+                                         timeout=2.0).close()
 
     def test_serial_engine_never_builds_a_pool(self, p10):
         with Engine(workers=1) as engine:

@@ -1,9 +1,11 @@
-"""Differential fidelity harness: the fast tier against the oracle.
+"""Differential fidelity harness: the replay against the walk.
 
-The detailed simulator (:mod:`repro.core.pipeline`) is the accuracy
-reference; the vectorized fast tier (:mod:`repro.fastsim`) must agree
-with it on every registered workload *and* on adversarial synthetic
-traces that hypothesis invents.  The agreement contract is deliberately
+:func:`repro.core.pipeline.simulate` replays extracted activity
+(:mod:`repro.fastsim`) unless a sampler or an active fault injector
+needs the per-instruction walk (:func:`simulate_reference`).  The walk
+is the accuracy reference; the replay must agree with it on every
+registered workload *and* on adversarial synthetic traces that
+hypothesis invents.  The agreement contract is deliberately
 two-layered:
 
 * the rtol-form contract the golden harness enforces (cycles, IPC,
@@ -12,7 +14,7 @@ two-layered:
   extraction is lossless by construction, so any drift at all means a
   replay rule diverged from the pipeline.
 
-The harness also proves its own teeth: perturbing a fast-path timing
+The harness also proves its own teeth: perturbing a replay timing
 constant or an energy coefficient must trip the comparison (the same
 self-test discipline as the fig05 golden tripwire).
 """
@@ -26,9 +28,10 @@ from hypothesis import strategies as st
 import repro.core.config
 from repro.core import power9_config, power10_config
 from repro.core.isa import Instruction, InstrClass
-from repro.core.pipeline import simulate
+from repro.core.pipeline import simulate, simulate_reference
 from repro.errors import SimulationError
-from repro.fastsim import batch_power, simulate_fast, simulate_tiered
+from repro.fastsim import batch_power, simulate_fast
+from repro.obs.metrics import get_registry
 from repro.power.einspower import EinspowerModel
 from repro.workloads import resolve_workload, workload_names
 from repro.workloads.trace import Trace
@@ -37,7 +40,7 @@ RTOL = 1e-9
 
 
 def assert_results_equivalent(detailed, fast, *, rtol=RTOL):
-    """The full agreement contract between the two tiers."""
+    """The full agreement contract between the walk and the replay."""
     # rtol-form contract (what the golden harness enforces)
     assert math.isclose(detailed.cycles, fast.cycles, rel_tol=rtol)
     assert math.isclose(detailed.ipc, fast.ipc, rel_tol=rtol)
@@ -87,10 +90,10 @@ def test_registered_workloads_agree(workload, cfg_name):
     trace = resolve_workload(workload, 2500)
     for warmup in (0.0, 0.3):
         try:
-            detailed = simulate(config, trace,
-                                warmup_fraction=warmup)
+            detailed = simulate_reference(config, trace,
+                                          warmup_fraction=warmup)
         except SimulationError as exc:
-            # e.g. MMA workloads on POWER9: the fast tier must refuse
+            # e.g. MMA workloads on POWER9: the replay must refuse
             # with the identical diagnostic, not silently produce data
             with pytest.raises(SimulationError) as caught:
                 simulate_fast(config, trace, warmup_fraction=warmup)
@@ -109,8 +112,8 @@ def test_batch_power_matches_reference_rowwise():
         acts = []
         for name in ("daxpy", "pointer-chase", "deepsjeng"):
             trace = resolve_workload(name, 1500)
-            acts.append(simulate(config, trace,
-                                 warmup_fraction=0.2).activity)
+            acts.append(simulate_reference(config, trace,
+                                           warmup_fraction=0.2).activity)
         batch = batch_power(config, acts)
         model = EinspowerModel(config)
         for i, act in enumerate(acts):
@@ -185,7 +188,7 @@ def synthetic_traces(draw):
 def test_synthetic_workloads_agree(case):
     on_p9, trace, warmup = case
     config = power9_config() if on_p9 else power10_config()
-    detailed = simulate(config, trace, warmup_fraction=warmup)
+    detailed = simulate_reference(config, trace, warmup_fraction=warmup)
     fast = simulate_fast(config, trace, warmup_fraction=warmup)
     assert_results_equivalent(detailed, fast)
     assert_energy_equivalent(config, detailed, fast)
@@ -196,13 +199,13 @@ def test_synthetic_workloads_agree(case):
 # ---------------------------------------------------------------------
 
 def test_harness_detects_timing_perturbation(monkeypatch):
-    """Nudging a fast-path pipeline constant must produce a cycle
+    """Nudging a replay pipeline constant must produce a cycle
     count the differential contract rejects — otherwise the exact
     comparison is decorative."""
     import repro.fastsim.replay as replay
     config = power10_config()
     trace = resolve_workload("daxpy", 2000)
-    detailed = simulate(config, trace, warmup_fraction=0.2)
+    detailed = simulate_reference(config, trace, warmup_fraction=0.2)
     monkeypatch.setattr(replay, "_FRONT_DEPTH",
                         replay._FRONT_DEPTH + 1)
     fast = simulate_fast(config, trace, warmup_fraction=0.2)
@@ -212,11 +215,11 @@ def test_harness_detects_timing_perturbation(monkeypatch):
 
 def test_harness_detects_energy_perturbation(monkeypatch):
     """The fig05 tripwire, aimed at the batch evaluator: a 1% bump of
-    one event-energy coefficient applied to the fast path only must
+    one event-energy coefficient applied to the replay only must
     move total power beyond the agreement tolerance."""
     config = power10_config()
     trace = resolve_workload("dgemm-vsu", 2000)
-    detailed = simulate(config, trace, warmup_fraction=0.2)
+    detailed = simulate_reference(config, trace, warmup_fraction=0.2)
     ref_total = EinspowerModel(config).report(
         detailed.activity).total_w
     table = repro.core.config._P10_EVENT_PJ
@@ -227,65 +230,54 @@ def test_harness_detects_energy_perturbation(monkeypatch):
     batch = batch_power(perturbed, [fast.activity])
     assert not math.isclose(ref_total, batch.total_w[0],
                             rel_tol=RTOL), (
-        "a 1% l1d_access energy perturbation did not move the fast "
-        "tier's power — the differential harness is not sensitive "
+        "a 1% l1d_access energy perturbation did not move the "
+        "replay's power — the differential harness is not sensitive "
         "enough")
 
 
 # ---------------------------------------------------------------------
-# Tier dispatch and cache-key hygiene.
+# Path selection inside simulate().
 # ---------------------------------------------------------------------
 
-def test_unknown_tier_rejected():
+def _replays_during(fn):
+    """How many replays ``fn()`` ran, per the replay's own counter."""
+    counter = get_registry().counter("repro_fast_simulations_total")
+    before = counter.total
+    result = fn()
+    return result, counter.total - before
+
+
+def test_default_simulate_replays():
     config = power10_config()
-    trace = resolve_workload("daxpy", 300)
-    with pytest.raises(SimulationError, match="unknown simulation "
-                                              "tier"):
-        simulate_tiered(config, trace, tier="turbo")
+    trace = resolve_workload("daxpy", 600)
+    result, replays = _replays_during(
+        lambda: simulate(config, trace, warmup_fraction=0.2))
+    assert replays == 1
+    assert_results_equivalent(
+        simulate_reference(config, trace, warmup_fraction=0.2), result)
 
 
-def test_fast_tier_rejects_interval_samplers():
+def test_sampler_takes_the_walk_with_identical_results():
     from repro.obs.sampler import CycleIntervalSampler
     config = power10_config()
-    trace = resolve_workload("daxpy", 300)
-    with pytest.raises(SimulationError, match="interval samplers"):
-        simulate_tiered(config, trace, tier="fast",
-                        sampler=CycleIntervalSampler(100))
+    trace = resolve_workload("daxpy", 600)
+    plain = simulate(config, trace, warmup_fraction=0.2)
+    sampler = CycleIntervalSampler(100)
+    sampled, replays = _replays_during(
+        lambda: simulate(config, trace, warmup_fraction=0.2,
+                         sampler=sampler))
+    assert replays == 0
+    assert sampler.samples
+    assert sampled.cycles == plain.cycles
+    assert dict(sampled.activity.events) == dict(plain.activity.events)
 
 
-def test_tier_is_part_of_the_task_fingerprint():
-    """Regression for the cache-poisoning bug: identical (config,
-    trace, params) on different tiers must produce different task
-    fingerprints."""
-    from repro.exec.executor import sim_task
+def test_active_injector_takes_the_walk():
+    from repro.resilience.faults import FaultSchedule
+    from repro.resilience.injector import FaultInjector, injection
     config = power10_config()
-    trace = resolve_workload("daxpy", 300)
-    t_detailed = sim_task(config, trace, warmup_fraction=0.2)
-    t_fast = sim_task(config, trace, warmup_fraction=0.2, tier="fast")
-    assert t_detailed.key != t_fast.key
-    assert t_detailed.kind == "sim"
-    assert t_fast.kind == "sim_fast"
-
-
-def test_warm_detailed_cache_never_answers_fast_tier(tmp_path):
-    """Run the same simulation detailed-then-fast through one result
-    cache: the fast request must miss (and recompute), not be served
-    the detailed tier's entry."""
-    from repro.exec.cache import ResultCache
-    from repro.exec.executor import Engine, run_sim_plan, sim_task
-    config = power10_config()
-    trace = resolve_workload("daxpy", 400)
-    cache = ResultCache(tmp_path / "cache")
-    engine = Engine(workers=1, cache=cache)
-    run_sim_plan(engine, [sim_task(config, trace,
-                                   warmup_fraction=0.2)])
-    misses_before = cache.misses
-    hits_before = cache.hits
-    [fast] = run_sim_plan(engine, [sim_task(config, trace,
-                                            warmup_fraction=0.2,
-                                            tier="fast")])
-    assert cache.misses == misses_before + 1
-    assert cache.hits == hits_before
-    # and the recomputed fast result still matches the oracle
-    detailed = simulate(config, trace, warmup_fraction=0.2)
-    assert_results_equivalent(detailed, fast)
+    trace = resolve_workload("daxpy", 600)
+    with injection(FaultInjector(FaultSchedule(seed=0, faults=()))):
+        _result, replays = _replays_during(
+            lambda: simulate(config, trace))
+    assert replays == 0

@@ -5,6 +5,9 @@ Each scenario in :mod:`repro.exec.figs` runs at its reduced
 ``tests/goldens/<name>.json`` within the scenario's ``rtol``.  Any
 model change that moves a figure — an energy coefficient, a pipeline
 rule, a derating weight — fails here with the exact scalar that moved.
+Each scenario also runs with every simulation forced onto the
+per-instruction walk, and its scalars must equal the default (replay)
+run's exactly.
 
 Intentional changes regenerate the files with::
 
@@ -23,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import repro.core.config
+import repro.core.pipeline
 from repro.exec import Engine
 from repro.exec.figs import SCENARIOS, run_scenario
 
@@ -70,21 +74,38 @@ def compare_scalars(actual: dict, golden: dict, rtol: float):
     return problems
 
 
-@pytest.mark.parametrize("tier", ["detailed", "fast"])
+# Default-path (replay) scalars per scenario, computed once and shared
+# by both ``path`` variants of test_golden.
+_DEFAULT_SCALARS: dict = {}
+
+
+def default_scalars(name: str) -> dict:
+    if name not in _DEFAULT_SCALARS:
+        spec = SCENARIOS[name]
+        _rich, _DEFAULT_SCALARS[name] = run_scenario(
+            name, scale=spec.quick_scale, engine=Engine(workers=1))
+    return _DEFAULT_SCALARS[name]
+
+
+@pytest.mark.parametrize("path", ["detailed", "fast"])
 @pytest.mark.parametrize("name", list(SCENARIOS))
-def test_golden(name, tier, request):
-    """Both simulator tiers must hit the same committed goldens: the
-    fast tier earns its keep only if every figure it can run lands
-    within the scenario's rtol of the detailed oracle's numbers."""
+def test_golden(name, path, request, monkeypatch):
+    """Every scenario lands on its committed golden on both simulation
+    paths: the default replay ("fast") and, with the selection point
+    in ``simulate`` forced to walk, the per-instruction walk
+    ("detailed").  The walk's scalars must also equal the replay's
+    exactly: the replay is exact at figure level, not merely within
+    ``rtol``."""
     spec = SCENARIOS[name]
-    if tier != "detailed":
-        if spec.detailed_only:
-            pytest.skip(f"scenario {name} is detailed-only")
-        if request.config.getoption("--update-goldens"):
-            pytest.skip("goldens regenerate from the detailed tier")
-    _rich, scalars = run_scenario(name, scale=spec.quick_scale,
-                                  engine=Engine(workers=1), tier=tier)
+    scalars = default_scalars(name)
     assert scalars, f"scenario {name} produced no scalars"
+    if path == "detailed":
+        monkeypatch.setattr(repro.core.pipeline, "_replays",
+                            lambda sampler: False)
+        _rich, walked = run_scenario(name, scale=spec.quick_scale,
+                                     engine=Engine(workers=1))
+        assert walked == scalars
+        scalars = walked
     if request.config.getoption("--update-goldens"):
         write_golden(name, scalars, spec.quick_scale, spec.rtol)
         return
