@@ -561,12 +561,10 @@ def _cmd_loadgen_cluster(args: argparse.Namespace) -> int:
         print(f"  shard {shard}: {entry['count']} requests, "
               f"p99 {entry['latency_s']['p99'] * 1000:.1f} ms")
     cache = report.get("cache") or {}
-    dedupe = report.get("dedupe") or {}
     print(f"cache tier: hit rate {cache.get('hit_rate', 0.0):.1%} "
           f"({cache.get('hits', 0)} hits, {cache.get('misses', 0)} "
           f"misses, {cache.get('corrupt', 0)} corrupt); "
-          f"dedupe joins {dedupe.get('joins', 0)}, "
-          f"failovers {dedupe.get('failovers', 0)}")
+          f"failovers {report.get('failovers') or 0}")
     chaos = report.get("chaos")
     if chaos:
         print(f"worker_down phase: availability "

@@ -14,7 +14,7 @@ Layout:
 * :mod:`.sharding` — fingerprint → shard placement (pure functions);
 * :mod:`.workers` — thread- and subprocess-hosted worker lifecycles;
 * :mod:`.router` — the asyncio front door: health checks, failover,
-  cross-process single-flight, verbatim byte forwarding;
+  verbatim byte forwarding;
 * :mod:`.supervisor` — :class:`Cluster`: bring-up, chaos tick,
   revival, rolling restarts;
 * :mod:`.bench` — the two-phase benchmark behind
@@ -23,8 +23,7 @@ Layout:
 
 from .bench import (CLUSTER_BENCH_SCHEMA, ClusterBench,
                     ClusterBenchConfig, run_cluster_bench)
-from .router import (BackendState, ClusterRouter, RouterConfig,
-                     RouterHandle)
+from .router import BackendState, ClusterRouter, RouterConfig
 from .sharding import ShardMap, shard_key
 from .supervisor import Cluster, ClusterConfig
 from .workers import ProcessWorker, ThreadWorker, serve_argv
@@ -32,6 +31,6 @@ from .workers import ProcessWorker, ThreadWorker, serve_argv
 __all__ = [
     "BackendState", "CLUSTER_BENCH_SCHEMA", "Cluster", "ClusterBench",
     "ClusterBenchConfig", "ClusterConfig", "ClusterRouter",
-    "ProcessWorker", "RouterConfig", "RouterHandle", "ShardMap",
+    "ProcessWorker", "RouterConfig", "ShardMap",
     "ThreadWorker", "run_cluster_bench", "serve_argv", "shard_key",
 ]

@@ -6,8 +6,8 @@ Two phases, one seeded schedule (so every number is reproducible):
   default rate against a fresh cluster with a cold shared cache.  The
   report keeps the usual loadgen aggregates plus what only a cluster
   can show: per-shard latency tables (from the ``X-Shard`` column),
-  the aggregate cache-tier hit-rate and the single-flight join /
-  failover counts scraped from the router's ``/healthz``.
+  the aggregate cache-tier hit-rate and the failover count scraped
+  from the router's ``/healthz``.
 * **chaos** (optional, on by default) — the same schedule against a
   second cluster with a ``worker_down`` fault armed: the supervisor
   kills a worker mid-burst and the burst-phase rows serve as the
@@ -15,7 +15,7 @@ Two phases, one seeded schedule (so every number is reproducible):
   campaign's availability taxonomy; any OK row whose body digest
   differs from the fault-free run is an SDC and fails the benchmark.
 
-``BENCH_cluster.json`` (schema 1) is the artifact ``repro perfwatch``
+``BENCH_cluster.json`` (schema 2) is the artifact ``repro perfwatch``
 tracks for the ``cluster:availability`` row.
 """
 
@@ -25,17 +25,17 @@ import contextlib
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..errors import ChaosError, ClusterError, ServeError
 from ..resilience.chaos import (WORKER_DOWN, ChaosCampaign,
                                 generate_service_schedule,
                                 service_chaos)
 from ..serve.client import ServeClient
-from ..serve.loadgen import LoadgenConfig, _percentile, run_loadgen
+from ..serve.loadgen import LoadgenConfig, latency_doc, run_loadgen
 from .supervisor import Cluster, ClusterConfig
 
-CLUSTER_BENCH_SCHEMA = 1
+CLUSTER_BENCH_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,6 @@ class ClusterBenchConfig:
                 f"{self.shards}")
 
 
-def _latency_doc(values: List[float]) -> Dict[str, float]:
-    values = sorted(values)
-    return {"p50": _percentile(values, 50.0),
-            "p95": _percentile(values, 95.0),
-            "p99": _percentile(values, 99.0),
-            "max": values[-1] if values else 0.0}
-
-
 def _per_shard(report: Dict[str, object]) -> Dict[str, object]:
     """Per-shard request counts and latency tables from the loadgen
     rows' ``X-Shard`` column."""
@@ -93,7 +85,7 @@ def _per_shard(report: Dict[str, object]) -> Dict[str, object]:
         if "latency_s" in row:
             entry["latencies"].append(float(row["latency_s"]))
     return {shard: {"count": entry["count"],
-                    "latency_s": _latency_doc(entry["latencies"])}
+                    "latency_s": latency_doc(entry["latencies"])}
             for shard, entry in sorted(shards.items())}
 
 
@@ -182,7 +174,7 @@ class ClusterBench:
             "slo": burst["report"]["slo"],
             "per_shard": _per_shard(burst["report"]),
             "cache": healthz.get("cache"),
-            "dedupe": healthz.get("dedupe"),
+            "failovers": healthz.get("failovers"),
             "chaos": chaos_doc,
             "per_request": burst["report"]["per_request"],
         }

@@ -22,12 +22,12 @@ Reliability model:
   transport error and the request is retried on the next shard
   (workers are deterministic and idempotent, so a re-execution is
   bit-identical — the reason failover needs no at-most-once fencing).
-* *Single-flight*: identical concurrent requests (same shard key)
-  join one pending upstream dispatch in a router-side pending map and
-  all receive the same raw bytes; combined with fingerprint sharding
-  (identical requests hit the same worker, whose micro-batcher
-  single-flights them into the shared cache tier) a burst of N
-  duplicates executes exactly once cluster-wide.
+* *Dedupe*: the router keeps none of its own.  Fingerprint sharding
+  sends identical requests to the same worker, whose micro-batcher
+  joins them onto one computation whatever window they arrive in (and
+  the shared cache tier answers stragglers), so a burst of N
+  duplicates executes exactly once cluster-wide while each request is
+  exactly one dispatch down its failover chain.
 * *Draining*: the supervisor marks a worker admin-draining before a
   rolling restart; the router stops routing to it and exposes its
   remaining ``inflight`` so the supervisor knows when the worker can
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -46,10 +45,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import ClusterError, ReproError, ServeError
 from ..obs.context import clean_request_id
 from ..obs.metrics import get_registry
-from ..obs.prometheus import CONTENT_TYPE as _PROMETHEUS_CONTENT_TYPE
-from ..obs.prometheus import render_prometheus
 from ..serve import protocol
-from ..serve.http import fetch, read_request, write_response
+from ..serve.http import FrontEnd, Response, fetch
 from .sharding import ShardMap, shard_key
 
 #: upstream failure shapes that trigger shard failover (torn response,
@@ -110,7 +107,7 @@ def _shutting_down(body: bytes) -> bool:
         return False
 
 
-class ClusterRouter:
+class ClusterRouter(FrontEnd):
     """One router instance; create, ``await start()``, ``await stop()``."""
 
     def __init__(self, config: RouterConfig,
@@ -118,34 +115,27 @@ class ClusterRouter:
                  tick_hook: Optional[Callable[[], None]] = None):
         if not backends:
             raise ClusterError("router needs at least one backend")
+        super().__init__()
         self.config = config
         self.backends = [BackendState(i, host, port)
                          for i, (host, port) in enumerate(backends)]
         self.shards = ShardMap(len(self.backends))
-        self.port: Optional[int] = None
         #: quick supervisor callback run once per health sweep (chaos
         #: ticks, dead-worker checks); must not block the loop
         self._tick_hook = tick_hook
-        self._pending: Dict[str, asyncio.Task] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
+        #: requests this router moved past a dead or draining shard
+        self.failovers = 0
         self._health_task: Optional[asyncio.Task] = None
-        self._conn_tasks: set = set()
-        self._draining = False
 
     # ---- lifecycle ----------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen(self.config.host, self.config.port)
         self._health_task = asyncio.create_task(self._health_loop())
 
-    async def stop(self) -> None:
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    async def stop(self) -> bool:
+        """Graceful drain; True when every connection flushed."""
+        await self._close_listener()
         if self._health_task is not None:
             self._health_task.cancel()
             try:
@@ -153,13 +143,7 @@ class ClusterRouter:
             except asyncio.CancelledError:
                 pass
             self._health_task = None
-        pending = [t for t in self._pending.values() if not t.done()]
-        conns = [t for t in self._conn_tasks if not t.done()]
-        if conns:                       # let in-flight answers flush
-            await asyncio.wait(conns, timeout=5.0)
-        for task in pending + [t for t in self._conn_tasks
-                               if not t.done()]:
-            task.cancel()
+        return await self._settle_connections(5.0)
 
     # ---- control plane (supervisor calls these via its loop) ----------
 
@@ -218,28 +202,15 @@ class ClusterRouter:
 
     # ---- dispatch -----------------------------------------------------
 
-    async def _proxy(self, path: str, headers: Dict[str, str],
-                     body: bytes) -> Tuple[int, bytes, Dict[str, str]]:
+    async def _post(self, path: str, headers: Dict[str, str],
+                    body: bytes) -> Response:
         """Route one ``/v1/*`` request; returns raw upstream bytes."""
         registry = get_registry()
         start_ns = time.perf_counter_ns()
         key = shard_key(path, body,
                         headers.get(protocol.DEADLINE_HEADER))
-        task = self._pending.get(key)
-        if task is None:
-            task = asyncio.create_task(
-                self._dispatch(key, path, headers, body))
-            self._pending[key] = task
-            task.add_done_callback(
-                lambda _t, _k=key: self._pending.pop(_k, None))
-        else:
-            registry.counter(
-                "repro_cluster_singleflight_joins_total",
-                "identical concurrent requests joined to one "
-                "upstream dispatch").inc(route=path)
-        # shield: a joiner (or the originator) losing its connection
-        # must not cancel the dispatch other waiters share
-        index, status, up_headers, up_body = await asyncio.shield(task)
+        index, status, up_headers, up_body = await self._dispatch(
+            key, path, headers, body)
         extra = {"X-Shard": str(index)}
         ctype = up_headers.get("content-type")
         if ctype:
@@ -247,8 +218,7 @@ class ClusterRouter:
         retry_after = up_headers.get("retry-after")
         if retry_after:
             extra["Retry-After"] = retry_after
-        # the rid echo is per-caller even for joined requests: bodies
-        # are shared bytes, correlation stays in headers
+        # correlation stays in headers; the body is upstream's bytes
         rid = clean_request_id(headers.get("x-request-id")) \
             or up_headers.get("x-request-id")
         if rid:
@@ -269,7 +239,6 @@ class ClusterRouter:
                         ) -> Tuple[int, int, Dict[str, str], bytes]:
         """Try the key's failover chain; returns
         ``(shard, status, headers, raw body)``."""
-        registry = get_registry()
         fwd = {"Content-Type": headers.get("content-type",
                                            "application/json")}
         rid = headers.get("x-request-id")
@@ -296,20 +265,14 @@ class ClusterRouter:
                 # mark it down now and re-execute on the next shard —
                 # deterministic workers make the retry bit-identical
                 backend.healthy = False
-                registry.counter(
-                    "repro_cluster_failovers_total",
-                    "requests moved to another shard").inc(
-                        reason="transport")
+                self._failover("transport")
                 last_error = exc
                 continue
             finally:
                 backend.inflight -= 1
             if status == 503 and _shutting_down(up_body):
                 backend.draining = True
-                registry.counter(
-                    "repro_cluster_failovers_total",
-                    "requests moved to another shard").inc(
-                        reason="draining")
+                self._failover("draining")
                 last_error = None
                 continue
             return index, status, up_headers, up_body
@@ -318,7 +281,16 @@ class ClusterRouter:
             f"attempt(s) across {len(self.backends)} worker(s)"
             + (f": {last_error}" if last_error is not None else ""))
 
+    def _failover(self, reason: str) -> None:
+        self.failovers += 1
+        get_registry().counter(
+            "repro_cluster_failovers_total",
+            "requests moved to another shard").inc(reason=reason)
+
     # ---- front-door HTTP ----------------------------------------------
+
+    def _draining_error(self) -> ReproError:
+        return ClusterError("router is draining")
 
     def _healthz_doc(self) -> Dict[str, object]:
         from .. import __version__
@@ -336,7 +308,6 @@ class ClusterRouter:
             lookups = cache["hits"] + cache["misses"]
             cache["hit_rate"] = (cache["hits"] / lookups
                                  if lookups else 0.0)
-        registry = get_registry()
         if self._draining:
             status = "draining"
         elif eligible == len(shards):
@@ -352,170 +323,5 @@ class ClusterRouter:
             "shards": shards,
             "healthy_shards": eligible,
             "cache": cache if cache_seen else None,
-            "dedupe": {
-                "joins": int(registry.counter(
-                    "repro_cluster_singleflight_joins_total",
-                    "identical concurrent requests joined to one "
-                    "upstream dispatch").total),
-                "failovers": int(registry.counter(
-                    "repro_cluster_failovers_total",
-                    "requests moved to another shard").total),
-            },
+            "failovers": self.failovers,
         }
-
-    async def _respond(self, method: str, path: str,
-                       headers: Dict[str, str], body: bytes,
-                       ) -> Tuple[int, object, Dict[str, str]]:
-        try:
-            if path == "/healthz":
-                if method != "GET":
-                    raise ServeError("use GET for /healthz")
-                return 200, self._healthz_doc(), {}
-            if path == "/metrics":
-                if method != "GET":
-                    raise ServeError("use GET for /metrics")
-                if "text/plain" in headers.get("accept", "").lower():
-                    return (200, render_prometheus(get_registry()),
-                            {"Content-Type": _PROMETHEUS_CONTENT_TYPE})
-                return 200, get_registry().collect(), {}
-            if path not in protocol.REQUEST_TYPES:
-                return 404, {
-                    "ok": False,
-                    "error": {"code": "not_found",
-                              "type": "ServeError",
-                              "message": f"no route {path}"}}, {}
-            if method != "POST":
-                raise ServeError(f"use POST for {path}")
-            if self._draining:
-                raise ClusterError("router is draining")
-            return await self._proxy(path, headers, body)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:        # noqa: BLE001 - structured body
-            code, status = protocol.error_status(exc)
-            doc = protocol.error_body(exc)
-            extra = {"Retry-After": "1"} if status == 503 else {}
-            if not isinstance(exc, ReproError):
-                doc["error"]["code"] = "internal"
-            return status, doc, extra
-
-    async def _handle_conn(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except ServeError as exc:
-                    await write_response(
-                        writer, 400, protocol.error_body(exc), {},
-                        keep_alive=False)
-                    break
-                except asyncio.IncompleteReadError:
-                    break
-                if request is None:
-                    break
-                method, path, headers, body = request
-                status, doc, extra = await self._respond(
-                    method, path, headers, body)
-                keep = (headers.get("connection", "").lower() != "close"
-                        and not self._draining)
-                await write_response(writer, status, doc, extra,
-                                     keep_alive=keep)
-                if not keep:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError,
-                    asyncio.CancelledError):
-                pass
-
-
-class RouterHandle:
-    """A router on its own thread, with a thread-safe control plane.
-
-    Mirrors :class:`~repro.serve.server.ServerHandle`; the extra
-    control methods marshal onto the router's event loop via
-    ``run_coroutine_threadsafe`` so the (synchronous) supervisor can
-    drain, republish, and inspect backends without data races.
-    """
-
-    def __init__(self) -> None:
-        self.port: Optional[int] = None
-        self.error: Optional[BaseException] = None
-        self._loop = None
-        self._stop_event = None
-        self._router: Optional[ClusterRouter] = None
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def url(self) -> str:
-        return f"http://127.0.0.1:{self.port}"
-
-    def start(self, config: RouterConfig,
-              backends: Sequence[Tuple[str, int]],
-              tick_hook: Optional[Callable[[], None]] = None,
-              timeout_s: float = 30.0) -> None:
-        started = threading.Event()
-
-        async def _main() -> None:
-            router = ClusterRouter(config, backends,
-                                   tick_hook=tick_hook)
-            try:
-                await router.start()
-            except BaseException as exc:  # noqa: BLE001 - to caller
-                self.error = exc
-                started.set()
-                return
-            self._router = router
-            self.port = router.port
-            self._loop = asyncio.get_running_loop()
-            self._stop_event = asyncio.Event()
-            started.set()
-            await self._stop_event.wait()
-            await router.stop()
-
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(_main()),
-            name="repro-cluster-router", daemon=True)
-        self._thread.start()
-        if not started.wait(timeout=timeout_s):
-            raise ClusterError(
-                f"router did not start within {timeout_s:.0f}s")
-        if self.error is not None:
-            raise self.error
-
-    def stop(self, timeout_s: float = 30.0) -> None:
-        if self._loop is not None and self._stop_event is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop_event.set)
-            except RuntimeError:
-                pass
-        self._thread.join(timeout=timeout_s)
-        if self._thread.is_alive():
-            raise ClusterError("router thread did not stop in time")
-
-    def _call(self, coro, timeout_s: float = 10.0):
-        if self._loop is None or self._router is None:
-            raise ClusterError("router is not running")
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        return future.result(timeout=timeout_s)
-
-    def set_draining(self, index: int, flag: bool) -> None:
-        self._call(self._router.set_admin_draining(index, flag))
-
-    def update_backend(self, index: int, host: str, port: int) -> None:
-        self._call(self._router.update_backend(index, host, port))
-
-    def mark_down(self, index: int) -> None:
-        self._call(self._router.mark_down(index))
-
-    def backend_snapshot(self) -> List[Dict[str, object]]:
-        return self._call(self._router.backend_snapshot())

@@ -6,9 +6,9 @@ addressed machinery the result cache uses
 decoded body, fold in the route and the deadline header, salt with the
 model-source hash.  Two consequences fall out for free:
 
-* identical concurrent requests land on the *same* shard (whose
-  micro-batcher single-flights them) and on the same router-side
-  pending entry — cross-process dedupe without leases or locks;
+* identical concurrent requests land on the *same* shard, whose
+  micro-batcher single-flights them — cross-process dedupe without
+  leases, locks or a router-side map;
 * a shard's working set is exactly a stable slice of the shared
   result-cache keyspace, so its warm entries stay relevant across
   restarts.

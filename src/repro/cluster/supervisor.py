@@ -36,10 +36,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, List, Optional, Union
 
-from ..errors import ClusterError
+from ..errors import ClusterError, ServeError
 from ..obs.metrics import get_registry
+from ..serve.http import ThreadHost
 from ..serve.server import ServeConfig
-from .router import RouterConfig, RouterHandle
+from .router import ClusterRouter, RouterConfig
 from .workers import ProcessWorker, ThreadWorker, serve_argv
 
 Worker = Union[ThreadWorker, ProcessWorker]
@@ -92,7 +93,7 @@ class Cluster:
     def __init__(self, config: Optional[ClusterConfig] = None):
         self.config = config if config is not None else ClusterConfig()
         self.workers: List[Worker] = []
-        self.router = RouterHandle()
+        self.router = ThreadHost("repro-cluster-router")
         self.cache_dir: Optional[str] = None
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         self._stop = threading.Event()
@@ -148,14 +149,16 @@ class Cluster:
                 worker = self._build_worker(index, serve_cfg)
                 worker.start(timeout_s=cfg.worker_start_timeout_s)
                 self.workers.append(worker)
+            router_cfg = RouterConfig(
+                host=cfg.host, port=cfg.port,
+                upstream_timeout_s=cfg.upstream_timeout_s,
+                health_interval_s=cfg.health_interval_s,
+                health_timeout_s=cfg.health_timeout_s,
+                fail_threshold=cfg.fail_threshold)
+            backends = [(w.host, w.port) for w in self.workers]
             self.router.start(
-                RouterConfig(
-                    host=cfg.host, port=cfg.port,
-                    upstream_timeout_s=cfg.upstream_timeout_s,
-                    health_interval_s=cfg.health_interval_s,
-                    health_timeout_s=cfg.health_timeout_s,
-                    fail_threshold=cfg.fail_threshold),
-                [(w.host, w.port) for w in self.workers])
+                lambda: ClusterRouter(router_cfg, backends),
+                timeout_s=30.0)
         except BaseException:
             self._teardown()
             raise
@@ -179,7 +182,7 @@ class Cluster:
         try:
             if self.router.port is not None:
                 self.router.stop()
-        except ClusterError:
+        except ServeError:
             clean = False
         for worker in self.workers:
             try:
@@ -204,7 +207,7 @@ class Cluster:
         """Abrupt worker death (the ``worker_down`` chaos effect)."""
         with self._lock:
             self.workers[index].kill()
-            self.router.mark_down(index)
+            self.router.call(ClusterRouter.mark_down, index)
         get_registry().counter(
             "repro_cluster_worker_kills_total",
             "workers killed (chaos or operator)").inc()
@@ -217,7 +220,8 @@ class Cluster:
                 worker.stop()
             worker.start(
                 timeout_s=self.config.worker_start_timeout_s)
-            self.router.update_backend(index, worker.host, worker.port)
+            self.router.call(ClusterRouter.update_backend, index,
+                             worker.host, worker.port)
         get_registry().counter(
             "repro_cluster_worker_restarts_total",
             "worker (re)starts after the initial bring-up").inc()
@@ -231,11 +235,11 @@ class Cluster:
         healthy.  The rest of the fleet keeps serving throughout.
         """
         for index in range(len(self.workers)):
-            self.router.set_draining(index, True)
+            self.router.call(ClusterRouter.set_admin_draining, index, True)
             try:
                 self._await(
-                    lambda i=index: self.router.backend_snapshot()
-                    [i]["inflight"] == 0,
+                    lambda i=index: self.router.call(
+                        ClusterRouter.backend_snapshot)[i]["inflight"] == 0,
                     settle_timeout_s,
                     f"worker {index} in-flight requests to drain")
                 with self._lock:
@@ -243,13 +247,14 @@ class Cluster:
                     worker.stop()
                     worker.start(
                         timeout_s=self.config.worker_start_timeout_s)
-                    self.router.update_backend(
-                        index, worker.host, worker.port)
+                    self.router.call(ClusterRouter.update_backend, index,
+                                     worker.host, worker.port)
             finally:
-                self.router.set_draining(index, False)
+                self.router.call(ClusterRouter.set_admin_draining, index,
+                                 False)
             self._await(
-                lambda i=index: self.router.backend_snapshot()
-                [i]["healthy"],
+                lambda i=index: self.router.call(
+                    ClusterRouter.backend_snapshot)[i]["healthy"],
                 settle_timeout_s,
                 f"worker {index} to report healthy")
             get_registry().counter(
@@ -273,7 +278,7 @@ class Cluster:
                 self._chaos_tick()
                 if self.config.restart_dead:
                     self._revive_dead()
-            except ClusterError:
+            except ServeError:
                 # a failed revive/kill must not end supervision; the
                 # next tick (or the operator) retries
                 continue

@@ -28,7 +28,8 @@ from pathlib import Path
 from typing import Callable, List, Optional
 
 from ..errors import ClusterError
-from ..serve.server import ServeConfig, ServerHandle
+from ..serve.http import ThreadHost
+from ..serve.server import ReproServer, ServeConfig
 
 
 class ThreadWorker:
@@ -42,7 +43,7 @@ class ThreadWorker:
         self.host = "127.0.0.1"
         self.generation = 0
         self._config_factory = config_factory
-        self._handle: Optional[ServerHandle] = None
+        self._handle: Optional[ThreadHost] = None
 
     @property
     def port(self) -> Optional[int]:
@@ -52,8 +53,9 @@ class ThreadWorker:
         if self.alive():
             raise ClusterError(
                 f"worker {self.index} is already running")
-        handle = ServerHandle()
-        handle.start(self._config_factory(), timeout_s=timeout_s)
+        config = self._config_factory()
+        handle = ThreadHost("repro-serve")
+        handle.start(lambda: ReproServer(config), timeout_s=timeout_s)
         self._handle = handle
         self.generation += 1
 

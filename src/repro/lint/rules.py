@@ -336,7 +336,7 @@ class DeterminismRule(Rule):
                 "per-request latency measurement",
         },
         "repro/cluster/router.py": {
-            "ClusterRouter._proxy":
+            "ClusterRouter._post":
                 "routed-request latency measurement for the cluster "
                 "histogram (feeds telemetry, never routing decisions)",
         },

@@ -62,7 +62,6 @@ WELL_KNOWN_METRICS: Dict[str, str] = {
     "repro_fast_simulations_total": "counter",
     "repro_cluster_requests_total": "counter",
     "repro_cluster_request_seconds": "histogram",
-    "repro_cluster_singleflight_joins_total": "counter",
     "repro_cluster_failovers_total": "counter",
     "repro_cluster_tick_errors_total": "counter",
     "repro_cluster_worker_kills_total": "counter",

@@ -3,7 +3,9 @@
 Request flow: :mod:`protocol` (validation + envelopes) →
 :mod:`admission` (rate limit / bounded queue / degrade-to-proxy) →
 :mod:`batcher` (micro-batching + single-flight) → the PR 4 execution
-engine.  :mod:`server` owns the asyncio HTTP front end and lifecycle,
+engine.  :mod:`http` is the asyncio HTTP front end (wire, connection
+loop, shared routes, thread host) the server and the cluster router
+share; :mod:`server` owns the service's routes and lifecycle,
 :mod:`client` is the sync client, :mod:`loadgen` the deterministic
 open-loop load generator behind ``repro loadgen``.
 
@@ -30,8 +32,8 @@ from .loadgen import LoadgenConfig, build_schedule, run_loadgen, \
 from .protocol import (CompareRequest, EstimateRequest, InjectRequest,
                        SimulateRequest, error_body, error_status,
                        ok_body)
-from .server import (ReproServer, ServeConfig, ServerHandle,
-                     run_server, start_in_thread)
+from .http import ThreadHost
+from .server import ReproServer, ServeConfig, run_server, start_in_thread
 from .slo import SloTracker
 
 __all__ = [
@@ -42,6 +44,6 @@ __all__ = [
     "LoadgenConfig", "build_schedule", "run_loadgen", "write_report",
     "CompareRequest", "EstimateRequest", "InjectRequest",
     "SimulateRequest", "error_body", "error_status", "ok_body",
-    "ReproServer", "ServeConfig", "ServerHandle", "run_server",
-    "start_in_thread", "SloTracker",
+    "ReproServer", "ServeConfig", "ThreadHost",
+    "run_server", "start_in_thread", "SloTracker",
 ]

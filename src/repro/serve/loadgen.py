@@ -132,6 +132,18 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
     return float(sorted_values[rank - 1])
 
 
+def latency_doc(values: List[float]) -> Dict[str, float]:
+    """The latency summary every load-generator table carries."""
+    values = sorted(values)
+    return {
+        "p50": _percentile(values, 50.0),
+        "p95": _percentile(values, 95.0),
+        "p99": _percentile(values, 99.0),
+        "max": values[-1] if values else 0.0,
+        "mean": float(np.mean(values)) if values else 0.0,
+    }
+
+
 def run_loadgen(config: LoadgenConfig) -> Dict[str, object]:
     """Fire the schedule at one server; returns the report dict."""
     schedule = build_schedule(config)
@@ -215,17 +227,6 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, object]:
                 rejected += 1
         per_request.append(row)
     latencies.sort()
-
-    def _latency_doc(values: List[float]) -> Dict[str, float]:
-        values = sorted(values)
-        return {
-            "p50": _percentile(values, 50.0),
-            "p95": _percentile(values, 95.0),
-            "p99": _percentile(values, 99.0),
-            "max": values[-1] if values else 0.0,
-            "mean": float(np.mean(values)) if values else 0.0,
-        }
-
     endpoints = {}
     for route in sorted(per_route):
         stats = per_route[route]
@@ -237,7 +238,7 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, object]:
             "errors": stats["errors"],
             "malformed": stats["malformed"],
             "degraded_rate": stats["degraded"] / n if n else 0.0,
-            "latency_s": _latency_doc(stats["latencies"]),
+            "latency_s": latency_doc(stats["latencies"]),
         }
 
     p99 = _percentile(latencies, 99.0)
@@ -278,7 +279,7 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, object]:
                      for r in sorted(per_route)},
         "endpoints": endpoints,
         "slo": slo,
-        "latency_s": _latency_doc(latencies),
+        "latency_s": latency_doc(latencies),
         "per_request": per_request,
     }
     return report

@@ -1,7 +1,8 @@
 """``repro serve``: the simulation service front door.
 
-A hand-rolled JSON-over-HTTP/1.1 server on ``asyncio.start_server``
-(stdlib only — no aiohttp, no http.server).  Routes:
+A hand-rolled JSON-over-HTTP/1.1 server (stdlib only — no aiohttp, no
+http.server) built on the front end in :mod:`repro.serve.http`, which
+it shares with the cluster router.  Routes:
 
 * ``POST /v1/simulate`` — one full-fidelity timing-model run;
 * ``POST /v1/compare``  — P9 vs P10 over a workload list;
@@ -38,16 +39,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from ..errors import (DeadlineError, DrainingError, OverloadError,
-                      ReproError, ServeError)
+from ..errors import DeadlineError, DrainingError, OverloadError, ReproError
 from ..exec.cache import fingerprint_trace, sim_result_from_json
 from ..exec.executor import Engine, campaign_task, sim_task
 from ..obs.context import (RequestContext, activate, clean_request_id,
                            current_request_id, deactivate,
                            new_request_id)
 from ..obs.metrics import get_registry
-from ..obs.prometheus import CONTENT_TYPE as _PROMETHEUS_CONTENT_TYPE
-from ..obs.prometheus import render_prometheus
 from ..obs.requestlog import open_access_log
 from ..obs.tracing import get_tracer
 from ..obs.tracing import span as _obs_span
@@ -55,13 +53,12 @@ from . import protocol
 from .admission import (AdmissionController, CircuitBreaker,
                         ProxyFastPath, TokenBucket)
 from .batcher import MicroBatcher
-from .http import (MAX_BODY_BYTES, MAX_HEADERS, read_request,
-                   write_response)
+from .http import (MAX_BODY_BYTES, MAX_HEADERS, FrontEnd, Response,
+                   ThreadHost)
 from .slo import SloTracker
 
 __all__ = ["MAX_BODY_BYTES", "MAX_HEADERS", "ServeConfig",
-           "ReproServer", "ServerHandle", "run_server",
-           "start_in_thread"]
+           "ReproServer", "run_server", "start_in_thread"]
 
 #: distinct (workload, instructions) traces a server keeps in memory
 _TRACE_MEMO_SIZE = 128
@@ -112,25 +109,22 @@ class ServeConfig:
     slo_target_error_rate: float = 0.05
 
 
-class ReproServer:
+class ReproServer(FrontEnd):
     """One service instance; create, ``await start()``, ``await stop()``."""
 
     def __init__(self, config: Optional[ServeConfig] = None):
+        super().__init__()
         self.config = config if config is not None else ServeConfig()
         self.engine: Optional[Engine] = None
         self.batcher: Optional[MicroBatcher] = None
         self.admission: Optional[AdmissionController] = None
         self.fastpath: Optional[ProxyFastPath] = None
         self.breakers: Dict[str, CircuitBreaker] = {}
-        self.port: Optional[int] = None
         self.slo = SloTracker(
             window_s=self.config.slo_window_s,
             target_p99_s=self.config.slo_target_p99_ms / 1000.0,
             target_error_rate=self.config.slo_target_error_rate)
         self._access_log = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._draining = False
-        self._conn_tasks: set = set()
         self._configs: Dict[str, object] = {}
         # (workload, instructions) -> (trace, fingerprint), LRU order
         self._traces: OrderedDict = OrderedDict()
@@ -181,9 +175,7 @@ class ReproServer:
         if sanitizer is not None:
             asyncio.get_running_loop().set_exception_handler(
                 sanitizer.loop_exception_handler)
-        self._server = await asyncio.start_server(
-            self._handle_conn, cfg.host, cfg.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen(cfg.host, cfg.port)
         if cfg.port_file:
             await asyncio.to_thread(_publish_port, cfg.port_file,
                                     self.port)
@@ -191,21 +183,12 @@ class ReproServer:
     async def stop(self) -> bool:
         """Graceful drain; returns True when everything finished in
         budget (False = remaining work was answered with errors)."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._close_listener()
         clean = True
         if self.batcher is not None:
             clean = await self.batcher.drain(self.config.drain_timeout_s)
         # let connection handlers flush their (possibly error) responses
-        tasks = [t for t in self._conn_tasks if not t.done()]
-        if tasks:
-            await asyncio.wait(tasks, timeout=2.0)
-            for task in tasks:
-                if not task.done():
-                    task.cancel()
+        await self._settle_connections(2.0)
         if self.engine is not None:
             self.engine.close(wait=clean)
         if self._access_log is not None:
@@ -213,28 +196,7 @@ class ReproServer:
         return clean
 
     async def abort(self) -> None:
-        """Abrupt death (failover drills, ``ServerHandle.kill``): close
-        the listener and cancel in-flight connections without flushing
-        responses.  Clients see transport errors — never torn bodies —
-        which is exactly what a router's shard-failover path must
-        handle; a graceful drain would instead answer everything with
-        well-formed ``shutting_down`` errors.
-        """
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        pending = [t for t in self._conn_tasks if not t.done()]
-        for task in pending:
-            task.cancel()
-        if pending:
-            done, _ = await asyncio.wait(pending, timeout=2.0)
-            for task in done:
-                # retrieve expected abort-path errors so the event
-                # loop never logs "exception was never retrieved"
-                if not task.cancelled():
-                    task.exception()
+        await super().abort()
         if self.batcher is not None:
             # zero budget: settle leftover futures immediately so no
             # waiter (there should be none — their conns are dead)
@@ -487,55 +449,41 @@ class ReproServer:
         finally:
             self.admission.release()
 
-    # ---- HTTP plumbing ------------------------------------------------
+    # ---- HTTP ---------------------------------------------------------
+
+    async def _post(self, path: str, headers: Dict[str, str],
+                    body: bytes) -> Response:
+        cls = protocol.REQUEST_TYPES[path]
+        data = protocol.decode_json(body)
+        deadline_hdr = headers.get(protocol.DEADLINE_HEADER)
+        if deadline_hdr is not None:
+            data = protocol.apply_deadline_header(cls, data, deadline_hdr)
+        return await self._handlers[path](cls.from_json(data))
+
+    async def _respond(self, method: str, path: str,
+                       headers: Dict[str, str],
+                       body: bytes) -> Optional[Response]:
+        if path in protocol.REQUEST_TYPES \
+                and os.environ.get("REPRO_CHAOS_DIR"):
+            # resilience.chaos.ENV_CHAOS_DIR; gating on API routes keeps
+            # health/metrics scrapes from consuming a conn_drop token
+            from ..resilience.chaos import chaos_point
+            if chaos_point("conn") is not None:
+                return None             # abrupt drop: no response
+        return await self._dispatch(method, path, headers, body)
 
     async def _dispatch(self, method: str, path: str,
-                        req_headers: Dict[str, str], body: bytes,
-                        ) -> Tuple[int, Dict, Dict[str, str]]:
-        registry = get_registry()
+                        req_headers: Dict[str, str],
+                        body: bytes) -> Response:
         rid = clean_request_id(req_headers.get("x-request-id")) \
             or new_request_id()
         ctx = RequestContext(rid, route=path, method=method)
         token = activate(ctx)
-        out_headers: Dict[str, str] = {}
         try:
             with _obs_span("serve.request", "serve", route=path,
                            method=method) as sp:
-                try:
-                    if path == "/healthz":
-                        status, doc = self._healthz(method)
-                    elif path == "/metrics":
-                        status, doc = self._metrics(method,
-                                                    req_headers,
-                                                    out_headers)
-                    else:
-                        cls = protocol.REQUEST_TYPES.get(path)
-                        if cls is None:
-                            status, doc = 404, {
-                                "ok": False,
-                                "error": {"code": "not_found",
-                                          "type": "ServeError",
-                                          "message": f"no route {path}"}}
-                        elif method != "POST":
-                            raise ServeError(f"use POST for {path}")
-                        elif self._draining:
-                            raise DrainingError("server is draining")
-                        else:
-                            data = protocol.decode_json(body)
-                            deadline_hdr = req_headers.get(
-                                protocol.DEADLINE_HEADER)
-                            if deadline_hdr is not None:
-                                data = protocol.apply_deadline_header(
-                                    cls, data, deadline_hdr)
-                            req = cls.from_json(data)
-                            status, doc, out_headers = \
-                                await self._handlers[path](req)
-                except Exception as exc:  # every error -> structured body
-                    code, status = protocol.error_status(exc)
-                    doc = protocol.error_body(exc)
-                    if status == 503 \
-                            and "Retry-After" not in out_headers:
-                        out_headers["Retry-After"] = "1"
+                status, doc, out_headers = await self._route(
+                    method, path, req_headers, body)
                 sp.set(status=status)
         finally:
             deactivate(token)
@@ -546,16 +494,6 @@ class ReproServer:
         # bodies, and v1 response payloads stay bit-identical
         out_headers.setdefault("X-Request-Id", rid)
         return status, doc, out_headers
-
-    def _metrics(self, method: str, req_headers: Dict[str, str],
-                 out_headers: Dict[str, str]) -> Tuple[int, object]:
-        if method != "GET":
-            raise ServeError("use GET for /metrics")
-        accept = req_headers.get("accept", "")
-        if "text/plain" in accept.lower():
-            out_headers["Content-Type"] = _PROMETHEUS_CONTENT_TYPE
-            return 200, render_prometheus(get_registry())
-        return 200, get_registry().collect()
 
     def _observe_request(self, ctx: RequestContext, path: str,
                          status: int, doc, end_ns: int) -> None:
@@ -615,73 +553,18 @@ class ReproServer:
                 "total_ms": round(total_s * 1e3, 3),
             })
 
-    def _healthz(self, method: str) -> Tuple[int, Dict]:
-        if method != "GET":
-            raise ServeError("use GET for /healthz")
+    def _healthz_doc(self) -> Dict[str, object]:
         from .. import __version__
         cache = self.engine.cache if self.engine is not None else None
-        return 200, {"status": "draining" if self._draining else "ok",
-                     "version": __version__,
-                     "workers": self.engine.workers,
-                     "inflight": self.batcher.inflight,
-                     "admitted": self.admission.inflight,
-                     "breakers": {route: b.state
-                                  for route, b in self.breakers.items()},
-                     "cache": (cache.stats() if cache is not None
-                               else None),
-                     "slo": self.slo.snapshot()}
-
-    async def _handle_conn(self, reader, writer) -> None:
-        # wire parsing/rendering lives in serve.http (shared with the
-        # cluster router's proxy path)
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except ServeError as exc:
-                    await write_response(
-                        writer, 400, protocol.error_body(exc), {},
-                        keep_alive=False)
-                    break
-                except asyncio.IncompleteReadError:
-                    break
-                if request is None:
-                    break
-                method, path, headers, body = request
-                if path in protocol.REQUEST_TYPES \
-                        and os.environ.get("REPRO_CHAOS_DIR"):
-                    # resilience.chaos.ENV_CHAOS_DIR; gating on API
-                    # routes keeps health/metrics scrapes from
-                    # consuming a conn_drop token
-                    from ..resilience.chaos import chaos_point
-                    if chaos_point("conn") is not None:
-                        break           # abrupt drop: no response
-                status, doc, extra = await self._dispatch(
-                    method, path, headers, body)
-                keep = (headers.get("connection", "").lower() != "close"
-                        and not self._draining)
-                await write_response(writer, status, doc, extra,
-                                     keep_alive=keep)
-                if not keep:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # drain cancelled an idle keep-alive connection; suppress so
-            # the stream protocol's done-callback doesn't log the stack
-            pass
-        finally:
-            self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError,
-                    asyncio.CancelledError):
-                # a cancelled task re-raises at any await; the socket
-                # is closed either way
-                pass
+        return {"status": "draining" if self._draining else "ok",
+                "version": __version__,
+                "workers": self.engine.workers,
+                "inflight": self.batcher.inflight,
+                "admitted": self.admission.inflight,
+                "breakers": {route: b.state
+                             for route, b in self.breakers.items()},
+                "cache": (cache.stats() if cache is not None else None),
+                "slo": self.slo.snapshot()}
 
 
 # ---- entry points --------------------------------------------------------
@@ -717,94 +600,9 @@ def run_server(config: ServeConfig) -> int:
     return 0
 
 
-class ServerHandle:
-    """A server running on its own thread (tests, ``--self-serve``).
-
-    The handle owns its whole lifecycle: :meth:`start` spins up the
-    thread and event loop and only ever writes the handle's *own*
-    state (the old module-level ``start_in_thread`` stamped private
-    attributes onto a foreign handle — the shape R009 now rejects).
-    """
-
-    def __init__(self) -> None:
-        self.port: Optional[int] = None
-        self.error: Optional[BaseException] = None
-        self.clean: Optional[bool] = None
-        self._loop = None
-        self._stop_event = None
-        self._abort = False
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def url(self) -> str:
-        return f"http://127.0.0.1:{self.port}"
-
-    def start(self, config: ServeConfig, timeout_s: float = 60.0) -> None:
-        """Start the server thread; returns once it is listening."""
-        started = threading.Event()
-
-        async def _main() -> None:
-            server = ReproServer(config)
-            try:
-                await server.start()
-            except BaseException as exc:  # noqa: BLE001 - to caller
-                self.error = exc
-                started.set()
-                return
-            self.port = server.port
-            self._loop = asyncio.get_running_loop()
-            self._stop_event = asyncio.Event()
-            started.set()
-            await self._stop_event.wait()
-            if self._abort:             # kill(): no drain, no flush
-                self.clean = False
-                await server.abort()
-            else:
-                self.clean = await server.stop()
-
-        self._thread = threading.Thread(
-            target=lambda: asyncio.run(_main()),
-            name="repro-serve", daemon=True)
-        self._thread.start()
-        if not started.wait(timeout=timeout_s):
-            raise ServeError(
-                f"server did not start within {timeout_s:.0f}s")
-        if self.error is not None:
-            raise self.error
-
-    def stop(self, timeout_s: float = 30.0) -> bool:
-        """Request drain and join the server thread."""
-        if self._loop is not None and self._stop_event is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop_event.set)
-            except RuntimeError:
-                pass                    # loop already closed
-        self._thread.join(timeout=timeout_s)
-        if self._thread.is_alive():
-            raise ServeError("server thread did not stop in time")
-        return bool(self.clean)
-
-    def kill(self, timeout_s: float = 10.0) -> None:
-        """Abrupt death for failover drills: in-flight connections are
-        cancelled (clients see transport errors), nothing drains.
-
-        The closest a thread-hosted worker can get to SIGKILL; the
-        cluster's worker-down chaos class and kill-a-shard tests use it
-        to prove the router re-routes without losing requests.
-        """
-        self._abort = True
-        if self._loop is not None and self._stop_event is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop_event.set)
-            except RuntimeError:
-                pass                    # loop already closed
-        self._thread.join(timeout=timeout_s)
-        if self._thread.is_alive():
-            raise ServeError("server thread did not die in time")
-
-
-def start_in_thread(config: Optional[ServeConfig] = None) -> ServerHandle:
+def start_in_thread(config: Optional[ServeConfig] = None) -> ThreadHost:
     """Start a server on a background thread; returns once it listens."""
-    handle = ServerHandle()
-    handle.start(config if config is not None else ServeConfig())
-    return handle
+    config = config if config is not None else ServeConfig()
+    host = ThreadHost("repro-serve")
+    host.start(lambda: ReproServer(config))
+    return host

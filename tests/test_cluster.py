@@ -208,7 +208,7 @@ class TestSingleFlight:
         every caller receives the same answer."""
         fanout = 6
         joins = get_registry().counter(
-            "repro_cluster_singleflight_joins_total")
+            "repro_serve_singleflight_joins_total")
         joins_before = joins.total
         executed_before = _exec_executed()
         with Cluster(_cluster_config(tmp_path)) as cluster:
@@ -237,8 +237,9 @@ class TestSingleFlight:
         assert len(bodies) == 1
         # exactly one simulation executed cluster-wide
         assert _exec_executed() - executed_before == 1
-        # and at least some callers joined the pending dispatch at
-        # the router (the rest were absorbed by the cache tier)
+        # and at least some callers joined the in-flight computation
+        # at the shard's batcher (the rest were absorbed by the cache
+        # tier)
         assert joins.total - joins_before >= 1
 
 
@@ -457,7 +458,7 @@ class TestClusterBench:
         monkeypatch.chdir(tmp_path)
         report = run_cluster_bench(ClusterBenchConfig(
             seed=1, requests=12, rate_per_s=60.0, chaos=False))
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["shards"] == 2
         assert report["requests"] == 12
         assert report["offered_rate_per_s"] == 60.0
@@ -467,7 +468,7 @@ class TestClusterBench:
             assert entry["count"] > 0
             assert entry["latency_s"]["p99"] > 0
         assert report["cache"] is not None
-        assert report["dedupe"] is not None
+        assert report["failovers"] == 0
         assert report["chaos"] is None
         assert report["sdc_total"] == 0
         assert report["ok"] is True

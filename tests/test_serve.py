@@ -10,6 +10,7 @@ and shutdown mid-request produces well-formed ``shutting_down`` error
 bodies, never hangs.
 """
 
+import asyncio
 import json
 import threading
 import time
@@ -98,6 +99,72 @@ class TestProtocol:
                         "error": {"code": "bad_request",
                                   "type": "ConfigError",
                                   "message": "bad thing"}}
+
+
+# ---- the wire reader ------------------------------------------------------
+
+def _read(raw: bytes):
+    """``read_request`` over ``raw`` followed by EOF."""
+    from repro.serve.http import read_request
+
+    async def _go():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await read_request(reader)
+    return asyncio.run(_go())
+
+
+class TestWireReader:
+    @pytest.mark.parametrize("value", [b"1_0", b"+3", b"-1", b" ", b"",
+                                       b"0x10", b"3 4", b"\xb2"])
+    def test_content_length_must_be_digits(self, value):
+        raw = (b"POST /v1/simulate HTTP/1.1\r\nContent-Length: " + value
+               + b"\r\n\r\n" + b"x" * 16)
+        with pytest.raises(ServeError, match="bad Content-Length"):
+            _read(raw)
+
+    def test_conflicting_content_lengths_rejected(self):
+        raw = (b"POST /v1/simulate HTTP/1.1\r\nContent-Length: 2\r\n"
+               b"Content-Length: 3\r\n\r\n{}x")
+        with pytest.raises(ServeError, match="conflicting"):
+            _read(raw)
+
+    def test_repeated_equal_content_length_accepted(self):
+        raw = (b"POST /v1/simulate HTTP/1.1\r\nContent-Length: 2\r\n"
+               b"content-length: 2\r\n\r\n{}")
+        assert _read(raw) == ("POST", "/v1/simulate",
+                              {"content-length": "2"}, b"{}")
+
+    def test_leading_zeros_and_oversize(self):
+        raw = b"POST /v1/x HTTP/1.1\r\nContent-Length: 0002\r\n\r\n{}"
+        assert _read(raw)[3] == b"{}"
+        for value in (b"1048577", b"9" * 5000):
+            with pytest.raises(ServeError, match="exceeds"):
+                _read(b"POST /v1/x HTTP/1.1\r\nContent-Length: " + value
+                      + b"\r\n\r\n")
+
+    def test_transfer_encoding_rejected(self):
+        raw = (b"POST /v1/simulate HTTP/1.1\r\n"
+               b"Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n")
+        with pytest.raises(ServeError, match="Transfer-Encoding"):
+            _read(raw)
+
+    @pytest.mark.parametrize("raw", [
+        b"POST /v1/simulate HTTP/1.1\r\nHost: x",       # mid-line
+        b"POST /v1/simulate HTTP/1.1\r\nHost: x\r\n",   # no blank line
+        b"POST /v1/simulate HTTP/1.1",                  # request line
+    ])
+    def test_truncated_head_is_malformed(self, raw):
+        with pytest.raises(ServeError, match="truncated"):
+            _read(raw)
+
+    def test_header_count_limit(self):
+        head = b"GET /healthz HTTP/1.1\r\n"
+        ok = head + b"X-A: 1\r\n" * 100 + b"\r\n"
+        assert _read(ok)[0] == "GET"
+        with pytest.raises(ServeError, match="more than 100 headers"):
+            _read(head + b"X-A: 1\r\n" * 101 + b"\r\n")
 
 
 # ---- admission -----------------------------------------------------------
