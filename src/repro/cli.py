@@ -533,18 +533,13 @@ def _cmd_loadgen_cluster(args: argparse.Namespace) -> int:
     from .cluster import ClusterBenchConfig, run_cluster_bench
     from .serve import write_report
 
-    # untouched single-server defaults scale to the cluster shape
-    requests = 240 if args.requests == 50 else args.requests
-    rate = 250.0 if args.rate == 25.0 else args.rate
     report = run_cluster_bench(ClusterBenchConfig(
-        seed=args.seed, requests=requests, rate_per_s=rate,
+        seed=args.seed, requests=args.requests, rate_per_s=args.rate,
         shards=args.shards, engine_workers=args.workers,
         window_ms=args.window_ms, deadline_ms=args.deadline_ms,
         timeout_s=args.timeout, slo_p99_ms=args.slo_p99_ms,
         chaos=not args.no_kill_shard))
     out = args.out
-    if out == "BENCH_serve.json":       # the single-server default
-        out = "BENCH_cluster.json"
     if out:
         write_report(report, out)
         print(f"report written to {out}", file=sys.stderr)
@@ -588,12 +583,25 @@ def _cmd_perfwatch(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
+    from functools import partial
+
+    from .cluster import ClusterBenchConfig
     from .errors import ServeError
     from .lint.sanitizer import double_run_serve, sanitize_enabled, \
         sanitized
-    from .serve import (LoadgenConfig, run_loadgen, start_in_thread,
-                        write_report)
+    from .serve import LoadgenConfig, run_phase, start_in_thread, \
+        write_report
 
+    # --requests/--rate/--out default per mode, so explicit values
+    # always win
+    shape = ClusterBenchConfig if args.cluster else LoadgenConfig
+    if args.requests is None:
+        args.requests = shape.requests
+    if args.rate is None:
+        args.rate = shape.rate_per_s
+    if args.out is None:
+        args.out = ("BENCH_cluster.json" if args.cluster
+                    else "BENCH_serve.json")
     sanitizing = sanitize_enabled(getattr(args, "sanitize", False))
     if args.cluster:
         if sanitizing:
@@ -602,6 +610,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 "(the sanitizer double-runs a single in-process "
                 "server)")
         return _cmd_loadgen_cluster(args)
+    lg_config = LoadgenConfig(
+        seed=args.seed, requests=args.requests, rate_per_s=args.rate,
+        host=args.host, port=args.port, timeout_s=args.timeout,
+        deadline_ms=args.deadline_ms, slo_p99_ms=args.slo_p99_ms)
     sanitizer_rc = 0
     if sanitizing:
         if not args.self_serve:
@@ -609,10 +621,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 "--sanitize requires --self-serve: the sanitizer "
                 "double-runs an in-process server and diffs the "
                 "responses")
-        lg_config = LoadgenConfig(
-            seed=args.seed, requests=args.requests,
-            rate_per_s=args.rate, timeout_s=args.timeout,
-            deadline_ms=args.deadline_ms, slo_p99_ms=args.slo_p99_ms)
         with sanitized() as sanitizer:
             reports, diff = double_run_serve(
                 _serve_config(args, port=0), lg_config, sanitizer)
@@ -635,25 +643,14 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                   file=sys.stderr)
         sanitizer_rc = 1 if summary["reports"] else 0
     else:
-        handle = None
-        host, port = args.host, args.port
-        if args.self_serve:
-            handle = start_in_thread(_serve_config(args, port=0))
-            host, port = "127.0.0.1", handle.port
-            print(f"self-serve: started on {handle.url}",
+        start = (partial(start_in_thread, _serve_config(args, port=0))
+                 if args.self_serve else None)
+        phase = run_phase(lg_config, start)
+        report = phase.report
+        if phase.clean_drain is not None:
+            print(f"self-serve: drained "
+                  f"({'clean' if phase.clean_drain else 'forced'})",
                   file=sys.stderr)
-        try:
-            report = run_loadgen(LoadgenConfig(
-                seed=args.seed, requests=args.requests,
-                rate_per_s=args.rate, host=host, port=port,
-                timeout_s=args.timeout, deadline_ms=args.deadline_ms,
-                slo_p99_ms=args.slo_p99_ms))
-        finally:
-            if handle is not None:
-                clean = handle.stop()
-                print(f"self-serve: drained "
-                      f"({'clean' if clean else 'forced'})",
-                      file=sys.stderr)
     if args.out:
         write_report(report, args.out)
         print(f"report written to {args.out}", file=sys.stderr)
@@ -898,18 +895,22 @@ def build_parser() -> argparse.ArgumentParser:
                         "port for the duration of the run")
     p.add_argument("--seed", type=int, default=0,
                    help="schedule seed (default 0)")
-    p.add_argument("--requests", type=int, default=50)
-    p.add_argument("--rate", type=float, default=25.0,
+    p.add_argument("--requests", type=int, default=None,
+                   help="scheduled requests (default 50; 240 with "
+                        "--cluster)")
+    p.add_argument("--rate", type=float, default=None,
                    metavar="REQ_PER_S",
-                   help="offered open-loop rate (default 25/s)")
+                   help="offered open-loop rate (default 25/s; 250/s "
+                        "with --cluster)")
     p.add_argument("--deadline-ms", type=int, default=None,
                    help="per-request deadline forwarded to the server")
     p.add_argument("--timeout", type=float, default=60.0,
                    metavar="SECONDS",
                    help="client socket timeout (default 60)")
-    p.add_argument("--out", default="BENCH_serve.json", metavar="FILE",
+    p.add_argument("--out", default=None, metavar="FILE",
                    help="report artifact (default BENCH_serve.json; "
-                        "'' disables)")
+                        "BENCH_cluster.json with --cluster; '' "
+                        "disables)")
     p.add_argument("--json", action="store_true",
                    help="also print the full report to stdout")
     p.add_argument("--sanitize-out", default="SANITIZE_serve.json",
@@ -920,8 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster", action="store_true",
                    help="drive a self-managed sharded cluster instead "
                         "of a single server and write "
-                        "BENCH_cluster.json (untouched --requests/"
-                        "--rate defaults scale to 240 @ 250/s)")
+                        "BENCH_cluster.json")
     p.add_argument("--shards", type=int, default=2,
                    help="cluster worker count for --cluster "
                         "(default 2)")

@@ -18,7 +18,10 @@ Layout:
 * :mod:`.supervisor` — :class:`Cluster`: bring-up, chaos tick,
   revival, rolling restarts;
 * :mod:`.bench` — the two-phase benchmark behind
-  ``repro loadgen --cluster`` (``BENCH_cluster.json``).
+  ``repro loadgen --cluster`` (``BENCH_cluster.json``): a fault-free
+  burst, then a ``worker_down`` burst whose kill the supervisor's
+  chaos tick performs; both phases are the chaos campaign's
+  :func:`repro.resilience.chaos.chaos_phase`.
 """
 
 from .bench import (CLUSTER_BENCH_SCHEMA, ClusterBench,

@@ -1,19 +1,24 @@
 """The cluster benchmark behind ``repro loadgen --cluster``.
 
-Two phases, one seeded schedule (so every number is reproducible):
+Two phases, one seeded schedule (so every number is reproducible),
+each a :func:`repro.resilience.chaos.chaos_phase` against a fresh
+cluster — the chaos campaign's phase, run through the one loadgen
+runner (:func:`repro.serve.loadgen.run_phase`):
 
 * **burst** — a fault-free loadgen burst at ≥10× the single-server
-  default rate against a fresh cluster with a cold shared cache.  The
+  default rate against a cluster with a cold shared cache.  The
   report keeps the usual loadgen aggregates plus what only a cluster
   can show: per-shard latency tables (from the ``X-Shard`` column),
-  the aggregate cache-tier hit-rate and the failover count scraped
-  from the router's ``/healthz``.
+  and the aggregate cache-tier hit-rate and failover count from the
+  router's ``/healthz`` as the runner read it after the burst.
 * **chaos** (optional, on by default) — the same schedule against a
   second cluster with a ``worker_down`` fault armed: the supervisor
   kills a worker mid-burst and the burst-phase rows serve as the
-  bit-identity reference.  The phase is classified with the chaos
-  campaign's availability taxonomy; any OK row whose body digest
-  differs from the fault-free run is an SDC and fails the benchmark.
+  bit-identity reference.  :func:`repro.resilience.chaos.classify`
+  judges the phase with the chaos campaign's availability taxonomy;
+  any OK row whose body digest differs from the fault-free run is an
+  SDC and fails the benchmark, and a forced drain shows as
+  ``clean_drain: false``.
 
 ``BENCH_cluster.json`` (schema 2) is the artifact ``repro perfwatch``
 tracks for the ``cluster:availability`` row.
@@ -21,18 +26,15 @@ tracks for the ``cluster:availability`` row.
 
 from __future__ import annotations
 
-import contextlib
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
-from ..errors import ChaosError, ClusterError, ServeError
-from ..resilience.chaos import (WORKER_DOWN, ChaosCampaign,
-                                generate_service_schedule,
-                                service_chaos)
-from ..serve.client import ServeClient
-from ..serve.loadgen import LoadgenConfig, latency_doc, run_loadgen
+from ..errors import ChaosError, ClusterError
+from ..resilience.chaos import (WORKER_DOWN, chaos_phase, classify,
+                                generate_service_schedule)
+from ..serve.loadgen import LoadgenConfig, latency_doc
 from .supervisor import Cluster, ClusterConfig
 
 CLUSTER_BENCH_SCHEMA = 2
@@ -96,58 +98,33 @@ class ClusterBench:
         self.config = config if config is not None \
             else ClusterBenchConfig()
 
-    def _cluster_config(self, cache_dir: str) -> ClusterConfig:
-        cfg = self.config
-        return ClusterConfig(
-            shards=cfg.shards, worker_mode=cfg.worker_mode,
-            engine_workers=cfg.engine_workers,
-            cache_dir=cache_dir, window_ms=cfg.window_ms)
-
-    def _phase(self, cache_dir: str, faults, chaos_root,
-               ) -> Dict[str, object]:
-        """One cluster + one seeded burst (+ optional armed chaos)."""
-        cfg = self.config
-        with contextlib.ExitStack() as stack:
-            controller = None
-            if faults:
-                controller = stack.enter_context(
-                    service_chaos(faults, chaos_root))
-            cluster = stack.enter_context(
-                Cluster(self._cluster_config(cache_dir)))
-            report = run_loadgen(LoadgenConfig(
-                seed=cfg.seed, requests=cfg.requests,
-                rate_per_s=cfg.rate_per_s, host="127.0.0.1",
-                port=cluster.port, timeout_s=cfg.timeout_s,
-                deadline_ms=cfg.deadline_ms,
-                slo_p99_ms=cfg.slo_p99_ms))
-            try:
-                healthz = ServeClient(
-                    port=cluster.port,
-                    timeout_s=cfg.timeout_s).healthz()
-            except ServeError:
-                healthz = {}
-            chaos = (controller.summary() if controller is not None
-                     else {"armed_left": 0, "fired": []})
-        return {"report": report, "healthz": healthz, "chaos": chaos,
-                "clean_drain": True, "faults_armed": len(faults)}
-
     def run(self) -> Dict[str, object]:
         cfg = self.config
+        load = LoadgenConfig(
+            seed=cfg.seed, requests=cfg.requests,
+            rate_per_s=cfg.rate_per_s, timeout_s=cfg.timeout_s,
+            deadline_ms=cfg.deadline_ms, slo_p99_ms=cfg.slo_p99_ms)
+
+        def cluster(cache_dir: Path):
+            return lambda: Cluster(ClusterConfig(
+                shards=cfg.shards, worker_mode=cfg.worker_mode,
+                engine_workers=cfg.engine_workers,
+                cache_dir=str(cache_dir),
+                window_ms=cfg.window_ms)).start()
+
         with tempfile.TemporaryDirectory(
                 prefix="repro-cluster-bench-") as td:
             root = Path(td)
-            burst = self._phase(str(root / "cache-burst"), [], None)
-            ref_rows = {str(r["id"]): r
-                        for r in burst["report"]["per_request"]}
+            burst = chaos_phase(cluster(root / "cache-burst"), load)
             chaos_doc: Optional[Dict[str, object]] = None
             if cfg.chaos:
                 faults = generate_service_schedule(
                     cfg.seed, (WORKER_DOWN,), per_class=1,
                     slow_s=cfg.kill_delay_s)
-                phase = self._phase(str(root / "cache-chaos"), faults,
-                                    root / "chaos")
-                classified = ChaosCampaign._classify(
-                    WORKER_DOWN, phase, ref_rows)
+                phase = chaos_phase(cluster(root / "cache-chaos"), load,
+                                    faults, root / "chaos")
+                classified = classify(WORKER_DOWN, phase,
+                                      burst["report"])
                 chaos_doc = {
                     **classified,
                     "per_shard": _per_shard(phase["report"]),

@@ -40,7 +40,7 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ClusterError, ReproError, ServeError
 from ..obs.context import clean_request_id
@@ -111,8 +111,7 @@ class ClusterRouter(FrontEnd):
     """One router instance; create, ``await start()``, ``await stop()``."""
 
     def __init__(self, config: RouterConfig,
-                 backends: Sequence[Tuple[str, int]],
-                 tick_hook: Optional[Callable[[], None]] = None):
+                 backends: Sequence[Tuple[str, int]]):
         if not backends:
             raise ClusterError("router needs at least one backend")
         super().__init__()
@@ -120,9 +119,6 @@ class ClusterRouter(FrontEnd):
         self.backends = [BackendState(i, host, port)
                          for i, (host, port) in enumerate(backends)]
         self.shards = ShardMap(len(self.backends))
-        #: quick supervisor callback run once per health sweep (chaos
-        #: ticks, dead-worker checks); must not block the loop
-        self._tick_hook = tick_hook
         #: requests this router moved past a dead or draining shard
         self.failovers = 0
         self._health_task: Optional[asyncio.Task] = None
@@ -171,14 +167,6 @@ class ClusterRouter(FrontEnd):
 
     async def _health_loop(self) -> None:
         while True:
-            if self._tick_hook is not None:
-                try:
-                    self._tick_hook()
-                except Exception:       # noqa: BLE001 - a supervisor
-                    # tick error must not kill the health loop
-                    get_registry().counter(
-                        "repro_cluster_tick_errors_total",
-                        "supervisor tick-hook failures").inc()
             for backend in self.backends:
                 await self._probe(backend)
             await asyncio.sleep(self.config.health_interval_s)

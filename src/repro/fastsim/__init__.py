@@ -14,14 +14,9 @@ Public surface:
 
 * :func:`simulate_fast` — the replay ``simulate`` dispatches to.
 * :func:`extract_stream` — the per-run activity tensor.
-* :func:`batch_power` — array-at-a-time power evaluation over many
-  activity streams through the existing ``power/`` coefficients.
 """
 
 from .extract import ActivityStream, extract_stream
-from .power_eval import batch_power
 from .replay import simulate_fast
 
-__all__ = [
-    "ActivityStream", "batch_power", "extract_stream", "simulate_fast",
-]
+__all__ = ["ActivityStream", "extract_stream", "simulate_fast"]

@@ -222,34 +222,19 @@ def diff_double_run(first: Dict[str, object],
                     second: Dict[str, object]) -> Dict[str, object]:
     """Diff two loadgen reports on ordering-sensitive identity.
 
-    Rows pair on the deterministic request id.  Pairs where either
-    side was shed, degraded, or failed are *excused* (admission and
-    deadline decisions are wall-clock dependent by design); pairs
-    where both sides answered full-fidelity must carry identical
-    body digests — those bodies are pure functions of the payload.
+    :func:`repro.serve.loadgen.diff_bodies` pairs the rows; a
+    full-fidelity body digest mismatch or a row present in only one
+    run is a divergence.
     """
-    rows_a = {str(row.get("id")): row
-              for row in first.get("per_request", [])}
-    rows_b = {str(row.get("id")): row
-              for row in second.get("per_request", [])}
-    divergences: List[str] = []
-    compared = excused = 0
-    for rid in sorted(set(rows_a) | set(rows_b)):
-        row_a, row_b = rows_a.get(rid), rows_b.get(rid)
-        if row_a is None or row_b is None:
-            divergences.append(f"{rid}: present in only one run")
-            continue
-        outcome_a = row_a.get("outcome")
-        if outcome_a != row_b.get("outcome") or outcome_a != "ok":
-            excused += 1
-            continue
-        compared += 1
-        if row_a.get("body_sha") != row_b.get("body_sha"):
-            divergences.append(
-                f"{rid}: full-fidelity body digest mismatch "
-                f"{row_a.get('body_sha')} != {row_b.get('body_sha')}")
-    return {"divergences": divergences, "compared": compared,
-            "excused": excused}
+    from ..serve.loadgen import diff_bodies
+
+    diff = diff_bodies(first, second)
+    divergences = sorted(
+        [f"{rid}: present in only one run" for rid in diff["unpaired"]]
+        + [f"{rid}: full-fidelity body digest mismatch"
+           for rid in diff["mismatched"]])
+    return {"divergences": divergences, "compared": diff["compared"],
+            "excused": diff["excused"]}
 
 
 def double_run_serve(serve_config, loadgen_config,
@@ -262,20 +247,12 @@ def double_run_serve(serve_config, loadgen_config,
     ``(reports, diff)``; divergences are also recorded on the given
     sanitizer as ``double_run_divergence``.
     """
-    import dataclasses
-
-    from ..serve.loadgen import run_loadgen
+    from ..serve.loadgen import run_phase
     from ..serve.server import start_in_thread
 
-    reports: List[Dict[str, object]] = []
-    for _ in range(2):
-        handle = start_in_thread(serve_config)
-        try:
-            config = dataclasses.replace(
-                loadgen_config, host="127.0.0.1", port=handle.port)
-            reports.append(run_loadgen(config))
-        finally:
-            handle.stop()
+    reports = [run_phase(loadgen_config,
+                         lambda: start_in_thread(serve_config)).report
+               for _ in range(2)]
     diff = diff_double_run(reports[0], reports[1])
     if sanitizer is not None:
         for divergence in diff["divergences"]:

@@ -36,11 +36,14 @@ no-op that never even imports this module.  ``$REPRO_CHAOS_PARENT``
 pins the arming process id so worker-kind faults only ever fire inside
 a *forked worker*, never the serving process itself.
 
-:class:`ChaosCampaign` replays one seeded loadgen schedule under each
-fault class and writes an availability report
-(good/degraded/rejected/failed per class) with a zero-SDC assertion:
-every 200-OK non-degraded body must be bit-identical to the fault-free
-reference run.  ``repro chaos`` is the CLI front end.
+:func:`chaos_phase` is one load phase with faults armed around it:
+arm, start a server or cluster, fire the seeded loadgen schedule,
+stop, disarm.  :func:`classify` judges a phase against the fault-free
+reference run: availability (good/degraded/rejected/failed) and a
+zero-SDC assertion, every 200-OK non-degraded body bit-identical to
+the reference.  :class:`ChaosCampaign` runs one phase per fault class
+(``repro chaos`` is its CLI front end); the cluster benchmark runs its
+burst and shard-kill phases through the same two functions.
 
 This module deliberately imports neither ``asyncio`` nor ``threading``
 nor ``concurrent.futures``: every effect runs synchronously in
@@ -57,7 +60,8 @@ import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -331,6 +335,65 @@ CHAOS_REPORT_SCHEMA = 1
 _REFUSAL_STATUSES = (503, 504)
 
 
+def chaos_phase(start: Callable[[], object], load,
+                faults: Sequence[ServiceFault] = (), chaos_root=None,
+                ) -> Dict[str, object]:
+    """One load phase with ``faults`` armed around it.
+
+    ``start`` and ``load`` (a ``LoadgenConfig``) go to
+    :func:`repro.serve.loadgen.run_phase`; arming wraps the target's
+    start so forked pool workers inherit the chaos environment.
+    Returns the loadgen ``report``, the target's ``healthz`` after the
+    burst, its ``clean_drain``, the ``chaos`` summary and
+    ``faults_armed``.
+    """
+    from ..serve.loadgen import run_phase
+    with contextlib.ExitStack() as stack:
+        controller = (stack.enter_context(
+            service_chaos(faults, chaos_root)) if faults else None)
+        phase = run_phase(load, start)
+        chaos = (controller.summary() if controller is not None
+                 else {"armed_left": 0, "fired": []})
+    return {"report": phase.report, "healthz": phase.healthz,
+            "clean_drain": phase.clean_drain, "chaos": chaos,
+            "faults_armed": len(faults)}
+
+
+def classify(name: str, phase: Dict[str, object],
+             reference: Dict[str, object]) -> Dict[str, object]:
+    """Judge one :func:`chaos_phase` against the fault-free
+    ``reference`` report: availability counts, hangs, and as SDC every
+    full-fidelity body whose digest differs from the reference's."""
+    from ..serve.loadgen import diff_bodies
+    counts = {"good": 0, "degraded": 0, "rejected": 0, "failed": 0}
+    hangs = 0
+    for row in phase["report"]["per_request"]:
+        outcome = row.get("outcome")
+        if outcome == "ok":
+            counts["good"] += 1
+        elif outcome == "degraded":
+            counts["degraded"] += 1
+        elif outcome == "error" \
+                and row.get("status") in _REFUSAL_STATUSES:
+            counts["rejected"] += 1
+        else:                           # 4xx/5xx, torn body, no answer
+            counts["failed"] += 1
+            if "timed out" in str(row.get("error", "")):
+                hangs += 1              # exceeded the client hang bound
+    total = sum(counts.values())
+    available = counts["good"] + counts["degraded"]
+    return {
+        "fault_class": name,
+        "counts": counts,
+        "availability": available / total if total else 0.0,
+        "sdc": diff_bodies(reference, phase["report"])["mismatched"],
+        "hangs": hangs,
+        "clean_drain": bool(phase["clean_drain"]),
+        "faults_armed": phase["faults_armed"],
+        "faults_fired": len(phase["chaos"]["fired"]),
+    }
+
+
 @dataclass(frozen=True)
 class ChaosCampaignConfig:
     """One chaos campaign, fully determined by these fields."""
@@ -394,136 +457,55 @@ class ChaosCampaign:
         self.config = config if config is not None \
             else ChaosCampaignConfig()
 
-    # -- one phase ------------------------------------------------------
-
-    def _phase_raw(self, faults: Sequence[ServiceFault], cache_dir: str,
-                   chaos_root) -> Dict[str, object]:
-        from ..serve.loadgen import LoadgenConfig, run_loadgen
-        from ..serve.server import ServeConfig, start_in_thread
-        cfg = self.config
-        serve_cfg = ServeConfig(
-            port=0, workers=cfg.workers, cache_dir=cache_dir,
-            window_ms=cfg.window_ms,
-            default_deadline_ms=cfg.deadline_ms,
-            max_pool_restarts=cfg.max_pool_restarts)
-        with contextlib.ExitStack() as stack:
-            controller = None
-            if faults:
-                controller = stack.enter_context(
-                    service_chaos(faults, chaos_root))
-            handle = start_in_thread(serve_cfg)
-            try:
-                report = run_loadgen(LoadgenConfig(
-                    seed=cfg.seed, requests=cfg.requests,
-                    rate_per_s=cfg.rate_per_s, host="127.0.0.1",
-                    port=handle.port, timeout_s=cfg.timeout_s,
-                    deadline_ms=cfg.deadline_ms))
-            finally:
-                clean = handle.stop(timeout_s=90.0)
-            chaos = (controller.summary() if controller is not None
-                     else {"armed_left": 0, "fired": []})
-        return {"report": report, "clean_drain": clean, "chaos": chaos,
-                "faults_armed": len(faults)}
-
-    def _phase_cluster(self, faults: Sequence[ServiceFault],
-                       cache_dir: str, chaos_root) -> Dict[str, object]:
-        """The ``worker_down`` phase: a two-shard cluster instead of a
-        single server, so there is a worker to kill and a survivor to
-        absorb the re-routed traffic."""
-        from ..cluster.supervisor import Cluster, ClusterConfig
-        from ..serve.loadgen import LoadgenConfig, run_loadgen
-        cfg = self.config
-        cluster_cfg = ClusterConfig(
-            shards=2, worker_mode="thread",
-            engine_workers=cfg.workers, cache_dir=cache_dir,
-            window_ms=cfg.window_ms,
-            default_deadline_ms=cfg.deadline_ms,
-            max_pool_restarts=cfg.max_pool_restarts)
-        with contextlib.ExitStack() as stack:
-            controller = None
-            if faults:
-                controller = stack.enter_context(
-                    service_chaos(faults, chaos_root))
-            cluster = Cluster(cluster_cfg)
-            cluster.start()
-            try:
-                report = run_loadgen(LoadgenConfig(
-                    seed=cfg.seed, requests=cfg.requests,
-                    rate_per_s=cfg.rate_per_s, host="127.0.0.1",
-                    port=cluster.port, timeout_s=cfg.timeout_s,
-                    deadline_ms=cfg.deadline_ms))
-            finally:
-                clean = cluster.stop()
-            chaos = (controller.summary() if controller is not None
-                     else {"armed_left": 0, "fired": []})
-        return {"report": report, "clean_drain": clean, "chaos": chaos,
-                "faults_armed": len(faults)}
-
-    @staticmethod
-    def _classify(name: str, phase: Dict[str, object],
-                  ref_rows: Dict[str, Dict[str, object]],
-                  ) -> Dict[str, object]:
-        counts = {"good": 0, "degraded": 0, "rejected": 0, "failed": 0}
-        sdc: List[str] = []
-        hangs = 0
-        for row in phase["report"]["per_request"]:
-            outcome = row.get("outcome")
-            if outcome == "ok":
-                counts["good"] += 1
-                ref = ref_rows.get(str(row["id"]))
-                if ref is not None and ref.get("outcome") == "ok" \
-                        and row.get("body_sha") != ref.get("body_sha"):
-                    sdc.append(str(row["id"]))
-            elif outcome == "degraded":
-                counts["degraded"] += 1
-            elif outcome == "error" \
-                    and row.get("status") in _REFUSAL_STATUSES:
-                counts["rejected"] += 1
-            else:                       # 4xx/5xx, torn body, no answer
-                counts["failed"] += 1
-                if "timed out" in str(row.get("error", "")):
-                    hangs += 1          # exceeded the client hang bound
-        total = sum(counts.values())
-        available = counts["good"] + counts["degraded"]
-        return {
-            "fault_class": name,
-            "counts": counts,
-            "availability": available / total if total else 0.0,
-            "sdc": sdc,
-            "hangs": hangs,
-            "clean_drain": bool(phase["clean_drain"]),
-            "faults_armed": phase["faults_armed"],
-            "faults_fired": len(phase["chaos"]["fired"]),
-        }
-
-    # -- the campaign ---------------------------------------------------
-
     def run(self) -> Dict[str, object]:
         import tempfile
+
+        from ..cluster.supervisor import Cluster, ClusterConfig
+        from ..serve.loadgen import LoadgenConfig
+        from ..serve.server import ServeConfig, start_in_thread
         cfg = self.config
+        load = LoadgenConfig(
+            seed=cfg.seed, requests=cfg.requests,
+            rate_per_s=cfg.rate_per_s, timeout_s=cfg.timeout_s,
+            deadline_ms=cfg.deadline_ms)
+
+        def server(cache_dir: str):
+            return lambda: start_in_thread(ServeConfig(
+                port=0, workers=cfg.workers, cache_dir=cache_dir,
+                window_ms=cfg.window_ms,
+                default_deadline_ms=cfg.deadline_ms,
+                max_pool_restarts=cfg.max_pool_restarts))
+
+        def cluster(cache_dir: str):
+            # worker_down needs a worker to kill and a survivor to
+            # absorb the re-routed traffic
+            return lambda: Cluster(ClusterConfig(
+                shards=2, worker_mode="thread",
+                engine_workers=cfg.workers, cache_dir=cache_dir,
+                window_ms=cfg.window_ms,
+                default_deadline_ms=cfg.deadline_ms,
+                max_pool_restarts=cfg.max_pool_restarts)).start()
+
         phases: List[Dict[str, object]] = []
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as td:
             root = Path(td)
-            ref_cache = root / "cache-ref"
-            reference = self._phase_raw([], str(ref_cache), None)
-            ref_rows = {str(r["id"]): r
-                        for r in reference["report"]["per_request"]}
-            phases.append(self._classify("none", reference, ref_rows))
+            ref_cache = str(root / "cache-ref")
+            reference = chaos_phase(server(ref_cache), load)
+            phases.append(classify("none", reference,
+                                   reference["report"]))
             for kind in cfg.fault_classes:
                 faults = generate_service_schedule(
                     cfg.seed, (kind,), per_class=cfg.faults_per_class,
                     stall_s=cfg.stall_s, slow_s=cfg.slow_batch_s)
                 # cache faults need warm entries; everything else
                 # needs a cold cache so its work actually executes
-                cache_dir = (str(ref_cache) if kind in _CACHE_KINDS
+                cache_dir = (ref_cache if kind in _CACHE_KINDS
                              else str(root / f"cache-{kind}"))
-                if kind == WORKER_DOWN:
-                    phase = self._phase_cluster(
-                        faults, cache_dir, root / f"chaos-{kind}")
-                else:
-                    phase = self._phase_raw(faults, cache_dir,
-                                            root / f"chaos-{kind}")
-                phases.append(self._classify(kind, phase, ref_rows))
+                target = cluster if kind == WORKER_DOWN else server
+                phase = chaos_phase(target(cache_dir), load, faults,
+                                    root / f"chaos-{kind}")
+                phases.append(classify(kind, phase,
+                                       reference["report"]))
         report: Dict[str, object] = {
             "schema": CHAOS_REPORT_SCHEMA,
             "seed": cfg.seed,

@@ -27,8 +27,8 @@ from .admission import AdmissionController, CircuitBreaker, Decision, \
     ProxyFastPath, TokenBucket
 from .batcher import MicroBatcher
 from .client import ServeClient, ServeResponse
-from .loadgen import LoadgenConfig, build_schedule, run_loadgen, \
-    write_report
+from .loadgen import LoadgenConfig, LoadPhase, build_schedule, \
+    diff_bodies, run_phase, write_report
 from .protocol import (CompareRequest, EstimateRequest, InjectRequest,
                        SimulateRequest, error_body, error_status,
                        ok_body)
@@ -41,7 +41,8 @@ __all__ = [
     "ProxyFastPath", "TokenBucket",
     "MicroBatcher",
     "ServeClient", "ServeResponse",
-    "LoadgenConfig", "build_schedule", "run_loadgen", "write_report",
+    "LoadgenConfig", "LoadPhase", "build_schedule", "diff_bodies",
+    "run_phase", "write_report",
     "CompareRequest", "EstimateRequest", "InjectRequest",
     "SimulateRequest", "error_body", "error_status", "ok_body",
     "ReproServer", "ServeConfig", "ThreadHost",

@@ -35,6 +35,14 @@ The report (``BENCH_serve.json``, schema 2) carries:
 ``repro loadgen`` writes it next to the other ``BENCH_*.json``
 artifacts so ``repro perfwatch`` can track service latency the way it
 tracks model numbers.
+
+Every caller drives load through :func:`run_phase`: start a target,
+fire the schedule at it, stop it and report whether it drained clean.
+``repro loadgen`` (one server), the sanitizer's double run, the chaos
+campaign and the cluster benchmark are its callers.  Two runs of one
+schedule are compared with :func:`diff_bodies`: rows pair on the
+request id, and wherever both answered full-fidelity their
+``body_sha`` digests must match.
 """
 
 from __future__ import annotations
@@ -43,8 +51,8 @@ import concurrent.futures
 import hashlib
 import json
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,8 +152,11 @@ def latency_doc(values: List[float]) -> Dict[str, float]:
     }
 
 
-def run_loadgen(config: LoadgenConfig) -> Dict[str, object]:
-    """Fire the schedule at one server; returns the report dict."""
+def run_loadgen(config: LoadgenConfig,
+                ) -> Tuple[Dict[str, object], Dict[str, object]]:
+    """Fire the schedule at one server; returns the report dict and
+    the target's ``/healthz`` document read after the burst (``{}``
+    when unreachable)."""
     schedule = build_schedule(config)
     # retries=0: the generator must observe shedding, not paper over
     # it; the jitter seed keeps even the (unused) backoff RNG
@@ -203,8 +214,8 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, object]:
         row["status"] = resp.status
         if resp.shard is not None:      # routed through a cluster
             row["shard"] = resp.shard
-        # ordering-sensitive identity for the sanitizer's double-run
-        # diff: the same request id must produce the same body bytes
+        # ordering-sensitive identity for diff_bodies: the same
+        # request id must produce the same body bytes
         row["body_sha"] = _digest(resp.body)
         if isinstance(resp.body, dict) and "result" in resp.body:
             row["result_sha"] = _digest(resp.body["result"])
@@ -251,9 +262,10 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, object]:
         "degraded_rate": (degraded / answered) if answered else 0.0,
     }
     try:       # the server's own rolling-window verdict, best-effort
-        slo["server"] = client.healthz().get("slo")
+        healthz = client.healthz()
     except ServeError:
-        slo["server"] = None
+        healthz = {}
+    slo["server"] = healthz.get("slo")
 
     report = {
         "schema": 2,
@@ -282,7 +294,75 @@ def run_loadgen(config: LoadgenConfig) -> Dict[str, object]:
         "latency_s": latency_doc(latencies),
         "per_request": per_request,
     }
-    return report
+    return report, healthz
+
+
+@dataclass(frozen=True)
+class LoadPhase:
+    """What one :func:`run_phase` saw."""
+
+    report: Dict[str, object]
+    #: the target's ``/healthz`` right after the burst (``{}`` when
+    #: unreachable)
+    healthz: Dict[str, object]
+    #: the target's ``stop()`` result; ``None`` when the phase fired
+    #: at a target it did not start
+    clean_drain: Optional[bool]
+
+
+def run_phase(config: LoadgenConfig,
+              start: Optional[Callable[[], object]] = None,
+              ) -> LoadPhase:
+    """Start a target, fire the seeded schedule at it, stop it.
+
+    ``start()`` returns anything with ``.port`` and ``.stop() -> bool``
+    (``start_in_thread``'s host, a started ``Cluster``); the schedule
+    goes to ``127.0.0.1`` on that port.  Without ``start`` the schedule
+    goes to ``config.host:config.port`` and nothing is stopped.
+    """
+    if start is None:
+        return LoadPhase(*run_loadgen(config), clean_drain=None)
+    target = start()
+    try:
+        report, healthz = run_loadgen(
+            replace(config, host="127.0.0.1", port=target.port))
+    finally:
+        clean = bool(target.stop())
+    return LoadPhase(report, healthz, clean)
+
+
+def diff_bodies(first: Dict[str, object],
+                second: Dict[str, object]) -> Dict[str, object]:
+    """Diff two loadgen reports of one schedule on body identity.
+
+    Rows pair on the deterministic request id.  Where both sides
+    answered full-fidelity (``ok``), those bodies are pure functions of
+    the payload, so their digests must match: a pair that differs is
+    ``mismatched``.  Pairs where either side was shed, degraded or
+    failed are ``excused`` (admission and deadline decisions depend on
+    the wall clock by design); ids only one report carries are
+    ``unpaired``.
+    """
+    rows_a = {str(row.get("id")): row
+              for row in first.get("per_request", [])}
+    rows_b = {str(row.get("id")): row
+              for row in second.get("per_request", [])}
+    mismatched: List[str] = []
+    unpaired: List[str] = []
+    compared = excused = 0
+    for rid in sorted(set(rows_a) | set(rows_b)):
+        row_a, row_b = rows_a.get(rid), rows_b.get(rid)
+        if row_a is None or row_b is None:
+            unpaired.append(rid)
+        elif row_a.get("outcome") != "ok" \
+                or row_b.get("outcome") != "ok":
+            excused += 1
+        else:
+            compared += 1
+            if row_a.get("body_sha") != row_b.get("body_sha"):
+                mismatched.append(rid)
+    return {"mismatched": mismatched, "unpaired": unpaired,
+            "compared": compared, "excused": excused}
 
 
 def write_report(report: Dict[str, object], path: str) -> None:

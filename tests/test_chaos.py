@@ -18,13 +18,15 @@ from repro.core import power10_config
 from repro.errors import ChaosError, DeadlineError, ExecError, ServeError
 from repro.exec.cache import ResultCache, sim_result_to_json
 from repro.exec.executor import Engine, ExecPlan, run_sim_plan, sim_task
+from repro.lint.sanitizer import diff_double_run
 from repro.obs.metrics import get_registry
 from repro.resilience import chaos
 from repro.resilience.chaos import (ChaosCampaignConfig, ChaosController,
                                     SERVICE_FAULT_KINDS, ServiceFault,
-                                    chaos_point, generate_service_schedule,
+                                    chaos_point, classify,
+                                    generate_service_schedule,
                                     run_chaos_campaign, service_chaos)
-from repro.serve import CircuitBreaker
+from repro.serve import CircuitBreaker, ThreadHost
 from repro.workloads import specint_proxies
 
 
@@ -385,6 +387,23 @@ class TestCampaign:
         assert report["hangs_total"] == 0
         assert report["ok"] is True
 
+    def test_forced_server_drain_is_reported(self, monkeypatch):
+        """A server target whose stop() reports a forced drain shows
+        ``clean_drain: false`` in its phase."""
+        real_stop = ThreadHost.stop
+
+        def forced_stop(self, timeout_s=30.0):
+            real_stop(self, timeout_s)
+            return False
+
+        monkeypatch.setattr(ThreadHost, "stop", forced_stop)
+        report = run_chaos_campaign(ChaosCampaignConfig(
+            seed=0, requests=3, rate_per_s=40.0, deadline_ms=2000,
+            stall_s=3.0, fault_classes=("conn_drop",),
+            faults_per_class=1))
+        assert [p["clean_drain"] for p in report["phases"]] \
+            == [False, False]
+
     def test_cli_quick_writes_artifact(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
         out = tmp_path / "BENCH_chaos.json"
@@ -398,3 +417,39 @@ class TestCampaign:
         assert doc["ok"] is True
         text = capsys.readouterr().out
         assert "conn_drop" in text and "-> ok" in text
+
+
+# ---- body identity: one diff for chaos SDC and sanitizer divergence ------
+
+def _rows(*rows):
+    return {"per_request": [{"id": rid, "outcome": outcome,
+                             "body_sha": sha}
+                            for rid, outcome, sha in rows]}
+
+
+#: (reference rows, rows under test, ids whose bodies must be flagged)
+_BODY_CASES = {
+    "identical": (
+        _rows(("r1", "ok", "aa"), ("r2", "ok", "bb")),
+        _rows(("r1", "ok", "aa"), ("r2", "ok", "bb")), []),
+    "full-fidelity-body-differs": (
+        _rows(("r1", "ok", "aa"), ("r2", "ok", "bb")),
+        _rows(("r1", "ok", "aa"), ("r2", "ok", "cc")), ["r2"]),
+    "degraded-excused": (
+        _rows(("r1", "ok", "aa")), _rows(("r1", "degraded", "cc")), []),
+    "refused-reference-excused": (
+        _rows(("r1", "error", "aa")), _rows(("r1", "ok", "cc")), []),
+}
+
+
+@pytest.mark.parametrize("check", ["chaos_sdc", "sanitizer_divergence"])
+@pytest.mark.parametrize("case", list(_BODY_CASES))
+def test_body_digest_diff(case, check):
+    reference, current, flagged = _BODY_CASES[case]
+    if check == "chaos_sdc":
+        phase = {"report": current, "clean_drain": True,
+                 "faults_armed": 0, "chaos": {"fired": []}}
+        assert classify(case, phase, reference)["sdc"] == flagged
+    else:
+        divergences = diff_double_run(reference, current)["divergences"]
+        assert [d.split(":")[0] for d in divergences] == flagged

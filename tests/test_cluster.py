@@ -22,7 +22,7 @@ from repro.cluster import (Cluster, ClusterBenchConfig, ClusterConfig,
 from repro.errors import ClusterError, ServeError
 from repro.obs.metrics import get_registry
 from repro.serve import (LoadgenConfig, ServeClient, ServeConfig,
-                         run_loadgen, start_in_thread)
+                         run_phase, start_in_thread)
 from repro.serve.client import parse_target
 
 
@@ -291,15 +291,11 @@ class TestBitIdentity:
         row-for-row bit-identical to the single-process run."""
         lg = dict(seed=7, requests=12, rate_per_s=30.0,
                   timeout_s=60.0)
-        single = start_in_thread(ServeConfig(
-            port=0, window_ms=1.0,
-            cache_dir=str(tmp_path / "single-cache")))
-        try:
-            ref = run_loadgen(LoadgenConfig(port=single.port, **lg))
-        finally:
-            single.stop()
-        with Cluster(_cluster_config(tmp_path)) as cluster:
-            cur = run_loadgen(LoadgenConfig(port=cluster.port, **lg))
+        ref = run_phase(LoadgenConfig(**lg), lambda: start_in_thread(
+            ServeConfig(port=0, window_ms=1.0,
+                        cache_dir=str(tmp_path / "single-cache")))).report
+        cur = run_phase(LoadgenConfig(**lg), lambda: Cluster(
+            _cluster_config(tmp_path)).start()).report
         ref_rows = {r["id"]: r for r in ref["per_request"]}
         cur_rows = {r["id"]: r for r in cur["per_request"]}
         assert set(ref_rows) == set(cur_rows)
@@ -327,10 +323,9 @@ class TestShardKill:
         lg = dict(seed=3, requests=16, rate_per_s=40.0,
                   timeout_s=60.0)
         # fault-free reference on a fresh cluster
-        with Cluster(_cluster_config(tmp_path,
-                                     cache_dir=str(tmp_path / "c-ref"),
-                                     )) as cluster:
-            ref = run_loadgen(LoadgenConfig(port=cluster.port, **lg))
+        ref = run_phase(LoadgenConfig(**lg), lambda: Cluster(
+            _cluster_config(tmp_path, cache_dir=str(tmp_path / "c-ref"),
+                            )).start()).report
         assert ref["availability"]["rate"] == 1.0
         ref_rows = {r["id"]: r for r in ref["per_request"]}
 
@@ -341,8 +336,8 @@ class TestShardKill:
             report = {}
 
             def _burst():
-                report.update(run_loadgen(
-                    LoadgenConfig(port=cluster.port, **lg)))
+                report.update(run_phase(
+                    LoadgenConfig(port=cluster.port, **lg)).report)
 
             t = threading.Thread(target=_burst)
             t.start()
@@ -472,6 +467,54 @@ class TestClusterBench:
         assert report["chaos"] is None
         assert report["sdc_total"] == 0
         assert report["ok"] is True
+
+    def test_forced_drain_is_reported(self, tmp_path, monkeypatch):
+        """The worker_down phase reports the cluster's real drain
+        status, not a constant."""
+        monkeypatch.chdir(tmp_path)
+        real_stop = Cluster.stop
+
+        def forced_stop(self):
+            real_stop(self)
+            return False
+
+        monkeypatch.setattr(Cluster, "stop", forced_stop)
+        report = run_cluster_bench(ClusterBenchConfig(
+            seed=1, requests=12, rate_per_s=60.0))
+        assert report["chaos"]["faults_fired"] == 1
+        assert report["chaos"]["clean_drain"] is False
+
+    @pytest.mark.parametrize("argv, requests, rate, out", [
+        # explicit values win, even the single-server defaults
+        (["--requests", "50", "--rate", "25", "--out",
+          "BENCH_serve.json"], 50, 25.0, "BENCH_serve.json"),
+        ([], 240, 250.0, "BENCH_cluster.json"),
+    ], ids=["explicit", "defaults"])
+    def test_cli_resolves_shape_per_mode(self, tmp_path, monkeypatch,
+                                         argv, requests, rate, out):
+        import repro.cluster
+        from repro.cli import main
+        seen = []
+
+        def fake_bench(config):
+            seen.append(config)
+            return {"schema": 2, "seed": config.seed,
+                    "shards": config.shards,
+                    "requests": config.requests,
+                    "offered_rate_per_s": config.rate_per_s,
+                    "throughput_per_s": 1.0,
+                    "latency_s": {"p50": 0.1, "p95": 0.1, "p99": 0.1},
+                    "availability": {"rate": 1.0}, "per_shard": {},
+                    "cache": None, "failovers": 0, "chaos": None,
+                    "sdc_total": 0, "ok": True}
+
+        monkeypatch.setattr(repro.cluster, "run_cluster_bench",
+                            fake_bench)
+        monkeypatch.chdir(tmp_path)
+        assert main(["loadgen", "--cluster", "--no-kill-shard",
+                     *argv]) == 0
+        assert (seen[0].requests, seen[0].rate_per_s) == (requests, rate)
+        assert [p.name for p in tmp_path.iterdir()] == [out]
 
     def test_config_validation(self):
         with pytest.raises(ClusterError, match="requests"):

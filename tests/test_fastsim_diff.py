@@ -30,7 +30,7 @@ from repro.core import power9_config, power10_config
 from repro.core.isa import Instruction, InstrClass
 from repro.core.pipeline import simulate, simulate_reference
 from repro.errors import SimulationError
-from repro.fastsim import batch_power, simulate_fast
+from repro.fastsim import simulate_fast
 from repro.obs.metrics import get_registry
 from repro.power.einspower import EinspowerModel
 from repro.workloads import resolve_workload, workload_names
@@ -64,11 +64,10 @@ def assert_results_equivalent(detailed, fast, *, rtol=RTOL):
 
 def assert_energy_equivalent(config, detailed, fast, *, rtol=RTOL):
     ref = EinspowerModel(config).report(detailed.activity)
-    batch = batch_power(config, [fast.activity])
-    assert math.isclose(ref.total_w, batch.total_w[0], rel_tol=rtol)
-    assert math.isclose(ref.dynamic_w, batch.dynamic_w[0],
-                        rel_tol=rtol)
-    assert math.isclose(ref.active_w, batch.active_w[0], rel_tol=rtol,
+    got = EinspowerModel(config).report(fast.activity)
+    assert math.isclose(ref.total_w, got.total_w, rel_tol=rtol)
+    assert math.isclose(ref.dynamic_w, got.dynamic_w, rel_tol=rtol)
+    assert math.isclose(ref.active_w, got.active_w, rel_tol=rtol,
                         abs_tol=1e-12)
 
 
@@ -102,25 +101,6 @@ def test_registered_workloads_agree(workload, cfg_name):
         fast = simulate_fast(config, trace, warmup_fraction=warmup)
         assert_results_equivalent(detailed, fast)
         assert_energy_equivalent(config, detailed, fast)
-
-
-def test_batch_power_matches_reference_rowwise():
-    """One batched evaluation over many activities must equal the
-    scalar reference model row by row (including POWER9, which has no
-    MMA unit to power)."""
-    for config in (power10_config(), power9_config()):
-        acts = []
-        for name in ("daxpy", "pointer-chase", "deepsjeng"):
-            trace = resolve_workload(name, 1500)
-            acts.append(simulate_reference(config, trace,
-                                           warmup_fraction=0.2).activity)
-        batch = batch_power(config, acts)
-        model = EinspowerModel(config)
-        for i, act in enumerate(acts):
-            ref = model.report(act)
-            assert batch.total_w[i] == ref.total_w
-            assert batch.dynamic_w[i] == ref.dynamic_w
-            assert batch.active_w[i] == ref.active_w
 
 
 # ---------------------------------------------------------------------
@@ -214,7 +194,7 @@ def test_harness_detects_timing_perturbation(monkeypatch):
 
 
 def test_harness_detects_energy_perturbation(monkeypatch):
-    """The fig05 tripwire, aimed at the batch evaluator: a 1% bump of
+    """The fig05 tripwire, aimed at the energy check: a 1% bump of
     one event-energy coefficient applied to the replay only must
     move total power beyond the agreement tolerance."""
     config = power10_config()
@@ -227,9 +207,9 @@ def test_harness_detects_energy_perturbation(monkeypatch):
                         table["l1d_access"] * 1.01)
     perturbed = power10_config()
     fast = simulate_fast(perturbed, trace, warmup_fraction=0.2)
-    batch = batch_power(perturbed, [fast.activity])
-    assert not math.isclose(ref_total, batch.total_w[0],
-                            rel_tol=RTOL), (
+    got_total = EinspowerModel(perturbed).report(
+        fast.activity).total_w
+    assert not math.isclose(ref_total, got_total, rel_tol=RTOL), (
         "a 1% l1d_access energy perturbation did not move the "
         "replay's power — the differential harness is not sensitive "
         "enough")

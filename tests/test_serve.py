@@ -27,7 +27,7 @@ from repro.serve import (EstimateRequest, LoadgenConfig, ReproServer,
                          ServeClient, ServeConfig, SimulateRequest,
                          TokenBucket,
                          build_schedule, error_body, error_status,
-                         run_loadgen, start_in_thread)
+                         run_phase, start_in_thread)
 from repro.serve.admission import AdmissionController
 from repro.workloads import resolve_workload
 
@@ -714,13 +714,12 @@ class TestLoadgen:
             == [f"req-s11-{i:05d}" for i in range(40)]
 
     def test_loadgen_against_live_server(self):
-        handle = start_in_thread(ServeConfig(window_ms=1.0))
-        try:
-            report = run_loadgen(LoadgenConfig(
-                seed=5, requests=8, rate_per_s=50.0,
-                host="127.0.0.1", port=handle.port))
-        finally:
-            handle.stop()
+        phase = run_phase(
+            LoadgenConfig(seed=5, requests=8, rate_per_s=50.0),
+            lambda: start_in_thread(ServeConfig(window_ms=1.0)))
+        assert phase.clean_drain is True
+        assert phase.healthz["status"] == "ok"
+        report = phase.report
         assert report["malformed"] == 0
         assert report["errors"] == 0
         assert report["ok"] == 8
@@ -748,13 +747,9 @@ class TestLoadgen:
             LoadgenConfig(rate_per_s=0)
 
     def test_report_carries_availability_section(self):
-        handle = start_in_thread(ServeConfig(window_ms=1.0))
-        try:
-            report = run_loadgen(LoadgenConfig(
-                seed=5, requests=8, rate_per_s=50.0,
-                host="127.0.0.1", port=handle.port))
-        finally:
-            handle.stop()
+        report = run_phase(
+            LoadgenConfig(seed=5, requests=8, rate_per_s=50.0),
+            lambda: start_in_thread(ServeConfig(window_ms=1.0))).report
         avail = report["availability"]
         assert avail["good"] == report["ok"] - report["degraded"]
         assert avail["degraded"] == report["degraded"]
@@ -769,9 +764,12 @@ class TestLoadgen:
         handle = start_in_thread(ServeConfig(window_ms=1.0))
         port = handle.port
         handle.stop()
-        report = run_loadgen(LoadgenConfig(
+        phase = run_phase(LoadgenConfig(
             seed=1, requests=4, rate_per_s=200.0,
             host="127.0.0.1", port=port, timeout_s=5.0))
+        assert phase.healthz == {}
+        assert phase.clean_drain is None    # not started here
+        report = phase.report
         avail = report["availability"]
         assert avail["failed"] == 4
         assert avail["rejected"] == 0
