@@ -259,18 +259,26 @@ class BranchUnit:
         """Predict and train on one branch; returns True on mispredict."""
         if not instr.iclass.is_branch:
             raise SimulationError("process() requires a branch instruction")
-        if instr.iclass is InstrClass.BRANCH_IND:
+        return self.resolve(instr.iclass is InstrClass.BRANCH_IND,
+                            instr.pc, instr.taken, instr.target,
+                            instr.thread)
+
+    def resolve(self, indirect: bool, pc: int, taken: bool,
+                target: Optional[int], thread: int) -> bool:
+        """:meth:`process` on a branch given by its fields (``indirect``
+        for ``BRANCH_IND``; ``target`` may be None)."""
+        if indirect:
             self.stats.indirect_lookups += 1
-            predicted = self.indirect.predict(instr.pc, instr.thread)
-            self.indirect.update(instr.pc, instr.target or 0, instr.thread)
-            wrong = predicted != instr.target
+            predicted = self.indirect.predict(pc, thread)
+            self.indirect.update(pc, target or 0, thread)
+            wrong = predicted != target
             if wrong:
                 self.stats.indirect_mispredicts += 1
             return wrong
         self.stats.lookups += 1
-        predicted = self.direction.predict(instr.pc, instr.thread)
-        self.direction.update(instr.pc, instr.taken, instr.thread)
-        wrong = predicted != instr.taken
+        predicted = self.direction.predict(pc, thread)
+        self.direction.update(pc, taken, thread)
+        wrong = predicted != taken
         if wrong:
             self.stats.mispredicts += 1
         return wrong

@@ -10,7 +10,10 @@ a single store-queue entry when each store is <= 8 bytes).
 
 We model fusion as *semantic kinds*.  Each kind carries a predicate over
 an adjacent instruction pair plus the effect fusion has on the pipeline
-(iop elision, latency reduction, shared queue entry, single AGEN).  A
+(iop elision, latency reduction, shared queue entry, single AGEN).
+:func:`fuse` classifies every pair of a run of instructions at once, on
+its columns, and resolves the decode groups' greedy pairing; the replay
+and the per-instruction walk both take their fusion outcome from it.  A
 registry expands each kind into the concrete opcode pairs it covers on
 the real machine, which is what the "200 pairs" headline counts.
 """
@@ -19,9 +22,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from .isa import Instruction, InstrClass
+import numpy as np
+
+from .isa import CLASS_CODE, InstrClass, TraceColumns
 from ..errors import ConfigError
 
 
@@ -61,49 +66,71 @@ FUSION_EFFECTS = {
 }
 
 
-def _writes_read_by(first: Instruction, second: Instruction) -> bool:
-    return any(dest in second.srcs for dest in first.dests)
+#: Fixed kind order: a fused pair's kind code is its index here.
+KIND_ORDER: Tuple[FusionKind, ...] = tuple(FusionKind)
+#: effect per kind code
+EFFECT_BY_CODE: Tuple[FusionEffect, ...] = tuple(
+    FUSION_EFFECTS[kind] for kind in KIND_ORDER)
+_KIND_CODE = {kind: code for code, kind in enumerate(KIND_ORDER)}
 
 
-def _consecutive_addresses(first: Instruction, second: Instruction) -> bool:
-    if first.address is None or second.address is None:
-        return False
-    return second.address == first.address + first.size
+def _writes_read_by(columns: TraceColumns) -> np.ndarray:
+    """Per adjacent pair (i, i+1): does i write a register i+1 reads?"""
+    n = len(columns)
+    out = np.zeros(max(n - 1, 0), dtype=bool)
+    src_off, dest_off = columns.src_off, columns.dest_off
+    # every register read by rows 1.., against its predecessor's dests
+    reader = np.repeat(np.arange(1, n, dtype=np.int64),
+                       np.diff(src_off[1:]))
+    src = columns.src_reg[src_off[1]:src_off[-1]]
+    first = dest_off[reader - 1]
+    count = dest_off[reader] - first
+    hit = np.zeros(len(src), dtype=bool)
+    for k in range(int(count.max(initial=0))):
+        has = count > k
+        hit |= has & (columns.dest_reg[np.where(has, first + k, 0)] == src)
+    out[reader[hit] - 1] = True
+    return out
 
 
-def classify_pair(first: Instruction,
-                  second: Instruction) -> Optional[FusionKind]:
-    """Return the fusion kind for an adjacent pair, or None."""
-    if first.thread != second.thread:
-        return None
-    a, b = first.iclass, second.iclass
-    if a is InstrClass.FX and b is InstrClass.FX:
-        # only simple producer->consumer ALU pairs fuse (the hardware
-        # recognizes specific opcode pairs, not arbitrary FX sequences)
-        if (_writes_read_by(first, second) and len(first.srcs) <= 1
-                and len(second.srcs) <= 1):
-            return FusionKind.DEP_ALU
-        return None
-    if a is InstrClass.FX and b is InstrClass.CR:
-        return FusionKind.OP_CR
-    if a is InstrClass.CR and b.is_branch:
-        return FusionKind.CMP_BRANCH
-    if a is InstrClass.FX and b.is_branch and _writes_read_by(first, second):
-        return FusionKind.CMP_BRANCH
-    if a is InstrClass.FX and b is InstrClass.LOAD \
-            and _writes_read_by(first, second):
-        return FusionKind.ADDI_LOAD
-    if a is InstrClass.FX and b is InstrClass.STORE \
-            and _writes_read_by(first, second):
-        return FusionKind.ADDI_STORE
-    if a.is_store and b.is_store and _consecutive_addresses(first, second):
-        if first.size <= 16 and second.size <= 16:
-            return FusionKind.STORE_PAIR
-        return None
-    if a is InstrClass.LOAD and b is InstrClass.LOAD \
-            and _consecutive_addresses(first, second):
-        return FusionKind.LOAD_PAIR
-    return None
+def pair_kinds(columns: TraceColumns) -> np.ndarray:
+    """The fusion kind code of every adjacent pair (i, i+1), -1 for none.
+
+    The hardware recognizes specific opcode pairs, so only same-thread
+    pairs of these class shapes fuse: dependent simple FX->FX (at most
+    one source each), FX->CR, CR->branch or dependent FX->branch,
+    dependent FX->load/store, consecutive-address stores of at most 16
+    bytes each, and consecutive-address loads.
+    """
+    c = CLASS_CODE
+    codes = columns.codes
+    a, b = codes[:-1], codes[1:]
+    writes = _writes_read_by(columns)
+    n_srcs = np.diff(columns.src_off)
+    address, size = columns.address, columns.size
+    consecutive = (address[:-1] >= 0) & (address[1:] >= 0) \
+        & (address[1:] == address[:-1] + size[:-1])
+    a_fx = a == c[InstrClass.FX]
+    b_branch = (b == c[InstrClass.BRANCH]) | (b == c[InstrClass.BRANCH_IND])
+    stores = (c[InstrClass.STORE], c[InstrClass.VSX_STORE])
+    narrow = (size[:-1] <= 16) & (size[1:] <= 16)
+    kinds = np.select(
+        [a_fx & (b == c[InstrClass.FX]) & writes
+         & (n_srcs[:-1] <= 1) & (n_srcs[1:] <= 1),
+         a_fx & (b == c[InstrClass.CR]),
+         ((a == c[InstrClass.CR]) & b_branch) | (a_fx & b_branch & writes),
+         a_fx & (b == c[InstrClass.LOAD]) & writes,
+         a_fx & (b == c[InstrClass.STORE]) & writes,
+         np.isin(a, stores) & np.isin(b, stores) & consecutive & narrow,
+         (a == c[InstrClass.LOAD]) & (b == c[InstrClass.LOAD])
+         & consecutive],
+        [_KIND_CODE[kind] for kind in (
+            FusionKind.DEP_ALU, FusionKind.OP_CR, FusionKind.CMP_BRANCH,
+            FusionKind.ADDI_LOAD, FusionKind.ADDI_STORE,
+            FusionKind.STORE_PAIR, FusionKind.LOAD_PAIR)],
+        default=-1).astype(np.int8)
+    kinds[columns.thread[:-1] != columns.thread[1:]] = -1
+    return kinds
 
 
 # --- registry of concrete opcode pairs per kind ---------------------------
@@ -167,39 +194,47 @@ class FusionStats:
         return self.fused / self.candidates if self.candidates else 0.0
 
 
-class FusionEngine:
-    """Marks fusable adjacent pairs in a decode group.
+@dataclass
+class FusionOutcome:
+    """Which instructions fused into their predecessor, and how."""
 
-    ``apply`` walks a decode group in order; when a pair fuses, the
-    second instruction is marked ``fused_with_prev`` and the effect is
-    returned so the pipeline can skip its dispatch/issue costs.
+    kind: np.ndarray           # int8 per instruction: kind code, -1: none
+    stats: FusionStats
+
+    @property
+    def fused(self) -> np.ndarray:
+        return self.kind >= 0
+
+
+def fuse(columns: TraceColumns, enabled: bool,
+         decode_width: int) -> FusionOutcome:
+    """Fusion at decode over a whole run of instructions.
+
+    Decode groups are fixed ``decode_width`` chunks from row 0.  Within
+    a group, pairs are considered in order and a fused instruction
+    cannot fuse again, so in a run of consecutive fusable pairs the
+    1st, 3rd, 5th... fuse.  ``stats.candidates`` counts the pairs that
+    greedy rule considers (the pair after a fused one is skipped).
     """
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self.stats = FusionStats()
-
-    def apply(self, group: Sequence[Instruction]) -> List[FusionEffect]:
-        """Annotate fusion in a decode group; returns per-instr effects.
-
-        The returned list is parallel to ``group``; entry *i* is the
-        effect applied to instruction *i* when it fused with *i-1*,
-        else None.
-        """
-        effects: List[Optional[FusionEffect]] = [None] * len(group)
-        if not self.enabled:
-            return effects
-        i = 0
-        while i + 1 < len(group):
-            first, second = group[i], group[i + 1]
-            self.stats.candidates += 1
-            kind = classify_pair(first, second)
-            if kind is not None:
-                second.fused_with_prev = True
-                effects[i + 1] = FUSION_EFFECTS[kind]
-                self.stats.fused += 1
-                self.stats.by_kind[kind] += 1
-                i += 2          # a fused instruction cannot fuse again
-            else:
-                i += 1
-        return effects
+    n = len(columns)
+    kind = np.full(n, -1, dtype=np.int8)
+    stats = FusionStats()
+    if not enabled or n < 2:
+        return FusionOutcome(kind=kind, stats=stats)
+    pairs = pair_kinds(columns)
+    # pair i joins rows i and i+1, so it is inside a group unless i+1
+    # starts the next one
+    in_group = np.arange(1, n, dtype=np.int64) % decode_width != 0
+    fusable = (pairs >= 0) & in_group
+    index = np.arange(n - 1, dtype=np.int64)
+    run_start = np.maximum.accumulate(np.where(
+        fusable & ~np.concatenate(([False], fusable[:-1])), index, 0))
+    fused = fusable & ((index - run_start) % 2 == 0)
+    kind[1:][fused] = pairs[fused]
+    per_kind = np.bincount(pairs[fused].astype(np.int64),
+                           minlength=len(KIND_ORDER)).tolist()
+    stats.fused = sum(per_kind)
+    stats.candidates = int(np.count_nonzero(in_group)) \
+        - int(np.count_nonzero(fused[:-1] & in_group[1:]))
+    stats.by_kind = dict(zip(KIND_ORDER, per_kind))
+    return FusionOutcome(kind=kind, stats=stats)

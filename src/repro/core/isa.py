@@ -11,16 +11,23 @@ are represented as lightweight records carrying:
 * branch metadata (taken/target) for control-flow instructions,
 * FLOP counts so kernels can report FLOPs/cycle the way Fig. 5 does.
 
-``Instruction`` is deliberately a plain mutable dataclass: workload
-generators create millions of them and the timing model annotates them
-in place (fusion, flush marking).
+Generators emit ``Instruction`` records; a trace keeps them as
+:class:`TraceColumns`, one array per field, and builds records again only
+for the code that reads them one at a time (the per-instruction walk,
+the fault injector, trace files, BBVs).  The timing model never writes to an
+instruction.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
 from ..errors import TraceError
 
 
@@ -130,12 +137,6 @@ class Instruction:
     flops: int = 0
     pc: int = 0
     thread: int = 0
-    # Filled in by the pipeline: True when this instruction was fetched
-    # down a wrong path and flushed (it consumed energy but did no work).
-    flushed: bool = field(default=False, compare=False)
-    # Set by the fusion engine when this instruction was fused into its
-    # predecessor and no longer occupies its own issue slot.
-    fused_with_prev: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.iclass.is_memory and self.address is None:
@@ -147,11 +148,6 @@ class Instruction:
     @property
     def is_memory(self) -> bool:
         return self.iclass.is_memory
-
-
-def count_flops(instructions: Sequence[Instruction]) -> int:
-    """Total FLOPs across a trace (flushed instructions excluded)."""
-    return sum(i.flops for i in instructions if not i.flushed)
 
 
 # Base execution latencies (cycles), shared by POWER9/POWER10 models.
@@ -173,3 +169,168 @@ BASE_LATENCY = {
     InstrClass.CR: 1,
     InstrClass.SYSTEM: 10,
 }
+
+
+# --------------------------------------------------------------------------
+# Columnar form.
+# --------------------------------------------------------------------------
+
+#: Fixed class order: an instruction's class code is its index here.
+CLASS_ORDER: Tuple[InstrClass, ...] = tuple(InstrClass)
+CLASS_CODE: Dict[InstrClass, int] = {
+    cls: code for code, cls in enumerate(CLASS_ORDER)}
+_CODE_BY_ID = {id(cls): code for cls, code in CLASS_CODE.items()}
+
+
+@dataclass(frozen=True, eq=False)
+class TraceColumns:
+    """A run of instructions as parallel arrays, one row per instruction.
+
+    ``address`` and ``target`` hold -1 for ``None`` (real values are
+    non-negative, and 0 stays distinct from ``None``).  Registers are in
+    CSR form: the srcs of row *i* are ``src_reg[src_off[i]:src_off[i+1]]``
+    and likewise for dests; offsets always start at 0.  Slices share
+    memory with their parent; no operation writes into a column.
+    """
+
+    codes: np.ndarray      # int8, index into CLASS_ORDER
+    pc: np.ndarray         # int64
+    address: np.ndarray    # int64, -1 for None
+    size: np.ndarray       # int32
+    taken: np.ndarray      # bool
+    target: np.ndarray     # int64, -1 for None
+    flops: np.ndarray      # int32
+    thread: np.ndarray     # int32
+    src_off: np.ndarray    # int64, length n + 1
+    src_reg: np.ndarray    # int32
+    dest_off: np.ndarray   # int64, length n + 1
+    dest_reg: np.ndarray   # int32
+
+    #: the columns with one entry per row
+    ROWS = ("codes", "pc", "address", "size", "taken", "target", "flops",
+            "thread")
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    @classmethod
+    def pack(cls, instructions: Sequence[Instruction]) -> "TraceColumns":
+        """The columns of ``instructions``, one pass per field (no
+        per-row temporaries, so packing adds little to peak memory)."""
+        n = len(instructions)
+
+        def column(name, dtype):
+            return np.fromiter(map(attrgetter(name), instructions),
+                               dtype=dtype, count=n)
+
+        code = _CODE_BY_ID
+        src_off, src_reg = _pack_csr(instructions, "srcs")
+        dest_off, dest_reg = _pack_csr(instructions, "dests")
+        return cls(
+            codes=np.fromiter(
+                map(code.__getitem__,
+                    map(id, map(attrgetter("iclass"), instructions))),
+                dtype=np.int8, count=n),
+            pc=column("pc", np.int64),
+            address=_pack_optional(instructions, "address"),
+            size=column("size", np.int32),
+            taken=column("taken", bool),
+            target=_pack_optional(instructions, "target"),
+            flops=column("flops", np.int32),
+            thread=column("thread", np.int32),
+            src_off=src_off, src_reg=src_reg,
+            dest_off=dest_off, dest_reg=dest_reg)
+
+    def instructions(self) -> List[Instruction]:
+        """Fresh ``Instruction`` records for every row."""
+        classes = [CLASS_ORDER[c] for c in self.codes.tolist()]
+        addrs = [None if a < 0 else a for a in self.address.tolist()]
+        targets = [None if t < 0 else t for t in self.target.tolist()]
+        return [Instruction(*row) for row in zip(
+            classes, _unpack_csr(self.dest_off, self.dest_reg),
+            _unpack_csr(self.src_off, self.src_reg), addrs,
+            self.size.tolist(), self.taken.tolist(), targets,
+            self.flops.tolist(), self.pc.tolist(), self.thread.tolist())]
+
+    def __getitem__(self, rows: slice) -> "TraceColumns":
+        """Rows ``start:stop`` as views of these columns."""
+        start, stop, step = rows.indices(len(self))
+        if step != 1:
+            raise TraceError("trace columns slice with step 1 only")
+        stop = max(start, stop)
+
+        def csr(off, reg):
+            off = off[start:stop + 1]
+            return off - off[0], reg[off[0]:off[-1]]
+
+        return _assemble({f: getattr(self, f)[start:stop] for f in self.ROWS},
+                         csr(self.src_off, self.src_reg),
+                         csr(self.dest_off, self.dest_reg))
+
+    def take(self, rows: np.ndarray) -> "TraceColumns":
+        """The given rows, in the given order (a gather)."""
+        return _assemble({f: getattr(self, f)[rows] for f in self.ROWS},
+                         _take_csr(self.src_off, self.src_reg, rows),
+                         _take_csr(self.dest_off, self.dest_reg, rows))
+
+    @staticmethod
+    def concat(parts: Sequence["TraceColumns"]) -> "TraceColumns":
+        """The rows of ``parts`` one after another."""
+        def csr(offs, regs):
+            shift = 0
+            pieces = []
+            for off in offs:
+                pieces.append(off[:-1] + shift)
+                shift += int(off[-1])
+            pieces.append(np.array([shift], dtype=np.int64))
+            return np.concatenate(pieces), np.concatenate(regs)
+
+        return _assemble({f: np.concatenate([getattr(p, f) for p in parts])
+                          for f in TraceColumns.ROWS},
+                         csr([p.src_off for p in parts],
+                             [p.src_reg for p in parts]),
+                         csr([p.dest_off for p in parts],
+                             [p.dest_reg for p in parts]))
+
+
+def _assemble(rows, src, dest) -> TraceColumns:
+    """Columns from the per-row arrays and two (offsets, registers)."""
+    return TraceColumns(**rows, src_off=src[0], src_reg=src[1],
+                        dest_off=dest[0], dest_reg=dest[1])
+
+
+def _pack_optional(instructions: Sequence[Instruction],
+                   name: str) -> np.ndarray:
+    values = list(map(attrgetter(name), instructions))
+    out = np.fromiter((-1 if v is None else v for v in values),
+                      dtype=np.int64, count=len(values))
+    if np.count_nonzero(out < 0) != values.count(None):
+        raise TraceError(f"an instruction {name} must be non-negative")
+    return out
+
+
+def _pack_csr(instructions: Sequence[Instruction], name: str):
+    regs = list(map(attrgetter(name), instructions))
+    off = np.zeros(len(regs) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, regs), dtype=np.int64,
+                          count=len(regs)), out=off[1:])
+    flat = np.fromiter(chain.from_iterable(regs), dtype=np.int32,
+                       count=int(off[-1]))
+    return off, flat
+
+
+def _unpack_csr(off: np.ndarray, reg: np.ndarray) -> List[Tuple[int, ...]]:
+    bounds = off.tolist()
+    flat = reg.tolist()
+    return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _take_csr(off: np.ndarray, reg: np.ndarray, rows: np.ndarray):
+    starts = off[rows]
+    lens = off[rows + 1] - starts
+    new_off = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lens, out=new_off[1:])
+    # position in ``reg`` of every gathered register
+    index = np.repeat(starts - new_off[:-1], lens) \
+        + np.arange(new_off[-1], dtype=np.int64)
+    return new_off, reg[index]

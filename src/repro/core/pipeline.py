@@ -39,8 +39,8 @@ from .activity import ActivityCounters
 from .branch import BranchUnit, make_branch_unit
 from .caches import CacheHierarchy
 from .config import CoreConfig
-from .fusion import FusionEngine, FusionEffect
-from .isa import BASE_LATENCY, Instruction, InstrClass
+from .fusion import EFFECT_BY_CODE, FusionEffect, fuse
+from .isa import BASE_LATENCY, Instruction, InstrClass, TraceColumns
 from .tlb import MMU
 
 _FRONT_DEPTH = 5        # fetch->dispatch stages (constant offset)
@@ -215,7 +215,6 @@ class CorePipeline:
         self.hierarchy = CacheHierarchy(config.hierarchy)
         self.mmu = MMU(config.mmu.erat_entries, config.mmu.tlb_entries,
                        config.mmu.tlb_latency, config.mmu.walk_latency)
-        self.fusion = FusionEngine(config.front_end.fusion_enabled)
         self._ports: Dict[InstrClass, _Ports] = build_ports(config.issue)
 
     def latency_of(self, instr: Instruction) -> int:
@@ -335,6 +334,11 @@ def simulate_reference(config: CoreConfig, trace, *,
         raise SimulationError("cannot simulate an empty trace")
     if injector is not None:
         instructions = injector.begin_sim(instructions)
+    # decode groups are fixed chunks from row 0, so fusion over the
+    # whole (truncated, injected) run is the per-group outcome
+    fusion = fuse(TraceColumns.pack(instructions), fe.fusion_enabled,
+                  fe.decode_width)
+    fused_kinds = fusion.kind.tolist()
 
     front_cycle = 0           # cycle the current decode group occupies
     last_retire_cycle = 0
@@ -358,6 +362,7 @@ def simulate_reference(config: CoreConfig, trace, *,
             snap = (dict(act.events), front_cycle, last_retire_cycle,
                     flushed, mispredicts, flops, idx)
         group = instructions[idx:idx + decode_w]
+        group_kinds = fused_kinds[idx:idx + decode_w]
         idx += len(group)
 
         # ---- fetch: I-cache access per new 32B sector ------------------
@@ -388,15 +393,14 @@ def simulate_reference(config: CoreConfig, trace, *,
         act.count("decode_instr", len(group))
         front_cycle += 1 + group_stall
 
-        # ---- fusion at decode ------------------------------------------
-        effects = core.fusion.apply(group)
-
         dispatch_base = front_cycle + _FRONT_DEPTH
         prev_issue = 0
         prev_l1d_access_skipped = False
-        for pos, instr in enumerate(group):
-            effect: Optional[FusionEffect] = effects[pos]
-            fused = instr.fused_with_prev and effect is not None
+        for instr, kind in zip(group, group_kinds):
+            # ---- fusion at decode --------------------------------------
+            effect: Optional[FusionEffect] = \
+                EFFECT_BY_CODE[kind] if kind >= 0 else None
+            fused = effect is not None
 
             # ---- dispatch (window/issueq structural limits) ------------
             dispatch = dispatch_base
@@ -608,7 +612,7 @@ def simulate_reference(config: CoreConfig, trace, *,
         flops=flops,
         l1d_miss_rate=hier.l1d.miss_rate,
         l2_miss_rate=hier.l2.miss_rate,
-        fusion_rate=core.fusion.stats.fusion_rate,
+        fusion_rate=fusion.stats.fusion_rate,
         branch_mpki=mpki,
         metadata={"trace": getattr(trace, "name", "?"), "smt": smt,
                   "frequency_ghz": config.power.frequency_ghz},

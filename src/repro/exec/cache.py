@@ -32,11 +32,14 @@ import re
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
+import numpy as np
+
 from ..core.activity import ActivityCounters
 from ..core.config import CoreConfig
 from ..core.pipeline import SimResult
 from ..errors import ExecError
 from ..obs.metrics import get_registry
+from ..workloads.trace import columns_of
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
@@ -94,22 +97,32 @@ def fingerprint_config(config: CoreConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+#: (column, little-endian dtype) in fingerprint order
+_TRACE_COLUMNS = (("codes", "<i1"), ("pc", "<i8"), ("address", "<i8"),
+                  ("size", "<i4"), ("taken", "|b1"), ("target", "<i8"),
+                  ("flops", "<i4"), ("thread", "<i4"),
+                  ("src_off", "<i8"), ("src_reg", "<i4"),
+                  ("dest_off", "<i8"), ("dest_reg", "<i4"))
+
+
 def fingerprint_trace(trace) -> str:
     """Stable fingerprint of a workload trace's instruction stream.
 
-    Covers the fields the timing model consumes (class, registers,
-    addresses, branch outcomes, FLOPs, pc, thread) plus the trace
-    identity/weight used for suite aggregation.
+    One sha256 over the trace identity/weight used for suite
+    aggregation, the column lengths, and the bytes of every column the
+    timing model consumes (class, pc, address, size, branch outcome,
+    FLOPs, thread, registers), each in an explicit little-endian dtype.
     """
+    columns = columns_of(trace)
     digest = hashlib.sha256()
     digest.update(repr((getattr(trace, "name", "?"),
                         getattr(trace, "suite", ""),
-                        getattr(trace, "weight", 1.0))).encode())
-    for instr in trace.instructions:
-        digest.update(repr((
-            instr.iclass.value, instr.dests, instr.srcs, instr.address,
-            instr.size, instr.taken, instr.target, instr.flops,
-            instr.pc, instr.thread)).encode())
+                        getattr(trace, "weight", 1.0), len(columns),
+                        len(columns.src_reg),
+                        len(columns.dest_reg))).encode())
+    for name, dtype in _TRACE_COLUMNS:
+        digest.update(np.ascontiguousarray(getattr(columns, name),
+                                           dtype=dtype))
     return digest.hexdigest()[:16]
 
 

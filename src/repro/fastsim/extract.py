@@ -5,19 +5,21 @@ per-instruction loop: *stateful event derivation* (I-cache/D-cache and
 TLB walks, branch prediction, fusion classification — none of which
 depend on instruction timing) and the *serial occupancy recurrence*
 (dispatch/issue/retire cycles through finite windows, queues and
-ports).  This module performs only the first kind, driving the very
-same component classes (:class:`~repro.core.caches.CacheHierarchy`,
-:class:`~repro.core.tlb.MMU`, the branch predictors,
-:class:`~repro.core.fusion.FusionEngine`) in the exact order the
-walk would, and stores the outcomes as numpy arrays over
-instruction index — the activity tensor that
+ports).  This module performs only the first kind, on the trace's
+columns (:class:`~repro.core.isa.TraceColumns`): it drives the very
+same stateful components (:class:`~repro.core.caches.CacheHierarchy`,
+:class:`~repro.core.tlb.MMU`, the branch predictors) in the exact order
+the walk would, shares the walk's fusion classifier
+(:func:`~repro.core.fusion.fuse`), and stores the outcomes as numpy
+arrays over instruction index — the activity tensor that
 :mod:`repro.fastsim.replay` consumes.
 
 Extraction runs four sub-passes, each depending on only part of the
 config:
 
-* **static** — config-independent: instruction classes, register
-  dependence edges (CSR), FLOPs, addresses, I-cache lines.
+* **static** — config-independent: a view of the trace's columns
+  (classes, FLOPs, pc, addresses, sizes) plus register dependence edges
+  in CSR form, found with one sort and a ``searchsorted``.
 * **branch** — predictor kind/scale: per-branch mispredict outcomes.
 * **fusion** — fusion_enabled and decode width: fused masks,
   post-fusion latencies, fusion-rate stats.
@@ -35,31 +37,35 @@ event counts against the walk.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..core.branch import make_branch_unit
 from ..core.caches import CacheHierarchy
 from ..core.config import CoreConfig
-from ..core.fusion import FusionEngine
-from ..core.isa import ACC_BASE, BASE_LATENCY, InstrClass
+from ..core.fusion import EFFECT_BY_CODE, fuse
+from ..core.isa import (ACC_BASE, BASE_LATENCY, CLASS_CODE, CLASS_ORDER,
+                        InstrClass, TraceColumns)
 from ..core.tlb import MMU
 from ..errors import SimulationError
+from ..workloads.trace import columns_of
 
-#: Fixed class order used for the ``codes`` tensor and per-class counts.
-CLASS_ORDER: Tuple[InstrClass, ...] = tuple(InstrClass)
-_CODE = {cls: i for i, cls in enumerate(CLASS_ORDER)}
 _BASE_LAT = np.array([BASE_LATENCY[cls] for cls in CLASS_ORDER],
                      dtype=np.int16)
-_MMA_CODE = _CODE[InstrClass.MMA]
+_MMA_CODE = CLASS_CODE[InstrClass.MMA]
+# fusion effects per kind code
+_LAT_DELTA = np.array([e.latency_delta for e in EFFECT_BY_CODE],
+                      dtype=np.int16)
+_SINGLE_AGEN = np.array([e.single_agen for e in EFFECT_BY_CODE])
+_SINGLE_STOREQ = np.array([e.single_storeq_entry for e in EFFECT_BY_CODE])
 
 
 @dataclass
 class StaticPass:
-    """Config-independent per-instruction tensors."""
+    """Config-independent per-instruction tensors: views of the trace's
+    columns plus the class masks and register dependences."""
 
     n: int
     codes: np.ndarray          # int8, index into CLASS_ORDER
@@ -68,12 +74,12 @@ class StaticPass:
     is_store: np.ndarray       # bool
     is_branch: np.ndarray      # bool
     is_memory: np.ndarray      # bool
-    n_srcs: np.ndarray         # int8
-    n_dests: np.ndarray        # int8
+    n_srcs: np.ndarray         # int64
+    n_dests: np.ndarray        # int64
     flops: np.ndarray          # int32
     pc: np.ndarray             # int64
     addr: np.ndarray           # int64, -1 when no address
-    size: np.ndarray           # int16
+    size: np.ndarray           # int32
     # register dependences in CSR form, aligned with flattened srcs:
     # edge d of instruction i lives in [dep_off[i], dep_off[i+1]);
     # dep_p[d] is the producer index (-1: no in-trace producer) and
@@ -82,7 +88,6 @@ class StaticPass:
     dep_off: np.ndarray        # int64, length n+1
     dep_p: np.ndarray          # int32
     dep_acc: np.ndarray        # int8
-    branch_idx: List[int]      # indices of branches, program order
 
 
 @dataclass
@@ -133,113 +138,93 @@ class ActivityStream:
 # Sub-passes.
 # --------------------------------------------------------------------------
 
-def _column(values: array) -> np.ndarray:
-    """A numpy view of an ``array`` column, without a copy."""
-    return np.frombuffer(values, dtype=values.typecode)
-
-
-def _static_pass(instructions) -> StaticPass:
-    # Columns are built as typed arrays, not lists: a list holds a
-    # Python int per element, several times the memory of the tensor.
-    n = len(instructions)
-    codes = array("b")
-    n_srcs = array("b")
-    n_dests = array("b")
-    flops = array("i")
-    pc = array("q")
-    addr = array("q")
-    size = array("h")
-    branch_idx: List[int] = []
-    dep_p = array("i")
-    dep_acc = array("b")
-    # reg_ready semantics: each read depends on the most recent earlier
-    # write of the same (thread, register), packed into one int key
-    # (registers < 2**40); the value is 2 * writer + accumulator flag
-    last_write: Dict[int, int] = {}
-    last_get = last_write.get
-    code_of = {id(cls): code for cls, code in _CODE.items()}
-    mma = InstrClass.MMA
-    br = InstrClass.BRANCH
-    bri = InstrClass.BRANCH_IND
-    for i, ins in enumerate(instructions):
-        cls = ins.iclass
-        codes.append(code_of[id(cls)])
-        srcs = ins.srcs
-        dests = ins.dests
-        n_srcs.append(len(srcs))
-        n_dests.append(len(dests))
-        flops.append(ins.flops)
-        pc.append(ins.pc)
-        a = ins.address
-        addr.append(-1 if a is None else a)
-        size.append(ins.size)
-        if cls is br or cls is bri:
-            branch_idx.append(i)
-        tbase = ins.thread << 40
-        for r in srcs:
-            w = last_get(tbase + r, -2)
-            dep_p.append(w >> 1)
-            dep_acc.append(w & 1)
-        if dests:
-            is_acc_producer = cls is mma
-            for d in dests:
-                last_write[tbase + d] = 2 * i + (
-                    1 if is_acc_producer and d >= ACC_BASE else 0)
-
-    codes_a = _column(codes)
-    n_srcs_a = _column(n_srcs)
-    dep_off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(n_srcs_a, out=dep_off[1:])
-    is_load = (codes_a == _CODE[InstrClass.LOAD]) \
-        | (codes_a == _CODE[InstrClass.VSX_LOAD])
-    is_store = (codes_a == _CODE[InstrClass.STORE]) \
-        | (codes_a == _CODE[InstrClass.VSX_STORE])
-    is_branch = (codes_a == _CODE[InstrClass.BRANCH]) \
-        | (codes_a == _CODE[InstrClass.BRANCH_IND])
+def _static_pass(columns: TraceColumns) -> StaticPass:
+    codes = columns.codes
+    is_load = (codes == CLASS_CODE[InstrClass.LOAD]) \
+        | (codes == CLASS_CODE[InstrClass.VSX_LOAD])
+    is_store = (codes == CLASS_CODE[InstrClass.STORE]) \
+        | (codes == CLASS_CODE[InstrClass.VSX_STORE])
+    is_branch = (codes == CLASS_CODE[InstrClass.BRANCH]) \
+        | (codes == CLASS_CODE[InstrClass.BRANCH_IND])
+    dep_p, dep_acc = _dependences(columns)
     return StaticPass(
-        n=n, codes=codes_a, base_lat=_BASE_LAT[codes_a],
+        n=len(columns), codes=codes, base_lat=_BASE_LAT[codes],
         is_load=is_load, is_store=is_store, is_branch=is_branch,
         is_memory=is_load | is_store,
-        n_srcs=n_srcs_a, n_dests=_column(n_dests), flops=_column(flops),
-        pc=_column(pc), addr=_column(addr), size=_column(size),
-        dep_off=dep_off, dep_p=_column(dep_p), dep_acc=_column(dep_acc),
-        branch_idx=branch_idx)
+        n_srcs=np.diff(columns.src_off), n_dests=np.diff(columns.dest_off),
+        flops=columns.flops, pc=columns.pc, addr=columns.address,
+        size=columns.size, dep_off=columns.src_off, dep_p=dep_p,
+        dep_acc=dep_acc)
 
 
-def _branch_pass(instructions, static: StaticPass, kind: str,
+def _dependences(columns: TraceColumns) -> Tuple[np.ndarray, np.ndarray]:
+    """Producer of every register read, aligned with ``src_reg``.
+
+    A read depends on the most recent strictly earlier write of the
+    same (thread, register).  Writes are sorted by (thread, register,
+    row) and each read is found by ``searchsorted``.  ``dep_acc`` marks
+    an accumulator read whose producer is an MMA op.
+    """
+    n = len(columns)
+    rows = np.arange(n, dtype=np.int64)
+    thread = columns.thread.astype(np.int64) << 32
+    w_row = np.repeat(rows, np.diff(columns.dest_off))
+    w_key = thread[w_row] + columns.dest_reg
+    r_row = np.repeat(rows, np.diff(columns.src_off))
+    r_key = thread[r_row] + columns.src_reg
+    dep_p = np.full(len(r_key), -1, dtype=np.int32)
+    dep_acc = np.zeros(len(r_key), dtype=np.int8)
+    if not len(w_key) or not len(r_key):
+        return dep_p, dep_acc
+    keys, w_rank = np.unique(w_key, return_inverse=True)
+    # one sortable number per write: key rank major, row minor
+    stride = n + 1
+    w_pos = w_rank * stride + w_row
+    w_order = np.argsort(w_pos, kind="stable")
+    w_sorted = w_pos[w_order]
+    r_rank = np.minimum(np.searchsorted(keys, r_key), len(keys) - 1)
+    last = np.searchsorted(w_sorted, r_rank * stride + r_row) - 1
+    at = np.maximum(last, 0)
+    hit = (keys[r_rank] == r_key) & (last >= 0) \
+        & (w_sorted[at] // stride == r_rank)
+    writer = w_row[w_order[at]]
+    dep_p[hit] = writer[hit]
+    dep_acc[hit & (columns.codes[writer] == _MMA_CODE)
+            & (columns.src_reg >= ACC_BASE)] = 1
+    return dep_p, dep_acc
+
+
+def _branch_pass(columns: TraceColumns, static: StaticPass, kind: str,
                  scale: float) -> np.ndarray:
     unit = make_branch_unit(kind, scale)
+    resolve = unit.resolve
     wrong = np.zeros(static.n, dtype=bool)
-    process = unit.process
-    for i in static.branch_idx:
-        if process(instructions[i]):
+    at = np.flatnonzero(static.is_branch)
+    indirect = columns.codes[at] == CLASS_CODE[InstrClass.BRANCH_IND]
+    for i, ind, pc, taken, target, thread in zip(
+            at.tolist(), indirect.tolist(), columns.pc[at].tolist(),
+            columns.taken[at].tolist(), columns.target[at].tolist(),
+            columns.thread[at].tolist()):
+        if resolve(ind, pc, taken, None if target < 0 else target, thread):
             wrong[i] = True
     return wrong
 
 
-def _fusion_pass(instructions, static: StaticPass, enabled: bool,
+def _fusion_pass(columns: TraceColumns, static: StaticPass, enabled: bool,
                  decode_w: int) -> FusionPass:
-    n = static.n
-    fused = np.zeros(n, dtype=bool)
+    outcome = fuse(columns, enabled, decode_w)
+    fused = outcome.fused
+    code = outcome.kind[fused].astype(np.int64)
     latency = static.base_lat.copy()
-    single_agen = np.zeros(n, dtype=bool)
-    single_storeq = np.zeros(n, dtype=bool)
-    engine = FusionEngine(enabled)
-    apply = engine.apply
-    for s in range(0, n, decode_w):
-        effects = apply(instructions[s:s + decode_w])
-        for pos, eff in enumerate(effects):
-            if eff is not None:
-                i = s + pos
-                fused[i] = True
-                lat = latency[i] + eff.latency_delta
-                latency[i] = lat if lat > 1 else 1
-                single_agen[i] = eff.single_agen
-                single_storeq[i] = eff.single_storeq_entry
+    latency[fused] = np.maximum(1, latency[fused] + _LAT_DELTA[code])
+    single_agen = np.zeros(static.n, dtype=bool)
+    single_agen[fused] = _SINGLE_AGEN[code]
+    single_storeq = np.zeros(static.n, dtype=bool)
+    single_storeq[fused] = _SINGLE_STOREQ[code]
     return FusionPass(fused=fused, latency=latency,
                       single_agen=single_agen,
                       single_storeq=single_storeq,
-                      fusion_rate=engine.stats.fusion_rate)
+                      fusion_rate=outcome.stats.fusion_rate)
 
 
 def _memory_pass(static: StaticPass, wrong: np.ndarray, fus: FusionPass,
@@ -414,17 +399,15 @@ def extract_stream(config: CoreConfig, trace, *,
     Raises :class:`~repro.errors.SimulationError` on an empty trace,
     mirroring the walk.
     """
-    instructions = trace.instructions
+    columns = columns_of(trace)
     if max_instructions is not None:
-        instructions = instructions[:max_instructions]
-    if not instructions:
+        columns = columns[:max_instructions]
+    if not len(columns):
         raise SimulationError("cannot simulate an empty trace")
     fe = config.front_end
-    static = _static_pass(instructions)
-    wrong = _branch_pass(instructions, static,
-                         fe.branch_kind, fe.branch_scale)
-    fus = _fusion_pass(instructions, static,
-                       fe.fusion_enabled, fe.decode_width)
+    static = _static_pass(columns)
+    wrong = _branch_pass(columns, static, fe.branch_kind, fe.branch_scale)
+    fus = _fusion_pass(columns, static, fe.fusion_enabled, fe.decode_width)
     mem = _memory_pass(static, wrong, fus, config)
     return ActivityStream(static=static, wrong=wrong, fusion=fus,
                           memory=mem)

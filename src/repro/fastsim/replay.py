@@ -29,15 +29,14 @@ import numpy as np
 
 from ..core.activity import ActivityCounters, EVENT_NAMES
 from ..core.config import CoreConfig
-from ..core.isa import InstrClass
+from ..core.isa import CLASS_CODE, CLASS_ORDER, InstrClass
 from ..core.pipeline import (_FRONT_DEPTH, _WRONG_PATH_WINDOW, SimResult,
                              build_ports, derive_busy_cycles)
 from ..errors import SimulationError
 from ..obs.metrics import get_registry as _obs_registry
 from ..obs.tracing import span as _obs_span
-from .extract import CLASS_ORDER, ActivityStream, extract_stream
+from .extract import ActivityStream, extract_stream
 
-_IDX = {cls: i for i, cls in enumerate(CLASS_ORDER)}
 
 #: decode groups whose loop rows exist at once
 _CHUNK_GROUPS = 256
@@ -368,10 +367,10 @@ def _tally(stream: ActivityStream, idx0: int) -> dict:
                             minlength=len(CLASS_ORDER))
     fused_c = cnt(fus.fused)
     mispred = cnt(wrong)
-    loads = int(per_class[_IDX[InstrClass.LOAD]]
-                + per_class[_IDX[InstrClass.VSX_LOAD]])
-    stores = int(per_class[_IDX[InstrClass.STORE]]
-                 + per_class[_IDX[InstrClass.VSX_STORE]])
+    loads = int(per_class[CLASS_CODE[InstrClass.LOAD]]
+                + per_class[CLASS_CODE[InstrClass.VSX_LOAD]])
+    stores = int(per_class[CLASS_CODE[InstrClass.STORE]]
+                 + per_class[CLASS_CODE[InstrClass.VSX_STORE]])
     l1d_miss = cnt(mem.load_miss) + cnt(mem.store_miss)
     erat_miss = tot(mem.erat_miss)
     tlb_miss = tot(mem.tlb_miss)
@@ -393,16 +392,16 @@ def _tally(stream: ActivityStream, idx0: int) -> dict:
     ev["rename_write"] = dests
     ev["issueq_write"] = live - fused_c
     ev["issueq_wakeup"] = live
-    ev["issue_fx"] = int(per_class[_IDX[InstrClass.FX]])
-    ev["issue_fx_muldiv"] = int(per_class[_IDX[InstrClass.FX_MULDIV]])
-    ev["issue_branch"] = int(per_class[_IDX[InstrClass.BRANCH]]
-                             + per_class[_IDX[InstrClass.BRANCH_IND]])
-    ev["issue_cr"] = int(per_class[_IDX[InstrClass.CR]])
-    ev["issue_fp"] = int(per_class[_IDX[InstrClass.FP]])
-    ev["issue_vsx"] = int(per_class[_IDX[InstrClass.VSX]])
-    ev["issue_mma"] = int(per_class[_IDX[InstrClass.MMA]])
+    ev["issue_fx"] = int(per_class[CLASS_CODE[InstrClass.FX]])
+    ev["issue_fx_muldiv"] = int(per_class[CLASS_CODE[InstrClass.FX_MULDIV]])
+    ev["issue_branch"] = int(per_class[CLASS_CODE[InstrClass.BRANCH]]
+                             + per_class[CLASS_CODE[InstrClass.BRANCH_IND]])
+    ev["issue_cr"] = int(per_class[CLASS_CODE[InstrClass.CR]])
+    ev["issue_fp"] = int(per_class[CLASS_CODE[InstrClass.FP]])
+    ev["issue_vsx"] = int(per_class[CLASS_CODE[InstrClass.VSX]])
+    ev["issue_mma"] = int(per_class[CLASS_CODE[InstrClass.MMA]])
     ev["mma_acc_access"] = ev["issue_mma"]
-    ev["mma_move"] = int(per_class[_IDX[InstrClass.MMA_MOVE]])
+    ev["mma_move"] = int(per_class[CLASS_CODE[InstrClass.MMA_MOVE]])
     ev["rf_read"] = tot(st.n_srcs)
     ev["rf_write"] = dests
     ev["agen"] = cnt(st.is_memory & ~(fus.fused & fus.single_agen))

@@ -78,10 +78,11 @@ def pick_simpoints(trace: Trace, *, interval: int = 1000,
         center = projected[members].mean(axis=0)
         dists = ((projected[members] - center) ** 2).sum(axis=1)
         representative = int(members[dists.argmin()])
+        start = representative * interval
         simpoints.append(Simpoint(
             trace=Trace(
                 name=f"{trace.name}.sp{cluster}",
-                instructions=list(intervals[representative]),
+                columns=trace.columns[start:start + interval],
                 suite=f"{trace.suite}-simpoint",
                 weight=len(members) / len(intervals),
                 metadata={"source": trace.name,

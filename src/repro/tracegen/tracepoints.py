@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.config import CoreConfig
+from ..core.isa import TraceColumns
 from ..core.pipeline import simulate
 from ..errors import TraceError
 from ..workloads.trace import Trace
@@ -114,14 +115,12 @@ def build_tracepoint(config: CoreConfig, trace: Trace, *,
         selected.extend(scored[:share])
 
     selected.sort(key=lambda e: e.index)
-    body = []
-    for epoch in selected:
-        body.extend(epoch.trace.instructions)
+    body = TraceColumns.concat([epoch.trace.columns for epoch in selected])
     achieved_cpi = float(np.average(
         [e.cpi for e in selected],
         weights=[e.instructions for e in selected]))
     rep = Trace(name=f"{trace.name}.tracepoint",
-                instructions=body, suite=f"{trace.suite}-tracepoint",
+                columns=body, suite=f"{trace.suite}-tracepoint",
                 metadata={"source": trace.name,
                           "epochs": [e.index for e in selected],
                           "blas_calls": sum(

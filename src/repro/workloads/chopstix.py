@@ -23,11 +23,13 @@ set once the requested coverage is reached.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
-from ..core.isa import Instruction
+import numpy as np
+
+from ..core.isa import TraceColumns
 from ..errors import TraceError
 from .trace import Trace
 
@@ -48,45 +50,48 @@ class FunctionProfile:
 
 def profile_functions(trace: Trace, *,
                       lines_per_function: int = 64) -> List[FunctionProfile]:
-    """Bucket a trace into pseudo-functions and rank by execution share."""
-    counts: Dict[int, int] = {}
-    first: Dict[int, int] = {}
-    for idx, instr in enumerate(trace.instructions):
-        fn = (instr.pc >> 5) // lines_per_function
-        counts[fn] = counts.get(fn, 0) + 1
-        first.setdefault(fn, idx)
-    total = len(trace.instructions)
-    profiles = [FunctionProfile(fn, first[fn], cnt, cnt / total)
-                for fn, cnt in counts.items()]
+    """Bucket a trace into pseudo-functions and rank by execution share.
+
+    Ties in execution count keep first-appearance order.
+    """
+    fn = (trace.columns.pc >> 5) // lines_per_function
+    ids, first, counts = np.unique(fn, return_index=True,
+                                   return_counts=True)
+    seen = np.argsort(first)
+    total = len(trace)
+    profiles = [FunctionProfile(f, i, c, c / total) for f, i, c in zip(
+        ids[seen].tolist(), first[seen].tolist(), counts[seen].tolist())]
     profiles.sort(key=lambda p: p.dynamic_count, reverse=True)
     return profiles
 
 
-def _rebase_snippet(instructions: List[Instruction]) -> List[Instruction]:
+def _first_seen_rank(values: np.ndarray) -> np.ndarray:
+    """Per element: how many distinct values first appeared before its
+    own value did (a dict filled in order, as an array)."""
+    uniq, first, inverse = np.unique(values, return_index=True,
+                                     return_inverse=True)
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(uniq))
+    return rank[inverse]
+
+
+def _rebase_snippet(columns: TraceColumns) -> TraceColumns:
     """Re-base code and data addresses into an L1-contained footprint.
 
     Mirrors the paper's transformation of captured state into real-mode
-    (translation-free, repeatable) loops: every distinct page of the
-    original snippet is mapped into a footprint that fits in the L1s.
+    (translation-free, repeatable) loops: every distinct code line and
+    data chunk of the original snippet, numbered by first appearance, is
+    mapped into a footprint that fits in the L1s.
     """
-    out: List[Instruction] = []
-    data_map: Dict[int, int] = {}
-    code_map: Dict[int, int] = {}
-    for instr in instructions:
-        clone = copy.copy(instr)
-        line = instr.pc >> 5
-        if line not in code_map:
-            code_map[line] = len(code_map) % (_L1_FOOTPRINT_BYTES // 32)
-        clone.pc = 0x1000 + code_map[line] * 32 + (instr.pc & 0x1f)
-        if instr.address is not None:
-            chunk = instr.address >> 7
-            if chunk not in data_map:
-                data_map[chunk] = len(data_map) % (
-                    _L1_FOOTPRINT_BYTES // 128)
-            clone.address = (0x2000000 + data_map[chunk] * 128
-                             + (instr.address & 0x7f))
-        out.append(clone)
-    return out
+    pc = columns.pc
+    line = _first_seen_rank(pc >> 5) % (_L1_FOOTPRINT_BYTES // 32)
+    address = columns.address.copy()
+    has = address >= 0
+    data = address[has]
+    chunk = _first_seen_rank(data >> 7) % (_L1_FOOTPRINT_BYTES // 128)
+    address[has] = 0x2000000 + chunk * 128 + (data & 0x7f)
+    return dataclasses.replace(
+        columns, pc=0x1000 + line * 32 + (pc & 0x1f), address=address)
 
 
 def extract_proxies(trace: Trace, *, top_functions: int = 10,
@@ -108,22 +113,20 @@ def extract_proxies(trace: Trace, *, top_functions: int = 10,
         if covered >= coverage:
             break
         start = profile.first_index
-        end = min(len(trace.instructions), start + snippet_instructions)
-        snippet = trace.instructions[start:end]
-        if len(snippet) < _SNIPPET_MIN:
+        end = min(len(trace), start + snippet_instructions)
+        if end - start < _SNIPPET_MIN:
             continue
-        body = _rebase_snippet(snippet)
         proxy = Trace(
             name=f"{trace.name}.f{profile.function_id}",
-            instructions=body, suite=f"{trace.suite}-proxy",
+            columns=_rebase_snippet(trace.columns[start:end]),
+            suite=f"{trace.suite}-proxy",
             weight=profile.share,
             metadata={"application": trace.name,
                       "function": profile.function_id,
                       "share": profile.share})
         proxy = proxy.repeated(loop_iterations)
         proxy.weight = profile.share
-        if len(proxy.instructions) > _SNIPPET_MAX:
-            proxy.instructions = proxy.instructions[:_SNIPPET_MAX]
+        proxy.columns = proxy.columns[:_SNIPPET_MAX]
         proxies.append(proxy)
         covered += profile.share
     if not proxies:

@@ -1,68 +1,93 @@
 """Workload traces: the unit of work every simulator run consumes.
 
-A :class:`Trace` is an ordered list of dynamic
-:class:`~repro.core.isa.Instruction` records plus metadata (name, suite,
-weight for suite-level aggregation).  Traces come from the generators in
-this package (synthetic microbenchmarks, SPECint proxies, GEMM kernels,
-AI workload layers) and can be sliced into windows for the 5K-cycle
-measurement methodology of Fig. 5.
+A :class:`Trace` is an ordered run of dynamic instructions plus metadata
+(name, suite, weight for suite-level aggregation).  It stores the
+instructions as one :class:`~repro.core.isa.TraceColumns`: a class code,
+pc, address, size, taken, target, FLOPs and thread array, and the
+registers in CSR form.  Generators (synthetic microbenchmarks, SPECint
+proxies, GEMM kernels, AI workload layers) emit
+:class:`~repro.core.isa.Instruction` records, which the constructor packs
+once.  Every transform — windows for the 5K-cycle measurement
+methodology of Fig. 5, loop unrolling, SMT interleaving — is an array
+operation on the columns; ``trace.instructions`` builds fresh records
+only for the code that reads them one at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence
+import dataclasses
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..core.isa import Instruction, InstrClass
+import numpy as np
+
+from ..core.isa import CLASS_ORDER, Instruction, InstrClass, TraceColumns
 from ..errors import TraceError
 
 
-@dataclass
 class Trace:
     """An instruction trace with provenance metadata."""
 
-    name: str
-    instructions: List[Instruction]
-    suite: str = ""
-    weight: float = 1.0
-    metadata: Dict[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.instructions:
-            raise TraceError(f"trace {self.name!r} is empty")
-        if self.weight <= 0:
+    def __init__(self, name: str,
+                 instructions: Optional[Sequence[Instruction]] = None,
+                 suite: str = "", weight: float = 1.0,
+                 metadata: Optional[Dict[str, object]] = None, *,
+                 columns: Optional[TraceColumns] = None) -> None:
+        if columns is None:
+            columns = TraceColumns.pack(instructions or ())
+        elif instructions is not None:
+            raise TraceError("give a trace instructions or columns, "
+                             "not both")
+        if not len(columns):
+            raise TraceError(f"trace {name!r} is empty")
+        if weight <= 0:
             raise TraceError("trace weight must be positive")
+        self.name = name
+        self.columns = columns
+        self.suite = suite
+        self.weight = weight
+        self.metadata: Dict[str, object] = \
+            {} if metadata is None else metadata
+
+    def __repr__(self) -> str:
+        return (f"Trace(name={self.name!r}, instructions={len(self)}, "
+                f"suite={self.suite!r}, weight={self.weight!r})")
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        return len(self.columns)
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
 
+    @property
+    def instructions(self) -> List[Instruction]:
+        """Fresh records for every instruction (built on each access)."""
+        return self.columns.instructions()
+
+    def _derive(self, name: str, columns: TraceColumns) -> "Trace":
+        return Trace(name=name, columns=columns, suite=self.suite,
+                     weight=self.weight, metadata=dict(self.metadata))
+
     def class_mix(self) -> Dict[InstrClass, float]:
         """Fraction of instructions per class."""
-        counts: Dict[InstrClass, int] = {}
-        for instr in self.instructions:
-            counts[instr.iclass] = counts.get(instr.iclass, 0) + 1
-        total = len(self.instructions)
-        return {cls: cnt / total for cls, cnt in counts.items()}
+        counts = np.bincount(self.columns.codes.astype(np.int64),
+                             minlength=len(CLASS_ORDER))
+        total = len(self)
+        return {cls: cnt / total
+                for cls, cnt in zip(CLASS_ORDER, counts.tolist()) if cnt}
 
     def total_flops(self) -> int:
-        return sum(i.flops for i in self.instructions)
+        return int(self.columns.flops.sum(dtype=np.int64))
 
     def windows(self, size: int) -> List["Trace"]:
         """Split into fixed-size instruction windows (last partial kept
         if it is at least half a window)."""
         if size <= 0:
             raise TraceError("window size must be positive")
-        out: List[Trace] = []
-        for start in range(0, len(self.instructions), size):
-            chunk = self.instructions[start:start + size]
-            if len(chunk) >= size // 2:
-                out.append(Trace(
-                    name=f"{self.name}@{start}", instructions=chunk,
-                    suite=self.suite, weight=self.weight,
-                    metadata=dict(self.metadata)))
+        n = len(self)
+        out = [self._derive(f"{self.name}@{start}",
+                            self.columns[start:start + size])
+               for start in range(0, n, size)
+               if min(n, start + size) - start >= size // 2]
         if not out:
             raise TraceError("trace shorter than half a window")
         return out
@@ -72,13 +97,8 @@ class Trace:
         proxies are built this way)."""
         if times <= 0:
             raise TraceError("times must be positive")
-        import copy
-        body: List[Instruction] = []
-        for _ in range(times):
-            body.extend(copy.copy(i) for i in self.instructions)
-        return Trace(name=f"{self.name}x{times}", instructions=body,
-                     suite=self.suite, weight=self.weight,
-                     metadata=dict(self.metadata))
+        return self._derive(f"{self.name}x{times}",
+                            TraceColumns.concat([self.columns] * times))
 
 
 def merge_smt(traces: Sequence[Trace], name: str = "smt") -> Trace:
@@ -89,21 +109,21 @@ def merge_smt(traces: Sequence[Trace], name: str = "smt") -> Trace:
     """
     if not traces:
         raise TraceError("need at least one thread trace")
-    import copy
-    streams = []
-    for tid, trace in enumerate(traces):
-        stream = []
-        for instr in trace.instructions:
-            clone = copy.copy(instr)
-            clone.thread = tid
-            stream.append(clone)
-        streams.append(stream)
-    merged: List[Instruction] = []
-    longest = max(len(s) for s in streams)
-    for i in range(longest):
-        for stream in streams:
-            if i < len(stream):
-                merged.append(stream[i])
-    return Trace(name=name, instructions=merged,
-                 suite=traces[0].suite,
+    lengths = [len(t) for t in traces]
+    merged = TraceColumns.concat([t.columns for t in traces])
+    tid = np.repeat(np.arange(len(traces), dtype=np.int32), lengths)
+    # round-robin: row j of thread t lands at (j, t) in sort order
+    row = np.concatenate([np.arange(n, dtype=np.int64) for n in lengths])
+    order = np.argsort(row * len(traces) + tid, kind="stable")
+    merged = dataclasses.replace(merged, thread=tid).take(order)
+    return Trace(name=name, columns=merged, suite=traces[0].suite,
                  metadata={"threads": len(traces)})
+
+
+def columns_of(trace) -> TraceColumns:
+    """The columns of a :class:`Trace`, or of any object carrying an
+    ``instructions`` sequence (packed on the spot)."""
+    columns = getattr(trace, "columns", None)
+    if columns is None:
+        columns = TraceColumns.pack(trace.instructions)
+    return columns

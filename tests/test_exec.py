@@ -8,9 +8,13 @@ bit-identical results for the hot paths that were rewired through it
 
 import json
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.core.pipeline
 from repro.core import power9_config, power10_config
 from repro.core.pipeline import simulate_reference
@@ -51,6 +55,31 @@ class TestFingerprints:
     def test_trace_change_changes_fingerprint(self):
         assert fingerprint_trace(daxpy_trace(400)) \
             != fingerprint_trace(daxpy_trace(401))
+
+    def test_trace_fingerprint_pinned(self):
+        """The fingerprint format is committed: changing it invalidates
+        every on-disk cache entry once, so it must be deliberate."""
+        assert fingerprint_trace(daxpy_trace(400)) == "4b272cb731358ca1"
+
+    def test_keys_stable_across_processes(self, p10):
+        """Fresh interpreters with different hash seeds compute the same
+        trace fingerprint and ``sim_task`` key as this process."""
+        trace = daxpy_trace(400)
+        want = [fingerprint_trace(trace), sim_task(p10, trace).key]
+        script = ("from repro.core import power10_config\n"
+                  "from repro.exec import fingerprint_trace, sim_task\n"
+                  "from repro.workloads import daxpy_trace\n"
+                  "t = daxpy_trace(400)\n"
+                  "print(fingerprint_trace(t), "
+                  "sim_task(power10_config(), t).key)\n")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        for hashseed in ("0", "4242"):
+            out = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, check=True, timeout=120,
+                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": src,
+                     "PYTHONHASHSEED": hashseed})
+            assert out.stdout.split() == want
 
     def test_params_distinguish_tasks(self, p10):
         t = daxpy_trace(400)

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import repro.core.config
 from repro.core import power9_config, power10_config
-from repro.core.isa import Instruction, InstrClass
+from repro.core.isa import ACC_BASE, Instruction, InstrClass
 from repro.core.pipeline import simulate, simulate_reference
 from repro.errors import SimulationError
 from repro.fastsim import simulate_fast
@@ -117,19 +117,30 @@ def synthetic_traces(draw):
     """A short adversarial trace plus the config family to run it on.
 
     The generator leans into the corners the replay has to get right:
-    register dependence chains, reused and conflicting cache lines,
+    register dependence chains per hardware thread, MMA accumulators
+    written and read back, reused and conflicting cache lines,
+    consecutive-address stores of every width (fusable or too wide),
+    address and branch target 0 (distinct from no address/target),
     taken/not-taken branch mixes, stores behind loads, and fusion
     candidates from adjacent FX ops.
     """
     on_p9 = draw(st.booleans())
-    classes = _P9_CLASSES if on_p9 else list(InstrClass)
+    # POWER10 traces lean on the MMA classes, whose accumulator
+    # forwarding is a dependence rule of its own
+    classes = _P9_CLASSES if on_p9 else list(InstrClass) + 2 * [
+        InstrClass.MMA, InstrClass.MMA_MOVE]
     n = draw(st.integers(min_value=20, max_value=220))
+    threads = draw(st.sampled_from(((0,), (0, 1), (0, 1, 2, 3))))
     # a small address pool makes hits, misses, and line conflicts all
     # likely inside a short trace
     pool = draw(st.lists(st.integers(min_value=0, max_value=1 << 18),
-                         min_size=2, max_size=8))
+                         min_size=2, max_size=8)) + [0]
+    gprs = st.integers(min_value=0, max_value=15)
+    # two accumulators, so accumulate chains form in a short trace
+    accs = st.integers(min_value=ACC_BASE, max_value=ACC_BASE + 1)
     instrs = []
     pc = 0x10000
+    next_addr = 0
     for _ in range(n):
         cls = draw(st.sampled_from(classes))
         addr = None
@@ -138,31 +149,38 @@ def synthetic_traces(draw):
         target = None
         flops = 0
         if cls.is_memory:
-            addr = draw(st.sampled_from(pool)) \
-                + draw(st.integers(min_value=0, max_value=256))
+            if draw(st.booleans()):
+                # right behind the previous access: store/load pairs
+                addr = next_addr
+            else:
+                addr = draw(st.sampled_from(pool)) \
+                    + draw(st.integers(min_value=0, max_value=256))
             size = draw(st.sampled_from(_SIZES))
+            next_addr = addr + size
         if cls in (InstrClass.BRANCH, InstrClass.BRANCH_IND):
             taken = draw(st.booleans())
-            target = pc + draw(st.integers(min_value=-512,
-                                           max_value=512)) * 4
+            target = draw(st.one_of(
+                st.just(0), st.none(),
+                st.integers(min_value=-512, max_value=512).map(
+                    lambda d: pc + 4 * d)))
         if cls in (InstrClass.FP, InstrClass.VSX, InstrClass.MMA):
             flops = draw(st.sampled_from((2, 4, 8, 16)))
+        dests = draw(st.lists(gprs, max_size=2))
+        srcs = draw(st.lists(gprs, max_size=3))
+        if cls.is_mma and draw(st.booleans()):
+            # accumulate into (or move out of) an accumulator
+            acc = draw(accs)
+            dests, srcs = [acc] + dests[:1], [acc] + srcs[:2]
         instrs.append(Instruction(
-            iclass=cls,
-            dests=tuple(draw(st.lists(
-                st.integers(min_value=0, max_value=15),
-                max_size=2))),
-            srcs=tuple(draw(st.lists(
-                st.integers(min_value=0, max_value=15),
-                max_size=3))),
+            iclass=cls, dests=tuple(dests), srcs=tuple(srcs),
             address=addr, size=size, taken=taken, target=target,
-            flops=flops, pc=pc))
+            flops=flops, pc=pc, thread=draw(st.sampled_from(threads))))
         pc += 4
     warmup = draw(st.sampled_from((0.0, 0.3)))
     return on_p9, Trace(name="hypo", instructions=instrs), warmup
 
 
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(synthetic_traces())
 def test_synthetic_workloads_agree(case):

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import TraceError
-from repro.core.isa import (BASE_LATENCY, Instruction, InstrClass,
-                            count_flops)
+from repro.core.isa import BASE_LATENCY, Instruction, InstrClass
 
 
 class TestInstrClass:
@@ -48,21 +47,9 @@ class TestInstruction:
     def test_plain_instruction(self):
         instr = Instruction(iclass=InstrClass.FX, dests=(3,), srcs=(4, 5))
         assert instr.dests == (3,)
-        assert not instr.flushed
-        assert not instr.fused_with_prev
 
     def test_branch_carries_direction(self):
         instr = Instruction(iclass=InstrClass.BRANCH, taken=True,
                             pc=0x4000, target=0x4100)
         assert instr.taken and instr.target == 0x4100
 
-
-class TestCountFlops:
-    def test_sums_unflushed_only(self):
-        a = Instruction(iclass=InstrClass.VSX, flops=4)
-        b = Instruction(iclass=InstrClass.VSX, flops=4)
-        b.flushed = True
-        assert count_flops([a, b]) == 4
-
-    def test_empty(self):
-        assert count_flops([]) == 0

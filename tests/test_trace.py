@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.isa import Instruction, InstrClass
 from repro.errors import TraceError
+from repro.exec.cache import fingerprint_trace
 from repro.workloads.trace import Trace, merge_smt
 
 
@@ -63,8 +64,14 @@ class TestRepeated:
 
     def test_copies_are_independent(self):
         rep = _trace(2).repeated(2)
-        rep.instructions[0].flushed = True
-        assert not rep.instructions[2].flushed
+        key = fingerprint_trace(rep)
+        built = rep.instructions
+        built[0].pc = 0x9000
+        built[0].srcs = (7,)
+        assert built[2].pc == 0x4000 and built[2].srcs == ()
+        assert rep.instructions[0].pc == 0x4000
+        assert rep.instructions[0].srcs == ()
+        assert fingerprint_trace(rep) == key
 
     def test_bad_times(self):
         with pytest.raises(TraceError):
