@@ -319,6 +319,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from .resilience.chaos import (ChaosCampaignConfig,
                                    SERVICE_FAULT_KINDS,
                                    run_chaos_campaign,
@@ -329,15 +331,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         classes = tuple(c.strip() for c in args.classes.split(",")
                         if c.strip())
     if args.quick:
-        config = ChaosCampaignConfig.quick(seed=args.seed)
-        if args.classes:
-            from dataclasses import replace
-            config = replace(config, fault_classes=classes)
+        config = replace(ChaosCampaignConfig.quick(seed=args.seed),
+                         fault_classes=classes)
     else:
+        base = ChaosCampaignConfig()
         config = ChaosCampaignConfig(
-            seed=args.seed, requests=args.requests,
-            rate_per_s=args.rate, workers=args.workers,
-            deadline_ms=args.deadline_ms, timeout_s=args.timeout,
+            load=replace(base.load, seed=args.seed,
+                         requests=args.requests, rate_per_s=args.rate,
+                         timeout_s=args.timeout,
+                         deadline_ms=args.deadline_ms),
+            serve=replace(base.serve, workers=args.workers,
+                          default_deadline_ms=args.deadline_ms),
             fault_classes=classes,
             faults_per_class=args.faults_per_class)
     report = run_chaos_campaign(config)
@@ -449,32 +453,49 @@ def _sanitized_call(fn) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .exec.benchrun import main as bench_main
+    from .exec.benchrun import run_bench
+    from .exec.figs import SCENARIOS
     from .lint.sanitizer import sanitize_enabled
 
-    argv = list(args.scenarios)
     if args.list:
-        argv.append("--list")
-    if args.quick:
-        argv.append("--quick")
-    argv += ["--scale", str(args.scale), "--out", args.out]
-    if args.no_sweep:
-        argv.append("--no-sweep")
-    if args.workers is not None:
-        argv += ["--workers", str(args.workers)]
-    if args.cache_dir is not None:
-        argv += ["--cache-dir", args.cache_dir]
-    if sanitize_enabled(getattr(args, "sanitize", False)):
-        return _sanitized_call(lambda: bench_main(argv))
-    return bench_main(argv)
+        for name, spec in SCENARIOS.items():
+            print(f"{name:16s} {spec.title}")
+        return 0
+
+    def bench() -> int:
+        summary = run_bench(
+            args.scenarios or None, scale=args.scale, quick=args.quick,
+            workers=args.workers, cache_dir=args.cache_dir,
+            out_dir=args.out, sweep=not args.no_sweep)
+        for name, info in summary["scenarios"].items():
+            print(f"{name:16s} {info['wall_s']:8.2f}s  "
+                  f"-> {info['artifact']}")
+        sweep = summary.get("sweep")
+        if sweep is not None:
+            print(f"sweep ({sweep['n_sims']} sims, {sweep['workers']} "
+                  f"workers): serial {sweep['serial_s']:.2f}s, "
+                  f"parallel {sweep['parallel_s']:.2f}s "
+                  f"({sweep['parallel_speedup']:.2f}x), warm cache "
+                  f"{sweep['warm_cache_s']:.2f}s "
+                  f"({sweep['warm_speedup']:.2f}x); bit-identical: "
+                  f"{sweep['bit_identical']}")
+        return 0
+
+    if sanitize_enabled(args.sanitize):
+        return _sanitized_call(bench)
+    return bench()
 
 
 def _serve_config(args: argparse.Namespace, *, port: int):
+    """The one ``ServeConfig`` builder: every serve flag, for every
+    command that starts a server or a cluster of them."""
     from .serve import ServeConfig
     access_log = args.access_log
     tdir = getattr(args, "telemetry_dir", None)
-    if access_log is None and tdir:
-        # telemetry on: the access log is a session artifact by default
+    if access_log is None and tdir \
+            and not getattr(args, "cluster", False):
+        # telemetry on: the access log is a session artifact by
+        # default (of one server: a cluster's workers keep none)
         from pathlib import Path
         access_log = str(Path(tdir) / "access.jsonl")
     return ServeConfig(
@@ -489,6 +510,16 @@ def _serve_config(args: argparse.Namespace, *, port: int):
         slo_target_p99_ms=args.slo_p99_ms)
 
 
+def _refuse_sanitize(args: argparse.Namespace) -> None:
+    from .errors import ServeError
+    from .lint.sanitizer import sanitize_enabled
+    if sanitize_enabled(args.sanitize):
+        raise ServeError(
+            "--sanitize does not apply to a cluster (the sanitizer "
+            "double-runs a single in-process server; use loadgen "
+            "--self-serve --sanitize)")
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .lint.sanitizer import sanitize_enabled
     from .serve import run_server
@@ -501,16 +532,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import threading
+    from dataclasses import replace
 
-    from .cluster import Cluster, ClusterConfig
+    from .cluster import Cluster, ClusterConfig, RouterConfig
+    from .serve import ServeConfig
 
+    _refuse_sanitize(args)
+    serve = _serve_config(args, port=0)
+    # --host/--port place the router (the front door); workers stay
+    # on loopback ephemeral ports and share the --cache-dir tier
     config = ClusterConfig(
         shards=args.shards, worker_mode=args.worker_mode,
-        host=args.host, port=args.port, engine_workers=args.workers,
-        cache_dir=args.cache_dir, window_ms=args.window_ms,
-        max_inflight=args.max_inflight, rate_per_s=args.rate_limit,
-        drain_timeout_s=args.drain_timeout,
-        warm_fast_path=args.warm,
+        cache_dir=serve.cache_dir,
+        serve=replace(serve, host=ServeConfig.host, cache_dir=None),
+        router=RouterConfig(host=args.host, port=args.port),
         restart_dead=not args.no_restart)
     cluster = Cluster(config)
     cluster.start()
@@ -529,15 +564,15 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0 if clean else 1
 
 
-def _cmd_loadgen_cluster(args: argparse.Namespace) -> int:
-    from .cluster import ClusterBenchConfig, run_cluster_bench
+def _cmd_loadgen_cluster(args: argparse.Namespace, load) -> int:
+    from .cluster import (ClusterBenchConfig, ClusterConfig,
+                          run_cluster_bench)
     from .serve import write_report
 
     report = run_cluster_bench(ClusterBenchConfig(
-        seed=args.seed, requests=args.requests, rate_per_s=args.rate,
-        shards=args.shards, engine_workers=args.workers,
-        window_ms=args.window_ms, deadline_ms=args.deadline_ms,
-        timeout_s=args.timeout, slo_p99_ms=args.slo_p99_ms,
+        load=load,
+        cluster=ClusterConfig(shards=args.shards,
+                              serve=_serve_config(args, port=0)),
         chaos=not args.no_kill_shard))
     out = args.out
     if out:
@@ -583,18 +618,19 @@ def _cmd_perfwatch(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
+    from dataclasses import replace
     from functools import partial
 
     from .cluster import ClusterBenchConfig
     from .errors import ServeError
     from .lint.sanitizer import double_run_serve, sanitize_enabled, \
         sanitized
-    from .serve import LoadgenConfig, run_phase, start_in_thread, \
-        write_report
+    from .serve import (LoadgenConfig, ServeConfig, run_phase,
+                        start_in_thread, write_report)
 
     # --requests/--rate/--out default per mode, so explicit values
     # always win
-    shape = ClusterBenchConfig if args.cluster else LoadgenConfig
+    shape = ClusterBenchConfig.load if args.cluster else LoadgenConfig
     if args.requests is None:
         args.requests = shape.requests
     if args.rate is None:
@@ -602,18 +638,24 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if args.out is None:
         args.out = ("BENCH_cluster.json" if args.cluster
                     else "BENCH_serve.json")
-    sanitizing = sanitize_enabled(getattr(args, "sanitize", False))
-    if args.cluster:
-        if sanitizing:
-            raise ServeError(
-                "--sanitize and --cluster are mutually exclusive "
-                "(the sanitizer double-runs a single in-process "
-                "server)")
-        return _cmd_loadgen_cluster(args)
     lg_config = LoadgenConfig(
         seed=args.seed, requests=args.requests, rate_per_s=args.rate,
         host=args.host, port=args.port, timeout_s=args.timeout,
         deadline_ms=args.deadline_ms, slo_p99_ms=args.slo_p99_ms)
+    if args.cluster:
+        _refuse_sanitize(args)
+        return _cmd_loadgen_cluster(args, lg_config)
+    serve = _serve_config(args, port=0)
+    if not args.self_serve and (
+            args.access_log
+            or replace(serve, access_log=None) != ServeConfig(
+                host=args.host, slo_target_p99_ms=args.slo_p99_ms)):
+        raise ServeError(
+            "server flags (--workers, --cache-dir, --window-ms, "
+            "--max-inflight, --rate-limit, --drain-timeout, --warm, "
+            "--access-log) configure a server this command starts: "
+            "add --self-serve or --cluster")
+    sanitizing = sanitize_enabled(getattr(args, "sanitize", False))
     sanitizer_rc = 0
     if sanitizing:
         if not args.self_serve:
@@ -622,8 +664,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 "double-runs an in-process server and diffs the "
                 "responses")
         with sanitized() as sanitizer:
-            reports, diff = double_run_serve(
-                _serve_config(args, port=0), lg_config, sanitizer)
+            reports, diff = double_run_serve(serve, lg_config,
+                                             sanitizer)
         report = reports[0]
         summary = sanitizer.summary()
         summary["double_run"] = diff
@@ -643,7 +685,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                   file=sys.stderr)
         sanitizer_rc = 1 if summary["reports"] else 0
     else:
-        start = (partial(start_in_thread, _serve_config(args, port=0))
+        start = (partial(start_in_thread, serve)
                  if args.self_serve else None)
         phase = run_phase(lg_config, start)
         report = phase.report

@@ -12,7 +12,8 @@ restarts so the envelope survives any single worker.
 Layout:
 
 * :mod:`.sharding` — fingerprint → shard placement (pure functions);
-* :mod:`.workers` — thread- and subprocess-hosted worker lifecycles;
+* :mod:`.workers` — thread- and subprocess-hosted worker lifecycles,
+  each running the cluster's one ``ServeConfig``;
 * :mod:`.router` — the asyncio front door: health checks, failover,
   verbatim byte forwarding;
 * :mod:`.supervisor` — :class:`Cluster`: bring-up, chaos tick,
@@ -29,11 +30,11 @@ from .bench import (CLUSTER_BENCH_SCHEMA, ClusterBench,
 from .router import BackendState, ClusterRouter, RouterConfig
 from .sharding import ShardMap, shard_key
 from .supervisor import Cluster, ClusterConfig
-from .workers import ProcessWorker, ThreadWorker, serve_argv
+from .workers import ProcessWorker, ThreadWorker
 
 __all__ = [
     "BackendState", "CLUSTER_BENCH_SCHEMA", "Cluster", "ClusterBench",
     "ClusterBenchConfig", "ClusterConfig", "ClusterRouter",
     "ProcessWorker", "RouterConfig", "ShardMap",
-    "ThreadWorker", "run_cluster_bench", "serve_argv", "shard_key",
+    "ThreadWorker", "run_cluster_bench", "shard_key",
 ]

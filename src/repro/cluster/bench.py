@@ -27,7 +27,7 @@ tracks for the ``cluster:availability`` row.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -44,33 +44,28 @@ CLUSTER_BENCH_SCHEMA = 2
 class ClusterBenchConfig:
     """One cluster benchmark run, fully determined by these fields."""
 
-    seed: int = 0
-    requests: int = 240
-    rate_per_s: float = 250.0          # 10x the loadgen default
-    shards: int = 2
-    worker_mode: str = "thread"
-    engine_workers: Optional[int] = None
-    window_ms: float = 2.0
-    deadline_ms: Optional[int] = None
-    timeout_s: float = 60.0
-    slo_p99_ms: float = 2000.0
+    #: the seeded schedule both phases fire (10x the loadgen default
+    #: rate); the runner points it at each phase's cluster
+    load: LoadgenConfig = LoadgenConfig(requests=240, rate_per_s=250.0)
+    #: the cluster each phase starts; every phase gets its own cold
+    #: shared cache, so ``cache_dir`` must stay unset
+    cluster: ClusterConfig = ClusterConfig()
     chaos: bool = True                 # run the worker_down phase
     #: scale for the seeded kill delay (drawn in [0.5, 1.5] * this),
     #: sized so the kill lands inside the burst
     kill_delay_s: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.requests < 1:
+        if self.cluster.cache_dir is not None:
             raise ClusterError(
-                f"requests must be >= 1, got {self.requests}")
-        if self.rate_per_s <= 0:
-            raise ClusterError(
-                f"rate_per_s must be positive, got {self.rate_per_s}")
-        if self.chaos and self.shards < 2:
+                "the cluster benchmark gives each phase its own cold "
+                "cache; cluster.cache_dir must be None, got "
+                f"{self.cluster.cache_dir!r}")
+        if self.chaos and self.cluster.shards < 2:
             raise ClusterError(
                 "the worker_down chaos phase needs shards >= 2 (a "
                 "surviving shard must absorb the traffic), got "
-                f"{self.shards}")
+                f"{self.cluster.shards}")
 
 
 def _per_shard(report: Dict[str, object]) -> Dict[str, object]:
@@ -100,29 +95,22 @@ class ClusterBench:
 
     def run(self) -> Dict[str, object]:
         cfg = self.config
-        load = LoadgenConfig(
-            seed=cfg.seed, requests=cfg.requests,
-            rate_per_s=cfg.rate_per_s, timeout_s=cfg.timeout_s,
-            deadline_ms=cfg.deadline_ms, slo_p99_ms=cfg.slo_p99_ms)
 
         def cluster(cache_dir: Path):
-            return lambda: Cluster(ClusterConfig(
-                shards=cfg.shards, worker_mode=cfg.worker_mode,
-                engine_workers=cfg.engine_workers,
-                cache_dir=str(cache_dir),
-                window_ms=cfg.window_ms)).start()
+            return lambda: Cluster(replace(
+                cfg.cluster, cache_dir=str(cache_dir))).start()
 
         with tempfile.TemporaryDirectory(
                 prefix="repro-cluster-bench-") as td:
             root = Path(td)
-            burst = chaos_phase(cluster(root / "cache-burst"), load)
+            burst = chaos_phase(cluster(root / "cache-burst"), cfg.load)
             chaos_doc: Optional[Dict[str, object]] = None
             if cfg.chaos:
                 faults = generate_service_schedule(
-                    cfg.seed, (WORKER_DOWN,), per_class=1,
+                    cfg.load.seed, (WORKER_DOWN,), per_class=1,
                     slow_s=cfg.kill_delay_s)
-                phase = chaos_phase(cluster(root / "cache-chaos"), load,
-                                    faults, root / "chaos")
+                phase = chaos_phase(cluster(root / "cache-chaos"),
+                                    cfg.load, faults, root / "chaos")
                 classified = classify(WORKER_DOWN, phase,
                                       burst["report"])
                 chaos_doc = {
@@ -140,11 +128,11 @@ class ClusterBench:
         healthz = burst["healthz"]
         report: Dict[str, object] = {
             "schema": CLUSTER_BENCH_SCHEMA,
-            "mode": cfg.worker_mode,
-            "seed": cfg.seed,
-            "shards": cfg.shards,
-            "requests": cfg.requests,
-            "offered_rate_per_s": cfg.rate_per_s,
+            "mode": cfg.cluster.worker_mode,
+            "seed": cfg.load.seed,
+            "shards": cfg.cluster.shards,
+            "requests": cfg.load.requests,
+            "offered_rate_per_s": cfg.load.rate_per_s,
             "throughput_per_s": burst["report"]["throughput_per_s"],
             "latency_s": burst["report"]["latency_s"],
             "availability": burst["report"]["availability"],

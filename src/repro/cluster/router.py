@@ -132,13 +132,15 @@ class ClusterRouter(FrontEnd):
     async def stop(self) -> bool:
         """Graceful drain; True when every connection flushed."""
         await self._close_listener()
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-            self._health_task = None
+        task, self._health_task = self._health_task, None
+        # before Python 3.12, wait_for returns a probe's result when
+        # the probe finishes in the same loop pass as the cancel (a
+        # refused connection does), swallowing it: cancel until done
+        while task is not None and not task.done():
+            task.cancel()
+            await asyncio.wait([task], timeout=0.1)
+        if task is not None and not task.cancelled():
+            task.result()               # a loop that died raises here
         return await self._settle_connections(5.0)
 
     # ---- control plane (supervisor calls these via its loop) ----------

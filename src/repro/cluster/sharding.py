@@ -35,19 +35,21 @@ def shard_key(route: str, body: bytes,
 
     The *decoded* body is hashed (canonical JSON), so key order and
     whitespace in the wire bytes do not split identical requests; a
-    body that is not valid JSON is hashed raw (it will 400 at the
+    body that cannot be decoded is hashed raw (it will 400 at the
     worker, but it still needs a stable shard).  The deadline header
     participates because it changes the answer a worker may produce
     (degraded-by-deadline vs full fidelity).
     """
     try:
         decoded = json.loads(body.decode("utf-8")) if body else {}
-    except (UnicodeDecodeError, json.JSONDecodeError):
+        return task_fingerprint("cluster", route, decoded,
+                                deadline_header or "")
+    except (UnicodeDecodeError, ValueError, RecursionError):
+        # not JSON, or nested past what decoding and canonical
+        # re-encoding can walk
         return task_fingerprint("cluster-raw", route,
                                 hashlib.sha256(body).hexdigest(),
                                 deadline_header or "")
-    return task_fingerprint("cluster", route, decoded,
-                            deadline_header or "")
 
 
 class ShardMap:

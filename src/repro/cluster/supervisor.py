@@ -1,12 +1,20 @@
 """Cluster supervisor: N serve workers, one router, one cache tier.
 
 :class:`Cluster` owns the whole topology.  ``start()`` brings up the
-workers (threads in-process or ``repro serve`` child processes),
-points them all at one **shared result-cache directory** — the
-cross-worker tier that turns PR 5's per-process cache into cluster
-infrastructure; the cache's atomic ``os.replace`` publish makes
-concurrent writers safe without locks — then starts the router and a
-supervisor thread.
+workers (threads in-process or child processes), points them all at
+one **shared result-cache directory** — the cross-worker tier that
+turns the per-process result cache into cluster infrastructure; the
+cache's atomic ``os.replace`` publish makes concurrent writers safe
+without locks — then starts the router and a supervisor thread.
+
+:class:`ClusterConfig` holds the layers below it whole: ``serve`` is
+the :class:`~repro.serve.server.ServeConfig` every worker runs and
+``router`` the :class:`~repro.cluster.router.RouterConfig` of the
+front door.  Each worker gets ``serve`` intact except for what the
+cluster owns: its ``port_file`` (process workers) and the shared
+``cache_dir``.  A template that sets a per-worker field itself
+(``host``, ``port``, ``port_file``, ``cache_dir``, ``access_log``) is
+rejected, so no setting is ever dropped on the way to a worker.
 
 The supervisor thread is the control loop the router must not run
 itself (its event loop can never block):
@@ -41,11 +49,19 @@ from ..obs.metrics import get_registry
 from ..serve.http import ThreadHost
 from ..serve.server import ServeConfig
 from .router import ClusterRouter, RouterConfig
-from .workers import ProcessWorker, ThreadWorker, serve_argv
+from .workers import ProcessWorker, ThreadWorker
 
 Worker = Union[ThreadWorker, ProcessWorker]
 
 _WORKER_MODES = ("thread", "process")
+
+
+#: ServeConfig fields no two workers can share: the cluster sets each
+#: worker's ``port_file`` and the shared ``cache_dir``, workers bind
+#: ``host``/``port`` at the defaults (loopback, ephemeral), and a
+#: per-worker access log has no per-worker path to go to
+_PER_WORKER_FIELDS = ("host", "port", "port_file", "cache_dir",
+                      "access_log")
 
 
 @dataclass(frozen=True)
@@ -54,25 +70,13 @@ class ClusterConfig:
 
     shards: int = 2                    # worker count
     worker_mode: str = "thread"        # "thread" | "process"
-    host: str = "127.0.0.1"
-    port: int = 0                      # router port; 0 = ephemeral
-    #: per-worker engine pool width (``ServeConfig.workers``); the
-    #: cluster's parallelism is ``shards * engine_workers``
-    engine_workers: Optional[int] = None
     #: the shared cache tier; None = a managed tempdir for the
     #: cluster's lifetime
     cache_dir: Optional[str] = None
-    window_ms: float = 2.0
-    max_inflight: int = 32
-    rate_per_s: Optional[float] = None
-    default_deadline_ms: int = 30_000
-    drain_timeout_s: float = 5.0
-    max_pool_restarts: int = 2
-    warm_fast_path: bool = False
-    upstream_timeout_s: float = 60.0
-    health_interval_s: float = 0.25
-    health_timeout_s: float = 2.0
-    fail_threshold: int = 2
+    #: the config every worker runs; the cluster's parallelism is
+    #: ``shards * serve.workers``
+    serve: ServeConfig = ServeConfig()
+    router: RouterConfig = RouterConfig()
     tick_s: float = 0.05               # supervisor loop cadence
     restart_dead: bool = False         # revive killed workers
     worker_start_timeout_s: float = 60.0
@@ -85,6 +89,15 @@ class ClusterConfig:
             raise ClusterError(
                 f"worker_mode must be one of {_WORKER_MODES}, "
                 f"got {self.worker_mode!r}")
+        default = ServeConfig()
+        owned = [name for name in _PER_WORKER_FIELDS
+                 if getattr(self.serve, name) != getattr(default, name)]
+        if owned:
+            raise ClusterError(
+                f"the worker template sets {', '.join(owned)}, which "
+                f"the cluster sets per worker (the shared cache tier "
+                f"is ClusterConfig.cache_dir; workers keep no access "
+                f"log)")
 
 
 class Cluster:
@@ -110,31 +123,15 @@ class Cluster:
 
     @property
     def url(self) -> str:
-        return f"http://{self.config.host}:{self.port}"
+        return f"http://{self.config.router.host}:{self.port}"
 
-    def _serve_config(self) -> ServeConfig:
-        cfg = self.config
-        return ServeConfig(
-            host="127.0.0.1", port=0,
-            workers=cfg.engine_workers,
-            cache_dir=self.cache_dir,
-            window_ms=cfg.window_ms,
-            max_inflight=cfg.max_inflight,
-            rate_per_s=cfg.rate_per_s,
-            default_deadline_ms=cfg.default_deadline_ms,
-            drain_timeout_s=cfg.drain_timeout_s,
-            max_pool_restarts=cfg.max_pool_restarts,
-            warm_fast_path=cfg.warm_fast_path)
-
-    def _build_worker(self, index: int,
-                      serve_cfg: ServeConfig) -> Worker:
+    def _build_worker(self, index: int) -> Worker:
+        serve = replace(self.config.serve, cache_dir=self.cache_dir)
         if self.config.worker_mode == "thread":
-            return ThreadWorker(index, lambda cfg=serve_cfg: cfg)
+            return ThreadWorker(index, serve)
         port_file = Path(self._tmp.name) / f"worker-{index}.port"
-        child_cfg = replace(serve_cfg, port_file=str(port_file))
-        return ProcessWorker(
-            index, lambda cfg=child_cfg, pf=port_file:
-            serve_argv(cfg, pf), port_file)
+        return ProcessWorker(index, replace(serve,
+                                            port_file=str(port_file)))
 
     def start(self) -> "Cluster":
         if self.workers:
@@ -143,21 +140,14 @@ class Cluster:
         self._tmp = tempfile.TemporaryDirectory(prefix="repro-cluster-")
         self.cache_dir = cfg.cache_dir \
             or str(Path(self._tmp.name) / "cache")
-        serve_cfg = self._serve_config()
         try:
             for index in range(cfg.shards):
-                worker = self._build_worker(index, serve_cfg)
+                worker = self._build_worker(index)
                 worker.start(timeout_s=cfg.worker_start_timeout_s)
                 self.workers.append(worker)
-            router_cfg = RouterConfig(
-                host=cfg.host, port=cfg.port,
-                upstream_timeout_s=cfg.upstream_timeout_s,
-                health_interval_s=cfg.health_interval_s,
-                health_timeout_s=cfg.health_timeout_s,
-                fail_threshold=cfg.fail_threshold)
             backends = [(w.host, w.port) for w in self.workers]
             self.router.start(
-                lambda: ClusterRouter(router_cfg, backends),
+                lambda: ClusterRouter(cfg.router, backends),
                 timeout_s=30.0)
         except BaseException:
             self._teardown()

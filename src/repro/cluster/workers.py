@@ -1,7 +1,8 @@
 """Worker lifecycles for the serving cluster.
 
 Two interchangeable backends behind one small protocol (``start`` /
-``stop`` / ``kill`` / ``alive`` / ``port``):
+``stop`` / ``kill`` / ``alive`` / ``port``), both built from the one
+:class:`~repro.serve.server.ServeConfig` the worker runs:
 
 * :class:`ThreadWorker` hosts a full :class:`~repro.serve.server.
   ReproServer` on a thread in *this* process (the shape tests, CI
@@ -9,10 +10,13 @@ Two interchangeable backends behind one small protocol (``start`` /
   in-process metrics registry stays scrapeable).  ``kill`` maps to the
   server's abort path: connections are cancelled un-flushed, so the
   router sees real transport errors, not polite drains.
-* :class:`ProcessWorker` spawns ``repro serve`` as a child process
-  (the production topology behind ``repro cluster``): the worker binds
-  an ephemeral port and publishes it through ``--port-file``; ``stop``
-  is SIGTERM (the server's graceful drain), ``kill`` is SIGKILL.
+* :class:`ProcessWorker` runs the server in a child process (the
+  production topology behind ``repro cluster``).  The child gets its
+  config whole, as one JSON argument to
+  :func:`repro.serve.server.run_worker`; it binds an ephemeral port
+  and publishes it through the config's ``port_file``.  ``stop`` is
+  SIGTERM (the server's graceful drain; the child exits 0 only when
+  the drain was clean), ``kill`` is SIGKILL.
 
 Every (re)start bumps ``generation`` and may change ``port`` — the
 supervisor republishes the new address to the router.
@@ -20,29 +24,35 @@ supervisor republishes the new address to the router.
 
 from __future__ import annotations
 
+import json
 import signal
 import subprocess
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Optional
 
 from ..errors import ClusterError
 from ..serve.http import ThreadHost
 from ..serve.server import ReproServer, ServeConfig
 
 
+#: what a process worker runs: ``run_worker`` on its one JSON argument
+_CHILD_CODE = ("import sys; from repro.serve.server import run_worker; "
+               "sys.exit(run_worker(sys.argv[1]))")
+
+
 class ThreadWorker:
-    """One ``repro serve`` instance on a thread of this process."""
+    """One server instance on a thread of this process."""
 
     mode = "thread"
 
-    def __init__(self, index: int,
-                 config_factory: Callable[[], ServeConfig]):
+    def __init__(self, index: int, config: ServeConfig):
         self.index = index
-        self.host = "127.0.0.1"
+        self.config = config
+        self.host = config.host
         self.generation = 0
-        self._config_factory = config_factory
         self._handle: Optional[ThreadHost] = None
 
     @property
@@ -53,9 +63,9 @@ class ThreadWorker:
         if self.alive():
             raise ClusterError(
                 f"worker {self.index} is already running")
-        config = self._config_factory()
         handle = ThreadHost("repro-serve")
-        handle.start(lambda: ReproServer(config), timeout_s=timeout_s)
+        handle.start(lambda: ReproServer(self.config),
+                     timeout_s=timeout_s)
         self._handle = handle
         self.generation += 1
 
@@ -84,18 +94,21 @@ class ThreadWorker:
 
 
 class ProcessWorker:
-    """One ``repro serve`` child process."""
+    """One server in a child process; ``config.port_file`` is required
+    (it is how the child reports its ephemeral port)."""
 
     mode = "process"
 
-    def __init__(self, index: int, argv_factory: Callable[[], List[str]],
-                 port_file: Path):
+    def __init__(self, index: int, config: ServeConfig):
+        if not config.port_file:
+            raise ClusterError(
+                f"process worker {index} needs a port_file")
         self.index = index
-        self.host = "127.0.0.1"
+        self.config = config
+        self.host = config.host
         self.generation = 0
         self.port: Optional[int] = None
-        self._argv_factory = argv_factory
-        self._port_file = Path(port_file)
+        self._port_file = Path(config.port_file)
         self._proc: Optional[subprocess.Popen] = None
 
     def start(self, timeout_s: float = 60.0) -> None:
@@ -107,7 +120,8 @@ class ProcessWorker:
         except FileNotFoundError:
             pass
         self._proc = subprocess.Popen(
-            self._argv_factory(),
+            [sys.executable, "-c", _CHILD_CODE,
+             json.dumps(asdict(self.config))],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         self.port = self._await_port(timeout_s)
         self.generation += 1
@@ -135,6 +149,8 @@ class ProcessWorker:
         return self._proc is not None and self._proc.poll() is None
 
     def stop(self, timeout_s: float = 30.0) -> bool:
+        """SIGTERM and wait; True when the child exited 0, which it
+        does only after a clean drain."""
         if self._proc is None:
             return True
         try:
@@ -160,21 +176,3 @@ class ProcessWorker:
         finally:
             self._proc = None
 
-
-def serve_argv(config: ServeConfig, port_file: Path) -> List[str]:
-    """The ``repro serve`` command line for one process worker."""
-    argv = [sys.executable, "-m", "repro", "serve",
-            "--host", config.host, "--port", "0",
-            "--port-file", str(port_file),
-            "--window-ms", str(config.window_ms),
-            "--max-inflight", str(config.max_inflight),
-            "--drain-timeout", str(config.drain_timeout_s)]
-    if config.workers is not None:
-        argv += ["--workers", str(config.workers)]
-    if config.cache_dir is not None:
-        argv += ["--cache-dir", str(config.cache_dir)]
-    if config.rate_per_s is not None:
-        argv += ["--rate-limit", str(config.rate_per_s)]
-    if config.warm_fast_path:
-        argv.append("--warm")
-    return argv

@@ -16,13 +16,11 @@ replays every scenario near-instantly from ``$REPRO_CACHE_DIR`` /
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..errors import ExecError, ReproError
+from ..errors import ExecError
 from ..obs.tracing import span as _obs_span
 from .cache import ResultCache, task_fingerprint
 from .executor import Engine, resolve_workers
@@ -168,68 +166,3 @@ def run_sweep(*, out_dir=".", quick: bool = False,
             "parallel / cached execution")
     return doc
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="run the paper-figure benchmarks through the "
-                    "parallel cached execution engine")
-    parser.add_argument("scenarios", nargs="*", metavar="SCENARIO",
-                        help="scenario names (default: all; see "
-                             "--list)")
-    parser.add_argument("--list", action="store_true",
-                        help="list scenario names and exit")
-    parser.add_argument("--quick", action="store_true",
-                        help="run every scenario at its reduced "
-                             "golden-harness scale")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="instruction-budget scale factor "
-                             "(default 1.0)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="process-pool width (default: "
-                             "$REPRO_WORKERS or 1)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="content-addressed result cache "
-                             "(default: $REPRO_CACHE_DIR or off)")
-    parser.add_argument("--out", default=".", metavar="DIR",
-                        help="directory for BENCH_*.json artifacts "
-                             "(default .)")
-    parser.add_argument("--no-sweep", action="store_true",
-                        help="skip the serial/parallel/cached timing "
-                             "sweep (BENCH_sweep.json)")
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.list:
-        for name, spec in SCENARIOS.items():
-            print(f"{name:16s} {spec.title}")
-        return 0
-    try:
-        summary = run_bench(
-            args.scenarios or None, scale=args.scale,
-            quick=args.quick, workers=args.workers,
-            cache_dir=args.cache_dir, out_dir=args.out,
-            sweep=not args.no_sweep)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for name, info in summary["scenarios"].items():
-        print(f"{name:16s} {info['wall_s']:8.2f}s  "
-              f"-> {info['artifact']}")
-    sweep = summary.get("sweep")
-    if sweep is None:
-        return 0
-    print(f"sweep ({sweep['n_sims']} sims, {sweep['workers']} "
-          f"workers): serial {sweep['serial_s']:.2f}s, parallel "
-          f"{sweep['parallel_s']:.2f}s "
-          f"({sweep['parallel_speedup']:.2f}x), warm cache "
-          f"{sweep['warm_cache_s']:.2f}s "
-          f"({sweep['warm_speedup']:.2f}x); bit-identical: "
-          f"{sweep['bit_identical']}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -41,7 +41,6 @@ The ``cluster`` row watches ``BENCH_cluster.json`` (``repro loadgen
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -274,40 +273,3 @@ def run_perfwatch(bench_dir, baseline_path, *,
     print("perfwatch: ok", file=out)
     return 0
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro perfwatch",
-        description="diff BENCH_*.json artifacts against a committed "
-                    "performance baseline; exit 1 on regression")
-    parser.add_argument("--bench-dir", default=".", metavar="DIR",
-                        help="directory holding BENCH_*.json "
-                             "(default .)")
-    parser.add_argument("--baseline",
-                        default="benchmarks/perf-baseline.json",
-                        metavar="FILE",
-                        help="baseline file (default "
-                             "benchmarks/perf-baseline.json)")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        metavar="FRAC",
-                        help="override every tolerance with this "
-                             "fractional slowdown budget (e.g. 0.25)")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from the current "
-                             "artifacts instead of comparing")
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return run_perfwatch(args.bench_dir, args.baseline,
-                             tolerance=args.tolerance,
-                             update_baseline=args.update_baseline)
-    except ExecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

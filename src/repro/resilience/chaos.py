@@ -58,15 +58,19 @@ import json
 import os
 import signal
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
 from ..errors import ChaosError
 from ..obs.metrics import get_registry
+
+if TYPE_CHECKING:
+    from ..serve.loadgen import LoadgenConfig
+    from ..serve.server import ServeConfig
 
 #: environment variables the hooks check (hook call sites mirror the
 #: ENV_CHAOS_DIR literal to avoid importing this module on hot paths)
@@ -394,31 +398,42 @@ def classify(name: str, phase: Dict[str, object],
     }
 
 
+# The serving layer is imported only where a campaign is configured:
+# every simulation imports this package (the fault injector), and the
+# serve stack would add its import time and memory to each of them.
+def _campaign_load() -> LoadgenConfig:
+    from ..serve.loadgen import LoadgenConfig
+    return LoadgenConfig(requests=24, rate_per_s=30.0, timeout_s=30.0,
+                         deadline_ms=6000)
+
+
+def _campaign_serve() -> ServeConfig:
+    from ..serve.server import ServeConfig
+    return ServeConfig(workers=2, default_deadline_ms=6000,
+                       max_pool_restarts=3)
+
+
 @dataclass(frozen=True)
 class ChaosCampaignConfig:
     """One chaos campaign, fully determined by these fields."""
 
-    seed: int = 0
-    requests: int = 24
-    rate_per_s: float = 30.0
-    workers: int = 2
-    window_ms: float = 2.0
-    deadline_ms: int = 6000
-    timeout_s: float = 30.0            # client hang bound per request
+    #: the seeded schedule every phase fires; ``timeout_s`` is the
+    #: client hang bound per request
+    load: LoadgenConfig = field(default_factory=_campaign_load)
+    #: the server every phase starts (each worker of the worker_down
+    #: phase's cluster runs it too); the campaign sets its cache_dir
+    serve: ServeConfig = field(default_factory=_campaign_serve)
     fault_classes: Tuple[str, ...] = SERVICE_FAULT_KINDS
     faults_per_class: int = 2
     stall_s: float = 10.0
     slow_batch_s: float = 0.8
-    max_pool_restarts: int = 3
 
     def __post_init__(self) -> None:
-        if self.requests < 1:
+        if self.serve.workers is None or self.serve.workers < 2:
             raise ChaosError(
-                f"requests must be >= 1, got {self.requests}")
-        if self.workers < 2:
-            raise ChaosError(
-                "chaos campaigns need workers >= 2 (worker faults "
-                f"only fire in forked pool workers), got {self.workers}")
+                "chaos campaigns need serve.workers >= 2 (worker "
+                "faults only fire in forked pool workers), got "
+                f"{self.serve.workers}")
         if not self.fault_classes:
             raise ChaosError("fault_classes must not be empty")
         for kind in self.fault_classes:
@@ -426,21 +441,27 @@ class ChaosCampaignConfig:
                 raise ChaosError(
                     f"unknown service fault kind {kind!r} (choices: "
                     f"{', '.join(SERVICE_FAULT_KINDS)})")
-        if self.deadline_ms <= 0:
+        # the deadline the engine-bound requests run under
+        deadline_ms = (self.load.deadline_ms
+                       if self.load.deadline_ms is not None
+                       else self.serve.default_deadline_ms)
+        if deadline_ms <= 0:
             raise ChaosError(
-                f"deadline_ms must be positive, got {self.deadline_ms}")
-        if self.stall_s * 1000.0 <= self.deadline_ms:
+                f"deadline_ms must be positive, got {deadline_ms}")
+        if self.stall_s * 1000.0 <= deadline_ms:
             raise ChaosError(
                 f"stall_s ({self.stall_s}s) must exceed deadline_ms "
-                f"({self.deadline_ms}ms) or worker_stall never "
-                f"overruns a deadline")
+                f"({deadline_ms}ms) or worker_stall never overruns a "
+                f"deadline")
 
     @classmethod
     def quick(cls, seed: int = 0) -> "ChaosCampaignConfig":
         """The CI smoke shape: small, fast, still every fault class."""
-        return cls(seed=seed, requests=12, rate_per_s=40.0,
-                   deadline_ms=2500, stall_s=5.0, slow_batch_s=0.5,
-                   faults_per_class=1)
+        base = cls()
+        return cls(load=replace(base.load, seed=seed, requests=12,
+                                rate_per_s=40.0, deadline_ms=2500),
+                   serve=replace(base.serve, default_deadline_ms=2500),
+                   stall_s=5.0, slow_batch_s=0.5, faults_per_class=1)
 
 
 class ChaosCampaign:
@@ -461,58 +482,50 @@ class ChaosCampaign:
         import tempfile
 
         from ..cluster.supervisor import Cluster, ClusterConfig
-        from ..serve.loadgen import LoadgenConfig
-        from ..serve.server import ServeConfig, start_in_thread
+        from ..serve.server import start_in_thread
         cfg = self.config
-        load = LoadgenConfig(
-            seed=cfg.seed, requests=cfg.requests,
-            rate_per_s=cfg.rate_per_s, timeout_s=cfg.timeout_s,
-            deadline_ms=cfg.deadline_ms)
+        # worker_down needs a worker to kill and a survivor to absorb
+        # the re-routed traffic; built up front so a template the
+        # cluster cannot run fails before any phase does
+        shards = ClusterConfig(shards=2, worker_mode="thread",
+                               serve=cfg.serve)
 
         def server(cache_dir: str):
-            return lambda: start_in_thread(ServeConfig(
-                port=0, workers=cfg.workers, cache_dir=cache_dir,
-                window_ms=cfg.window_ms,
-                default_deadline_ms=cfg.deadline_ms,
-                max_pool_restarts=cfg.max_pool_restarts))
+            return lambda: start_in_thread(
+                replace(cfg.serve, cache_dir=cache_dir))
 
         def cluster(cache_dir: str):
-            # worker_down needs a worker to kill and a survivor to
-            # absorb the re-routed traffic
-            return lambda: Cluster(ClusterConfig(
-                shards=2, worker_mode="thread",
-                engine_workers=cfg.workers, cache_dir=cache_dir,
-                window_ms=cfg.window_ms,
-                default_deadline_ms=cfg.deadline_ms,
-                max_pool_restarts=cfg.max_pool_restarts)).start()
+            return lambda: Cluster(
+                replace(shards, cache_dir=cache_dir)).start()
 
         phases: List[Dict[str, object]] = []
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as td:
             root = Path(td)
             ref_cache = str(root / "cache-ref")
-            reference = chaos_phase(server(ref_cache), load)
+            reference = chaos_phase(server(ref_cache), cfg.load)
             phases.append(classify("none", reference,
                                    reference["report"]))
             for kind in cfg.fault_classes:
                 faults = generate_service_schedule(
-                    cfg.seed, (kind,), per_class=cfg.faults_per_class,
+                    cfg.load.seed, (kind,),
+                    per_class=cfg.faults_per_class,
                     stall_s=cfg.stall_s, slow_s=cfg.slow_batch_s)
                 # cache faults need warm entries; everything else
                 # needs a cold cache so its work actually executes
                 cache_dir = (ref_cache if kind in _CACHE_KINDS
                              else str(root / f"cache-{kind}"))
                 target = cluster if kind == WORKER_DOWN else server
-                phase = chaos_phase(target(cache_dir), load, faults,
-                                    root / f"chaos-{kind}")
+                phase = chaos_phase(target(cache_dir), cfg.load,
+                                    faults, root / f"chaos-{kind}")
                 phases.append(classify(kind, phase,
                                        reference["report"]))
         report: Dict[str, object] = {
             "schema": CHAOS_REPORT_SCHEMA,
-            "seed": cfg.seed,
-            "requests": cfg.requests,
-            "offered_rate_per_s": cfg.rate_per_s,
-            "workers": cfg.workers,
-            "deadline_ms": cfg.deadline_ms,
+            "seed": cfg.load.seed,
+            "requests": cfg.load.requests,
+            "offered_rate_per_s": cfg.load.rate_per_s,
+            "workers": cfg.serve.workers,
+            "deadline_ms": cfg.load.deadline_ms,
             "fault_classes": list(cfg.fault_classes),
             "faults_per_class": cfg.faults_per_class,
             "phases": phases,

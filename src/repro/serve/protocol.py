@@ -39,6 +39,9 @@ GENERATIONS = ("power9", "power10")
 MAX_INSTRUCTIONS = 2_000_000
 MAX_COMPARE_WORKLOADS = 16
 MAX_FAULTS = 64
+#: one day; past this a deadline is no deadline (and past ~1e308 ms it
+#: no longer converts to seconds)
+MAX_DEADLINE_MS = 86_400_000
 
 
 def decode_json(body: bytes) -> Dict[str, object]:
@@ -47,7 +50,9 @@ def decode_json(body: bytes) -> Dict[str, object]:
         return {}
     try:
         data = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, or an integer past the digit limit;
+        # RecursionError: nesting deeper than the parser's stack
         raise ConfigError(f"malformed JSON request body: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("request body must be a JSON object")
@@ -66,15 +71,27 @@ def _reject_unknown(data: Dict[str, object], allowed: Tuple[str, ...],
             f"(accepted: {', '.join(allowed)})")
 
 
+#: the JSON value each field type accepts; nothing is coerced (a bool
+#: is not a number, neither "300" nor 2.9 is an integer, and null
+#: stands only for an optional field's default)
+_JSON_KINDS = {int: (int, "an integer"),
+               float: ((int, float), "a number"),
+               str: (str, "a string")}
+
+
 def _field(data: Dict[str, object], key: str, kind, default):
     value = data.get(key, default)
-    if value is None:
+    if value is None and default is None:    # an optional field
         return None
+    accepted, label = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(
+            f"field {key!r} must be {label}, got "
+            f"{type(value).__name__}")
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"field {key!r} must be {kind.__name__}: {value!r}") from exc
+    except OverflowError as exc:        # an integer too large for float
+        raise ConfigError(f"field {key!r} is out of range") from exc
 
 
 def _check_generation(name: str) -> str:
@@ -100,8 +117,9 @@ def _check_instructions(n: int) -> int:
 
 
 def _check_deadline(ms: Optional[int]) -> Optional[int]:
-    if ms is not None and ms <= 0:
-        raise ConfigError(f"deadline_ms must be positive, got {ms}")
+    if ms is not None and not 0 < ms <= MAX_DEADLINE_MS:
+        raise ConfigError(
+            f"deadline_ms must be in [1, {MAX_DEADLINE_MS}], got {ms}")
     return ms
 
 
@@ -170,10 +188,11 @@ class CompareRequest:
         _reject_unknown(data, ("workloads", "instructions",
                                "deadline_ms"), cls.ROUTE)
         raw = data.get("workloads", ["daxpy"])
-        if isinstance(raw, str) or not isinstance(raw, (list, tuple)):
+        if not isinstance(raw, (list, tuple)) \
+                or not all(isinstance(w, str) for w in raw):
             raise ConfigError("field 'workloads' must be a list of names")
         return cls(
-            workloads=tuple(str(w) for w in raw),
+            workloads=tuple(raw),
             instructions=_field(data, "instructions", int, 2000),
             deadline_ms=_field(data, "deadline_ms", int, None))
 

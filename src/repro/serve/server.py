@@ -30,6 +30,7 @@ power is recomputed in this process from exact cached activity.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import signal
 import threading
@@ -58,7 +59,7 @@ from .http import (MAX_BODY_BYTES, MAX_HEADERS, FrontEnd, Response,
 from .slo import SloTracker
 
 __all__ = ["MAX_BODY_BYTES", "MAX_HEADERS", "ServeConfig",
-           "ReproServer", "run_server", "start_in_thread"]
+           "ReproServer", "run_server", "run_worker", "start_in_thread"]
 
 #: distinct (workload, instructions) traces a server keeps in memory
 _TRACE_MEMO_SIZE = 128
@@ -569,7 +570,7 @@ class ReproServer(FrontEnd):
 
 # ---- entry points --------------------------------------------------------
 
-async def _serve_main(config: ServeConfig) -> None:
+async def _serve_main(config: ServeConfig) -> bool:
     server = ReproServer(config)
     await server.start()
     stop = asyncio.Event()
@@ -589,15 +590,22 @@ async def _serve_main(config: ServeConfig) -> None:
     label = ("clean" if clean else
              "forced (in-flight work answered with shutting_down errors)")
     print(f"shutdown {label}", flush=True)
+    return clean
 
 
 def run_server(config: ServeConfig) -> int:
-    """Blocking entry point behind ``repro serve``."""
+    """Blocking entry point behind ``repro serve``: 0 after a clean
+    drain, 1 after a forced one (or an interrupt that skipped it)."""
     try:
-        asyncio.run(_serve_main(config))
+        return 0 if asyncio.run(_serve_main(config)) else 1
     except KeyboardInterrupt:
-        pass
-    return 0
+        return 1
+
+
+def run_worker(config_json: str) -> int:
+    """Entry point of a cluster process worker: :func:`run_server` on
+    the ``ServeConfig`` serialized as one JSON object."""
+    return run_server(ServeConfig(**json.loads(config_json)))
 
 
 def start_in_thread(config: Optional[ServeConfig] = None) -> ThreadHost:

@@ -26,7 +26,8 @@ from repro.resilience.chaos import (ChaosCampaignConfig, ChaosController,
                                     chaos_point, classify,
                                     generate_service_schedule,
                                     run_chaos_campaign, service_chaos)
-from repro.serve import CircuitBreaker, ThreadHost
+from repro.serve import (CircuitBreaker, LoadgenConfig, ServeConfig,
+                         ThreadHost)
 from repro.workloads import specint_proxies
 
 
@@ -342,19 +343,36 @@ class TestCircuitBreaker:
 
 # ---- the campaign --------------------------------------------------------
 
+#: the campaign's servers with a 2 s default deadline
+_SERVE_2S = ServeConfig(workers=2, default_deadline_ms=2000,
+                        max_pool_restarts=3)
+
+
 class TestCampaignConfig:
     def test_quick_covers_every_class(self):
         cfg = ChaosCampaignConfig.quick(seed=7)
-        assert cfg.seed == 7
+        assert cfg.load.seed == 7
         assert tuple(cfg.fault_classes) == SERVICE_FAULT_KINDS
+        # one deadline for the schedule and the servers, as before
+        assert cfg.load.deadline_ms == cfg.serve.default_deadline_ms \
+            == 2500
 
     def test_stall_must_exceed_deadline(self):
         with pytest.raises(ChaosError, match="stall_s"):
-            ChaosCampaignConfig(stall_s=1.0, deadline_ms=5000)
+            ChaosCampaignConfig(load=LoadgenConfig(deadline_ms=5000),
+                                stall_s=1.0)
+        # a schedule without deadlines runs under the servers' default
+        with pytest.raises(ChaosError, match="stall_s"):
+            ChaosCampaignConfig(
+                load=LoadgenConfig(),
+                serve=ServeConfig(workers=2, default_deadline_ms=5000),
+                stall_s=1.0)
 
     def test_serial_engines_rejected(self):
         with pytest.raises(ChaosError, match="workers"):
-            ChaosCampaignConfig(workers=1)
+            ChaosCampaignConfig(serve=ServeConfig(workers=1))
+        with pytest.raises(ChaosError, match="workers"):
+            ChaosCampaignConfig(serve=ServeConfig())
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ChaosError):
@@ -368,8 +386,9 @@ class TestCampaign:
         200-OK body bit-identical to the fault-free reference, and no
         request left hanging."""
         report = run_chaos_campaign(ChaosCampaignConfig(
-            seed=0, requests=6, rate_per_s=40.0, deadline_ms=2000,
-            timeout_s=30.0, stall_s=3.0, slow_batch_s=0.3,
+            load=LoadgenConfig(seed=0, requests=6, rate_per_s=40.0,
+                               deadline_ms=2000, timeout_s=30.0),
+            serve=_SERVE_2S, stall_s=3.0, slow_batch_s=0.3,
             faults_per_class=1))
         assert len(report["fault_classes"]) >= 5
         assert [p["fault_class"] for p in report["phases"]] \
@@ -398,8 +417,9 @@ class TestCampaign:
 
         monkeypatch.setattr(ThreadHost, "stop", forced_stop)
         report = run_chaos_campaign(ChaosCampaignConfig(
-            seed=0, requests=3, rate_per_s=40.0, deadline_ms=2000,
-            stall_s=3.0, fault_classes=("conn_drop",),
+            load=LoadgenConfig(seed=0, requests=3, rate_per_s=40.0,
+                               deadline_ms=2000, timeout_s=30.0),
+            serve=_SERVE_2S, stall_s=3.0, fault_classes=("conn_drop",),
             faults_per_class=1))
         assert [p["clean_drain"] for p in report["phases"]] \
             == [False, False]

@@ -11,14 +11,17 @@ corrupts nothing; and a rolling restart drops no requests.
 
 import http.client
 import json
+import sys
 import threading
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.cluster import (Cluster, ClusterBenchConfig, ClusterConfig,
-                           ShardMap, ThreadWorker, run_cluster_bench,
-                           shard_key)
+                           ProcessWorker, RouterConfig, ShardMap,
+                           ThreadWorker, run_cluster_bench, shard_key)
 from repro.errors import ClusterError, ServeError
 from repro.obs.metrics import get_registry
 from repro.serve import (LoadgenConfig, ServeClient, ServeConfig,
@@ -37,7 +40,7 @@ def _no_ambient_engine_env(monkeypatch):
 def _cluster_config(tmp_path, **kw):
     kw.setdefault("shards", 2)
     kw.setdefault("worker_mode", "thread")
-    kw.setdefault("window_ms", 1.0)
+    kw.setdefault("serve", ServeConfig(window_ms=1.0))
     kw.setdefault("cache_dir", str(tmp_path / "cache"))
     return ClusterConfig(**kw)
 
@@ -132,8 +135,7 @@ class TestShardMap:
 
 class TestThreadWorker:
     def test_start_stop_bumps_generation(self):
-        worker = ThreadWorker(0, lambda: ServeConfig(
-            port=0, window_ms=1.0))
+        worker = ThreadWorker(0, ServeConfig(port=0, window_ms=1.0))
         worker.start()
         try:
             assert worker.alive()
@@ -150,14 +152,128 @@ class TestThreadWorker:
             worker.stop()
 
     def test_double_start_rejected(self):
-        worker = ThreadWorker(0, lambda: ServeConfig(
-            port=0, window_ms=1.0))
+        worker = ThreadWorker(0, ServeConfig(port=0, window_ms=1.0))
         worker.start()
         try:
             with pytest.raises(ClusterError, match="already running"):
                 worker.start()
         finally:
             worker.stop()
+
+
+class _FakeChild:
+    """Stands in for ``subprocess.Popen`` of a process worker: runs the
+    child's own entry code in this process (with ``run_server``
+    patched to record what it was given), then publishes a port."""
+
+    def __init__(self, argv, **_kwargs):
+        assert argv[:2] == [sys.executable, "-c"]
+        saved = sys.argv
+        sys.argv = ["-c", *argv[3:]]
+        try:
+            exec(compile(argv[2], "<worker>", "exec"), {})
+        except SystemExit as exc:
+            assert exc.code == 0
+        finally:
+            sys.argv = saved
+        self.returncode = None
+        Path(_FakeChild.decoded[-1].port_file).write_text("1")
+
+    def poll(self):
+        return self.returncode
+
+    def send_signal(self, _signum):
+        self.returncode = 0
+
+    def wait(self, timeout=None):
+        return self.returncode
+
+    kill = send_signal
+
+
+class TestProcessWorker:
+    """The production topology: each worker is a child process that
+    runs the cluster's ``ServeConfig`` intact."""
+
+    def test_child_decodes_the_template_whole(self, tmp_path,
+                                              monkeypatch):
+        import repro.serve.server as server_mod
+        template = ServeConfig(
+            window_ms=1.0, default_deadline_ms=1234,
+            max_pool_restarts=5, drain_timeout_s=9.0, max_batch=8,
+            warm_fast_path=True, slo_target_p99_ms=777.0)
+        _FakeChild.decoded = []
+        monkeypatch.setattr(
+            server_mod, "run_server",
+            lambda config: _FakeChild.decoded.append(config) or 0)
+        monkeypatch.setattr("repro.cluster.workers.subprocess.Popen",
+                            _FakeChild)
+        cache = str(tmp_path / "cache")
+        cluster = Cluster(ClusterConfig(shards=2, worker_mode="process",
+                                        serve=template, cache_dir=cache))
+        cluster.start()
+        try:
+            decoded = list(_FakeChild.decoded)
+        finally:
+            assert cluster.stop() is True
+        assert [Path(c.port_file).name for c in decoded] \
+            == ["worker-0.port", "worker-1.port"]
+        assert decoded == [
+            replace(template, host="127.0.0.1", port=0,
+                    port_file=c.port_file, cache_dir=cache)
+            for c in decoded]
+
+    def test_process_cluster_runs_its_config(self, tmp_path):
+        """Two child workers report the template's SLO target, answer
+        byte-identically to the in-process server, and drain clean."""
+        payload = {"workload": "daxpy", "instructions": 500,
+                   "config": "power10"}
+        single = start_in_thread(ServeConfig(
+            window_ms=1.0, cache_dir=str(tmp_path / "single-cache")))
+        try:
+            cluster = Cluster(ClusterConfig(
+                shards=2, worker_mode="process",
+                cache_dir=str(tmp_path / "cache"),
+                serve=ServeConfig(slo_target_p99_ms=1234.0,
+                                  window_ms=1.0)))
+            cluster.start()
+            try:
+                for worker in cluster.workers:
+                    doc = _client(worker.port).healthz()
+                    assert doc["slo"]["target_p99_s"] == 1.234
+                assert _raw_post(cluster.port, "/v1/simulate", payload) \
+                    == _raw_post(single.port, "/v1/simulate", payload)
+            finally:
+                assert cluster.stop() is True
+        finally:
+            single.stop()
+
+    def test_forced_drain_is_reported(self, tmp_path):
+        """A child whose drain runs out of budget exits 1, so
+        ``stop()`` reports the drain as forced."""
+        from repro.resilience.chaos import ServiceFault, service_chaos
+        worker = ProcessWorker(0, ServeConfig(
+            window_ms=1.0, drain_timeout_s=0.2,
+            port_file=str(tmp_path / "worker.port")))
+        # the child inherits the armed fault: its first batch sleeps
+        # far past the drain budget
+        with service_chaos([ServiceFault("slow_batch", delay_s=3.0)],
+                           tmp_path / "chaos"):
+            worker.start()
+        answered = threading.Thread(
+            target=_raw_post, daemon=True,
+            args=(worker.port, "/v1/simulate", {"instructions": 500}))
+        try:
+            answered.start()
+            deadline = time.monotonic() + 20.0
+            while _client(worker.port).healthz()["inflight"] < 1:
+                assert time.monotonic() < deadline, "never in flight"
+                time.sleep(0.02)
+        finally:
+            clean = worker.stop()
+        answered.join(timeout=30.0)
+        assert not answered.is_alive()
+        assert clean is False
 
 
 # ---- cluster topology ----------------------------------------------------
@@ -448,11 +564,28 @@ class TestClientTargets:
 
 # ---- the benchmark -------------------------------------------------------
 
+def _fake_bench(seen):
+    """A ``run_cluster_bench`` stand-in that records its config."""
+    def fake_bench(config):
+        seen.append(config)
+        return {"schema": 2, "seed": config.load.seed,
+                "shards": config.cluster.shards,
+                "requests": config.load.requests,
+                "offered_rate_per_s": config.load.rate_per_s,
+                "throughput_per_s": 1.0,
+                "latency_s": {"p50": 0.1, "p95": 0.1, "p99": 0.1},
+                "availability": {"rate": 1.0}, "per_shard": {},
+                "cache": None, "failovers": 0, "chaos": None,
+                "sdc_total": 0, "ok": True}
+    return fake_bench
+
+
 class TestClusterBench:
     def test_quick_bench_schema(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         report = run_cluster_bench(ClusterBenchConfig(
-            seed=1, requests=12, rate_per_s=60.0, chaos=False))
+            load=LoadgenConfig(seed=1, requests=12, rate_per_s=60.0),
+            chaos=False))
         assert report["schema"] == 2
         assert report["shards"] == 2
         assert report["requests"] == 12
@@ -480,7 +613,7 @@ class TestClusterBench:
 
         monkeypatch.setattr(Cluster, "stop", forced_stop)
         report = run_cluster_bench(ClusterBenchConfig(
-            seed=1, requests=12, rate_per_s=60.0))
+            load=LoadgenConfig(seed=1, requests=12, rate_per_s=60.0)))
         assert report["chaos"]["faults_fired"] == 1
         assert report["chaos"]["clean_drain"] is False
 
@@ -495,36 +628,104 @@ class TestClusterBench:
         import repro.cluster
         from repro.cli import main
         seen = []
-
-        def fake_bench(config):
-            seen.append(config)
-            return {"schema": 2, "seed": config.seed,
-                    "shards": config.shards,
-                    "requests": config.requests,
-                    "offered_rate_per_s": config.rate_per_s,
-                    "throughput_per_s": 1.0,
-                    "latency_s": {"p50": 0.1, "p95": 0.1, "p99": 0.1},
-                    "availability": {"rate": 1.0}, "per_shard": {},
-                    "cache": None, "failovers": 0, "chaos": None,
-                    "sdc_total": 0, "ok": True}
-
         monkeypatch.setattr(repro.cluster, "run_cluster_bench",
-                            fake_bench)
+                            _fake_bench(seen))
         monkeypatch.chdir(tmp_path)
         assert main(["loadgen", "--cluster", "--no-kill-shard",
                      *argv]) == 0
-        assert (seen[0].requests, seen[0].rate_per_s) == (requests, rate)
+        assert (seen[0].load.requests, seen[0].load.rate_per_s) \
+            == (requests, rate)
         assert [p.name for p in tmp_path.iterdir()] == [out]
 
     def test_config_validation(self):
-        with pytest.raises(ClusterError, match="requests"):
-            ClusterBenchConfig(requests=0)
-        with pytest.raises(ClusterError, match="positive"):
-            ClusterBenchConfig(rate_per_s=0.0)
+        # the schedule's own checks live in LoadgenConfig
+        with pytest.raises(ServeError, match="requests"):
+            ClusterBenchConfig(load=LoadgenConfig(requests=0))
+        with pytest.raises(ServeError, match="positive"):
+            ClusterBenchConfig(load=LoadgenConfig(rate_per_s=0.0))
         with pytest.raises(ClusterError, match="shards >= 2"):
-            ClusterBenchConfig(shards=1, chaos=True)
+            ClusterBenchConfig(cluster=ClusterConfig(shards=1),
+                               chaos=True)
+        with pytest.raises(ClusterError, match="cold cache"):
+            ClusterBenchConfig(cluster=ClusterConfig(cache_dir="/tmp/c"))
         # single shard is fine without the chaos phase
-        assert ClusterBenchConfig(shards=1, chaos=False).shards == 1
+        assert ClusterBenchConfig(cluster=ClusterConfig(shards=1),
+                                  chaos=False).cluster.shards == 1
+
+
+class TestCliServeFlags:
+    """Every serve flag reaches every server the command starts, or
+    the command refuses it with a usage error (exit 2)."""
+
+    _SERVE_FLAGS = ["--workers", "3", "--window-ms", "1.5",
+                    "--max-inflight", "7", "--rate-limit", "50",
+                    "--drain-timeout", "9", "--warm",
+                    "--slo-p99-ms", "900"]
+    _TEMPLATE = ServeConfig(workers=3, window_ms=1.5, max_inflight=7,
+                            rate_per_s=50.0, drain_timeout_s=9.0,
+                            warm_fast_path=True, slo_target_p99_ms=900.0)
+
+    def test_loadgen_cluster_workers_get_every_serve_flag(
+            self, tmp_path, monkeypatch):
+        import repro.cluster
+        from repro.cli import main
+        seen = []
+        monkeypatch.setattr(repro.cluster, "run_cluster_bench",
+                            _fake_bench(seen))
+        monkeypatch.chdir(tmp_path)
+        assert main(["loadgen", "--cluster", "--no-kill-shard",
+                     "--shards", "3", *self._SERVE_FLAGS]) == 0
+        assert seen[0].cluster == ClusterConfig(shards=3,
+                                                serve=self._TEMPLATE)
+        assert seen[0].load.slo_p99_ms == 900.0
+
+    def test_cluster_command_splits_flags_by_owner(self, monkeypatch):
+        import repro.cluster
+        from repro.cli import main
+        seen = []
+
+        class NoStart:
+            def __init__(self, config):
+                seen.append(config)
+
+            def start(self):
+                raise ClusterError("not started in this test")
+
+        monkeypatch.setattr(repro.cluster, "Cluster", NoStart)
+        assert main(["cluster", "--shards", "3", "--host", "0.0.0.0",
+                     "--port", "0", "--cache-dir", "tier",
+                     *self._SERVE_FLAGS]) == 2
+        assert seen == [ClusterConfig(
+            shards=3, worker_mode="process", cache_dir="tier",
+            serve=self._TEMPLATE,
+            router=RouterConfig(host="0.0.0.0", port=0),
+            restart_dead=True)]
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "--sanitize"],
+        ["cluster", "--access-log", "access.jsonl"],
+        ["loadgen", "--cluster", "--sanitize"],
+        ["loadgen", "--cluster", "--access-log", "access.jsonl"],
+        ["loadgen", "--cluster", "--cache-dir", "tier"],
+        # no server started at all: nothing would take the flag
+        ["loadgen", "--port", "1", "--workers", "2"],
+    ], ids=["cluster-sanitize", "cluster-access-log",
+            "loadgen-sanitize", "loadgen-access-log",
+            "loadgen-cache-dir", "loadgen-external-workers"])
+    def test_flags_a_cluster_cannot_honor_are_refused(
+            self, tmp_path, monkeypatch, argv):
+        import repro.cluster
+        from repro.cli import main
+
+        def must_not_start(*_args, **_kwargs):
+            raise AssertionError("a refused flag started a cluster")
+
+        monkeypatch.setattr(repro.cluster, "run_cluster_bench",
+                            must_not_start)
+        monkeypatch.setattr(Cluster, "start", must_not_start)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestClusterConfigValidation:
@@ -533,6 +734,14 @@ class TestClusterConfigValidation:
             ClusterConfig(shards=0)
         with pytest.raises(ClusterError, match="worker_mode"):
             ClusterConfig(worker_mode="coroutine")
+
+    @pytest.mark.parametrize("field, value", [
+        ("host", "0.0.0.0"), ("port", 8419), ("port_file", "w.port"),
+        ("cache_dir", "tier"), ("access_log", "access.jsonl")])
+    def test_per_worker_fields_rejected_in_the_template(self, field,
+                                                        value):
+        with pytest.raises(ClusterError, match=field):
+            ClusterConfig(serve=replace(ServeConfig(), **{field: value}))
 
     def test_double_start_rejected(self, tmp_path):
         cluster = Cluster(_cluster_config(tmp_path))

@@ -7,23 +7,26 @@ no executed work, a closed connection, and a front end that still
 answers ``/healthz`` afterwards.  A Hypothesis fuzz pins the reader's
 own contract: any bytes followed by EOF end in a parsed message,
 ``None``, ``ServeError`` or ``IncompleteReadError`` — nothing else,
-and never a wait.
+and never a wait.  A second fuzz pins the body decoder's: any body
+builds a request or raises ``ConfigError``.
 """
 
 import asyncio
 import json
 import os
 import socket
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.errors import ServeError
+from repro.errors import ConfigError, ServeError
 from repro.obs.metrics import get_registry
 from repro.serve import ServeConfig, start_in_thread
 from repro.serve.http import read_request, read_response
+from repro.serve.protocol import REQUEST_TYPES, decode_json
 
 # ---- fuzzing the reader --------------------------------------------------
 
@@ -77,6 +80,74 @@ class TestReaderFuzz:
                                     asyncio.IncompleteReadError))
 
 
+# ---- fuzzing the body decoder --------------------------------------------
+
+_FIELDS = sorted({f.name for cls in REQUEST_TYPES.values()
+                  for f in fields(cls)})
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=6)
+            | st.sampled_from(["power9", "power10", "xz", "daxpy"])
+            | st.integers(min_value=-2, max_value=3000)
+            | st.floats(min_value=-0.5, max_value=1.5))
+
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=4), kids,
+                                    max_size=3)),
+    max_leaves=8)
+
+_BODIES = st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=4),
+                          _VALUES, max_size=5)
+
+
+class TestBodyFuzz:
+    """Whatever a body holds, decoding it and building each route's
+    request either succeeds or raises ``ConfigError`` (a 400) —
+    never anything that would answer 500."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(body=_BODIES)
+    def test_every_request_type_builds_or_refuses(self, body):
+        data = decode_json(json.dumps(body).encode("utf-8"))
+        for cls in REQUEST_TYPES.values():
+            try:
+                request = cls.from_json(data)
+            except ConfigError:
+                continue
+            assert isinstance(request, cls)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(raw=st.binary(max_size=64)
+           | st.integers(min_value=1, max_value=50_000).map(
+               lambda n: b"[" * n + b"]" * n)
+           | st.integers(min_value=1, max_value=50_000).map(
+               lambda n: b'{"a": ' * n + b"1" + b"}" * n)
+           | st.integers(min_value=4000, max_value=5000).map(
+               lambda n: b'{"seed": ' + b"7" * n + b"}"))
+    def test_decode_returns_an_object_or_refuses(self, raw):
+        try:
+            data = decode_json(raw)
+        except ConfigError:
+            return
+        assert isinstance(data, dict)
+
+    @pytest.mark.parametrize("value", [True, 2.9, 2000.0, "300", [300]])
+    def test_integer_fields_take_integers_only(self, value):
+        with pytest.raises(ConfigError, match="instructions"):
+            REQUEST_TYPES["/v1/simulate"].from_json(
+                {"instructions": value})
+
+    @pytest.mark.parametrize("value", [True, "0.5", 10 ** 400])
+    def test_number_fields_take_numbers_only(self, value):
+        with pytest.raises(ConfigError, match="warmup_fraction"):
+            REQUEST_TYPES["/v1/simulate"].from_json(
+                {"warmup_fraction": value})
+
+
 # ---- hostile requests against live front ends ----------------------------
 
 _ENV = ("REPRO_WORKERS", "REPRO_CACHE_DIR", "REPRO_CHAOS_DIR",
@@ -90,7 +161,7 @@ def front_ends(tmp_path_factory):
     root = tmp_path_factory.mktemp("wire")
     single = start_in_thread(ServeConfig(window_ms=1.0))
     cluster = Cluster(ClusterConfig(shards=2, worker_mode="thread",
-                                    window_ms=1.0,
+                                    serve=ServeConfig(window_ms=1.0),
                                     cache_dir=str(root / "cache")))
     cluster.start()
     try:
@@ -123,6 +194,13 @@ def _executed() -> float:
 
 _SIM = b"POST /v1/simulate HTTP/1.1\r\n"
 
+
+def _with_body(body: bytes):
+    """A well-framed simulate request carrying ``body``."""
+    return (_SIM + b"Connection: close\r\nContent-Length: %d\r\n\r\n"
+            % len(body) + body, False)
+
+
 # (raw request, half-close after sending): every case must end in a
 # 400 bad_request and a closed connection
 _HOSTILE = {
@@ -141,6 +219,11 @@ _HOSTILE = {
                       b"Content-Length: 4\r\n\r\n\xff\xfe\xfd\xfc", False),
     "chunked": (_SIM + b"Transfer-Encoding: chunked\r\n\r\n"
                 b"5\r\n{}   \r\n0\r\n\r\n", False),
+    # 200 KB, under the body limit, nested past the JSON parser's stack
+    "deeply_nested_body": _with_body(b"[" * 100_000 + b"]" * 100_000),
+    # wrong JSON types are refused, not coerced into a request that runs
+    "string_as_integer": _with_body(b'{"instructions": "300"}'),
+    "huge_deadline": _with_body(b'{"deadline_ms": 1%s}' % (b"0" * 400)),
 }
 
 

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.errors import ExecError
+from repro.cli import main
 from repro.exec.perfwatch import (build_baseline, collect_current,
-                                  compare, load_baseline, main,
-                                  run_perfwatch)
+                                  compare, load_baseline, run_perfwatch)
 
 
 def _write_bench(root, scenarios, serve_p99=None, availability=None,
@@ -294,7 +294,7 @@ class TestRunPerfwatch:
     def test_cli_main_exit_codes(self, tmp_path, capsys):
         bench = _write_bench(tmp_path / "bench", {"fig05": 1.0})
         baseline = tmp_path / "perf-baseline.json"
-        argv = ["--bench-dir", str(bench),
+        argv = ["perfwatch", "--bench-dir", str(bench),
                 "--baseline", str(baseline), "--tolerance", "0.1"]
         assert main(argv + ["--update-baseline"]) == 0
         assert main(argv) == 0
