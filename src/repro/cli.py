@@ -628,6 +628,10 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .serve import (LoadgenConfig, ServeConfig, run_phase,
                         start_in_thread, write_report)
 
+    if args.port is not None and (args.self_serve or args.cluster):
+        raise ServeError(
+            "--port names an external server; --self-serve and "
+            "--cluster start their own on an ephemeral port")
     # --requests/--rate/--out default per mode, so explicit values
     # always win
     shape = ClusterBenchConfig.load if args.cluster else LoadgenConfig
@@ -640,7 +644,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                     else "BENCH_serve.json")
     lg_config = LoadgenConfig(
         seed=args.seed, requests=args.requests, rate_per_s=args.rate,
-        host=args.host, port=args.port, timeout_s=args.timeout,
+        host=args.host,
+        port=LoadgenConfig.port if args.port is None else args.port,
+        timeout_s=args.timeout,
         deadline_ms=args.deadline_ms, slo_p99_ms=args.slo_p99_ms)
     if args.cluster:
         _refuse_sanitize(args)
@@ -930,8 +936,10 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen", parents=[telemetry, serve_opts],
         help="deterministic open-loop load generator; writes "
              "BENCH_serve.json")
-    p.add_argument("--port", type=int, default=8419,
-                   help="target server port (default 8419)")
+    p.add_argument("--port", type=int, default=None,
+                   help="external server port (default 8419; refused "
+                        "with --self-serve and --cluster, which bind "
+                        "their own)")
     p.add_argument("--self-serve", action="store_true",
                    help="start an in-process server on an ephemeral "
                         "port for the duration of the run")

@@ -9,7 +9,8 @@ two stacks is what produces the ~25% reduction in flushed instructions
 reported in Section II-B.
 
 Predictors are trained online during simulation: ``predict`` returns the
-guess, ``update`` trains with the resolved outcome.
+guess, ``update`` trains with the resolved outcome and returns the guess
+it replaced, so a resolved branch looks its predictor up once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ class DirectionPredictor:
     def predict(self, pc: int, thread: int = 0) -> bool:
         raise NotImplementedError
 
-    def update(self, pc: int, taken: bool, thread: int = 0) -> None:
+    def update(self, pc: int, taken: bool, thread: int = 0) -> bool:
+        """Train with the resolved direction; returns what
+        :meth:`predict` would have said before the update."""
         raise NotImplementedError
 
 
@@ -43,10 +46,11 @@ class BimodalPredictor(DirectionPredictor):
     def predict(self, pc: int, thread: int = 0) -> bool:
         return self._table[(pc >> 2) & self._mask] >= 2
 
-    def update(self, pc: int, taken: bool, thread: int = 0) -> None:
+    def update(self, pc: int, taken: bool, thread: int = 0) -> bool:
         idx = (pc >> 2) & self._mask
         ctr = self._table[idx]
         self._table[idx] = min(3, ctr + 1) if taken else max(0, ctr - 1)
+        return ctr >= 2
 
 
 class GSharePredictor(DirectionPredictor):
@@ -67,12 +71,13 @@ class GSharePredictor(DirectionPredictor):
     def predict(self, pc: int, thread: int = 0) -> bool:
         return self._table[self._index(pc, thread)] >= 2
 
-    def update(self, pc: int, taken: bool, thread: int = 0) -> None:
+    def update(self, pc: int, taken: bool, thread: int = 0) -> bool:
         idx = self._index(pc, thread)
         ctr = self._table[idx]
         self._table[idx] = min(3, ctr + 1) if taken else max(0, ctr - 1)
         hist = self._history.get(thread, 0)
         self._history[thread] = ((hist << 1) | int(taken)) & self._hist_mask
+        return ctr >= 2
 
 
 class HybridPredictor(DirectionPredictor):
@@ -89,18 +94,17 @@ class HybridPredictor(DirectionPredictor):
             return self.gshare.predict(pc, thread)
         return self.bimodal.predict(pc, thread)
 
-    def update(self, pc: int, taken: bool, thread: int = 0) -> None:
-        b_pred = self.bimodal.predict(pc, thread)
-        g_pred = self.gshare.predict(pc, thread)
+    def update(self, pc: int, taken: bool, thread: int = 0) -> bool:
         idx = (pc >> 2) & self._mask
+        ctr = self._chooser[idx]
+        b_pred = self.bimodal.update(pc, taken, thread)
+        g_pred = self.gshare.update(pc, taken, thread)
         if b_pred != g_pred:
-            ctr = self._chooser[idx]
             if g_pred == taken:
                 self._chooser[idx] = min(3, ctr + 1)
             else:
                 self._chooser[idx] = max(0, ctr - 1)
-        self.bimodal.update(pc, taken, thread)
-        self.gshare.update(pc, taken, thread)
+        return g_pred if ctr >= 2 else b_pred
 
 
 class _TageTable:
@@ -160,11 +164,13 @@ class TagePredictor(DirectionPredictor):
         self._history: Dict[int, int] = {}
 
     def _provider(self, pc: int, thread: int):
+        """The longest-history table that hits, as ``(prediction,
+        table index)``, or ``(None, None)``."""
         hist = self._history.get(thread, 0)
-        for table in reversed(self.tables):     # longest history first
-            pred = table.lookup(pc, hist)
+        for idx in range(len(self.tables) - 1, -1, -1):
+            pred = self.tables[idx].lookup(pc, hist)
             if pred is not None:
-                return pred, table
+                return pred, idx
         return None, None
 
     def predict(self, pc: int, thread: int = 0) -> bool:
@@ -173,23 +179,19 @@ class TagePredictor(DirectionPredictor):
             return pred
         return self.base.predict(pc, thread)
 
-    def update(self, pc: int, taken: bool, thread: int = 0) -> None:
+    def update(self, pc: int, taken: bool, thread: int = 0) -> bool:
         hist = self._history.get(thread, 0)
-        pred, provider = self._provider(pc, thread)
-        mispredicted = (pred if pred is not None
-                        else self.base.predict(pc, thread)) != taken
-        if provider is None:
-            self.base.update(pc, taken, thread)
-            if mispredicted:
+        pred, idx = self._provider(pc, thread)
+        if idx is None:
+            pred = self.base.update(pc, taken, thread)
+            if pred != taken:
                 self.tables[0].update(pc, hist, taken, allocate=True)
         else:
-            provider.update(pc, hist, taken, allocate=False)
-            if mispredicted:
-                idx = self.tables.index(provider)
-                if idx + 1 < len(self.tables):
-                    self.tables[idx + 1].update(pc, hist, taken,
-                                                allocate=True)
+            self.tables[idx].update(pc, hist, taken, allocate=False)
+            if pred != taken and idx + 1 < len(self.tables):
+                self.tables[idx + 1].update(pc, hist, taken, allocate=True)
         self._history[thread] = ((hist << 1) | int(taken)) & ((1 << 64) - 1)
+        return pred
 
 
 class IndirectPredictor:
@@ -276,9 +278,7 @@ class BranchUnit:
                 self.stats.indirect_mispredicts += 1
             return wrong
         self.stats.lookups += 1
-        predicted = self.direction.predict(pc, thread)
-        self.direction.update(pc, taken, thread)
-        wrong = predicted != taken
+        wrong = self.direction.update(pc, taken, thread) != taken
         if wrong:
             self.stats.mispredicts += 1
         return wrong

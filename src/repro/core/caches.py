@@ -12,13 +12,22 @@ Two properties matter for the paper's results and are modeled here:
 
 Caches are LRU, write-allocate, with 64-byte lines.  A simple stream
 prefetcher (16 streams on POWER10) can be attached in front of the L2.
+
+Each structure takes its accesses in batches (:meth:`Cache.access_lines`,
+:meth:`StreamPrefetcher.train_lines`, :meth:`CacheHierarchy.lower_walk`),
+which the activity extraction calls once per run; the per-instruction
+walk makes one-element calls of the same per-structure rules.  Batching
+is exact because the structures share no state: an L1 sees only its own
+stream, and the L2, its prefetcher and the L3 see only L1 misses.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
+import numpy as np
+
 from ..errors import ConfigError
 
 LINE_BYTES = 64
@@ -65,26 +74,49 @@ class Cache:
 
     def access(self, address: int) -> bool:
         """Access a line; returns True on hit.  Misses allocate."""
-        self.accesses += 1
-        set_idx, tag = self._locate(address)
-        cache_set = self._sets.setdefault(set_idx, OrderedDict())
-        if tag in cache_set:
-            cache_set.move_to_end(tag)
-            return True
-        self.misses += 1
-        cache_set[tag] = True
-        if len(cache_set) > self.geometry.associativity:
-            cache_set.popitem(last=False)
-        return False
+        return not self.access_lines((address // self.geometry.line_bytes,))
+
+    def access_lines(self, lines: Sequence[int]) -> List[int]:
+        """Demand-access ``lines`` (line numbers) in order; returns the
+        positions in ``lines`` of the misses."""
+        missed = self.touch_lines(lines)
+        self.accesses += len(lines)
+        self.misses += len(missed)
+        return missed
 
     def fill(self, address: int) -> None:
         """Install a line (prefetch path) without counting an access."""
-        set_idx, tag = self._locate(address)
-        cache_set = self._sets.setdefault(set_idx, OrderedDict())
-        cache_set[tag] = True
-        cache_set.move_to_end(tag)
-        if len(cache_set) > self.geometry.associativity:
-            cache_set.popitem(last=False)
+        self.touch_lines((address // self.geometry.line_bytes,))
+
+    def touch_lines(self, lines: Sequence[int]) -> List[int]:
+        """The LRU rule, counting nothing: make each of ``lines`` the most
+        recent entry of its set, in order, allocating (and evicting the
+        least recent entry) where it is absent; returns the positions in
+        ``lines`` that were absent.
+
+        A line equal to the one before it is already the most recent
+        entry of its set, so it is skipped.
+        """
+        sets = self._sets
+        num_sets = self.geometry.num_sets
+        ways = self.geometry.associativity
+        missed: List[int] = []
+        last = -1
+        for pos, line in enumerate(lines):
+            if line == last:
+                continue
+            last = line
+            cache_set = sets.get(line % num_sets)
+            if cache_set is None:
+                cache_set = sets[line % num_sets] = OrderedDict()
+            if line in cache_set:
+                cache_set.move_to_end(line)
+                continue
+            missed.append(pos)
+            cache_set[line] = True
+            if len(cache_set) > ways:
+                cache_set.popitem(last=False)
+        return missed
 
     def invalidate_all(self) -> None:
         self._sets.clear()
@@ -112,17 +144,29 @@ class StreamPrefetcher:
     def train(self, address: int) -> list:
         """Observe a demand miss; returns line addresses to prefetch."""
         line = address // LINE_BYTES
-        for key, expected in list(self._streams.items()):
-            if line == expected:
-                self._streams[key] = line + 1
-                self._streams.move_to_end(key)
-                self.issued += self.depth
-                return [(line + 1 + i) * LINE_BYTES
-                        for i in range(self.depth)]
-        self._streams[line] = line + 1
-        if len(self._streams) > self.max_streams:
-            self._streams.popitem(last=False)
-        return []
+        if not self.train_lines((line,)):
+            return []
+        return [(line + 1 + i) * LINE_BYTES for i in range(self.depth)]
+
+    def train_lines(self, lines: Sequence[int]) -> List[int]:
+        """Observe demand misses (line numbers) in order; returns the
+        positions in ``lines`` that continue a stream.  Each of those
+        prefetches the ``depth`` lines that follow it."""
+        streams = self._streams
+        fired: List[int] = []
+        for pos, line in enumerate(lines):
+            for key, expected in streams.items():
+                if line == expected:
+                    streams[key] = line + 1
+                    streams.move_to_end(key)
+                    fired.append(pos)
+                    break
+            else:
+                streams[line] = line + 1
+                if len(streams) > self.max_streams:
+                    streams.popitem(last=False)
+        self.issued += self.depth * len(fired)
+        return fired
 
 
 @dataclass
@@ -132,7 +176,10 @@ class AccessResult:
     level: str                   # "l1" | "l2" | "l3" | "mem"
     latency: int
     l1_hit: bool
-    prefetch_hit: bool = False
+
+
+#: where :meth:`CacheHierarchy.lower_walk` serves an L1 miss, by code
+LOWER_LEVELS = ("l2", "l3", "mem")
 
 
 @dataclass
@@ -163,30 +210,99 @@ class CacheHierarchy:
         self.prefetcher = StreamPrefetcher(geometry.prefetch_streams,
                                            geometry.prefetch_depth)
 
+    @property
+    def lower_latency(self) -> Tuple[int, int, int]:
+        """Latency of an L1 miss served at each of ``LOWER_LEVELS``."""
+        g = self.geometry
+        return g.l2.latency, g.l3.latency, g.memory_latency
+
     def access_instruction(self, address: int) -> AccessResult:
-        if self.l1i.access(address):
-            return AccessResult("l1", self.geometry.l1i.latency, True)
-        return self._lower_levels(address, self.geometry.l1i.latency)
+        return self._access(self.l1i, address)
 
     def access_data(self, address: int) -> AccessResult:
-        if self.l1d.access(address):
-            return AccessResult("l1", self.geometry.l1d.latency, True)
-        return self._lower_levels(address, self.geometry.l1d.latency)
+        return self._access(self.l1d, address)
 
-    def _lower_levels(self, address: int, l1_latency: int) -> AccessResult:
-        if self.geometry.infinite_l2:
-            return AccessResult("l2", self.geometry.l2.latency, False)
-        prefetched = self.l2.probe(address)
-        if self.l2.access(address):
-            if prefetched:
-                # keep confirmed streams running ahead of the demand
-                for line_addr in self.prefetcher.train(address):
-                    self.l2.fill(line_addr)
-                    self.prefetcher.useful += 1
-            return AccessResult("l2", self.geometry.l2.latency, False,
-                                prefetch_hit=prefetched)
-        for line_addr in self.prefetcher.train(address):
+    def _access(self, l1: Cache, address: int) -> AccessResult:
+        """One access, with :meth:`lower_walk` on a miss spelled out for
+        a single address (the array set-up would cost the walk more than
+        the access itself)."""
+        if l1.access(address):
+            return AccessResult("l1", l1.geometry.latency, True)
+        g = self.geometry
+        if g.infinite_l2:
+            return AccessResult("l2", g.l2.latency, False)
+        hit = self.l2.access(address)
+        ahead = self.prefetcher.train(address)
+        for line_addr in ahead:
             self.l2.fill(line_addr)
+        if hit:
+            self.prefetcher.useful += len(ahead)
+            return AccessResult("l2", g.l2.latency, False)
         if self.l3.access(address):
-            return AccessResult("l3", self.geometry.l3.latency, False)
-        return AccessResult("mem", self.geometry.memory_latency, False)
+            return AccessResult("l3", g.l3.latency, False)
+        return AccessResult("mem", g.memory_latency, False)
+
+    def lower_walk(self, addresses: Sequence[int]) -> List[int]:
+        """Serve L1 misses (byte addresses) in order; returns the level
+        that serves each, as an index into ``LOWER_LEVELS``.
+
+        The prefetcher trains on every miss and depends on nothing else,
+        so it runs first.  The L2 then sees each demand access followed
+        by the prefetches it triggered, and the L3 only the L2 misses.
+        Past the core model's infinite L2 nothing is touched.
+        """
+        n = len(addresses)
+        levels = [0] * n
+        if self.geometry.infinite_l2 or not n:
+            return levels
+        address = np.asarray(addresses, dtype=np.int64)
+        line = address // LINE_BYTES
+        depth = self.prefetcher.depth
+        fired = np.zeros(n, dtype=bool)
+        fired[self.prefetcher.train_lines(line.tolist())] = True
+        # one L2 operation per demand access (step 0) and per prefetch
+        # (step 1..depth, the lines after the one that fired)
+        ops = 1 + depth * fired.astype(np.int64)
+        first = np.cumsum(ops) - ops
+        step = np.arange(int(ops.sum())) - np.repeat(first, ops)
+        op_address = np.where(step == 0, np.repeat(address, ops),
+                              (np.repeat(line, ops) + step) * LINE_BYTES)
+        absent = np.zeros(len(step), dtype=bool)
+        absent[self.l2.touch_lines(
+            (op_address // self.l2.geometry.line_bytes).tolist())] = True
+        l2_miss = absent[first]
+        self.l2.accesses += n
+        self.l2.misses += int(l2_miss.sum())
+        # prefetches that follow an L2 hit keep a confirmed stream ahead
+        self.prefetcher.useful += depth * int(np.sum(fired & ~l2_miss))
+        l2_missed = np.flatnonzero(l2_miss)
+        code = np.zeros(n, dtype=np.int64)
+        code[l2_missed] = 1
+        l3_missed = self.l3.access_lines(
+            (address[l2_missed] // self.l3.geometry.line_bytes).tolist())
+        code[l2_missed[l3_missed]] = 2
+        return code.tolist()
+        l2_access = self.l2.access
+        fill = self.l2.fill
+        train = self.prefetcher.train
+        l2_missed: List[int] = []
+        useful = 0
+        for pos, address in enumerate(addresses):
+            hit = l2_access(address)
+            # a demand access trains the streams either way; prefetches
+            # that follow an L2 hit keep a confirmed stream ahead
+            ahead = train(address)
+            for line_addr in ahead:
+                fill(line_addr)
+            if hit:
+                useful += len(ahead)
+            else:
+                l2_missed.append(pos)
+        self.prefetcher.useful += useful
+        line_bytes = self.l3.geometry.line_bytes
+        for pos in l2_missed:
+            levels[pos] = 1
+        for k in self.l3.access_lines([addresses[pos] // line_bytes
+                                       for pos in l2_missed]):
+            levels[l2_missed[k]] = 2
+        return levels

@@ -11,11 +11,13 @@ are represented as lightweight records carrying:
 * branch metadata (taken/target) for control-flow instructions,
 * FLOP counts so kernels can report FLOPs/cycle the way Fig. 5 does.
 
-Generators emit ``Instruction`` records; a trace keeps them as
-:class:`TraceColumns`, one array per field, and builds records again only
-for the code that reads them one at a time (the per-instruction walk,
-the fault injector, trace files, BBVs).  The timing model never writes to an
-instruction.
+A trace keeps its instructions as :class:`TraceColumns`, one array per
+field.  Generators write those columns directly: fixed-body kernels tile
+one loop body, the synthetic generator appends each field to a list.
+``Instruction`` records are built only for the code that reads them one
+at a time (the per-instruction walk, the fault injector, trace files,
+BBVs) and for the few rows of a loop body.  The timing model never writes
+to an instruction.
 """
 
 from __future__ import annotations
@@ -219,27 +221,40 @@ class TraceColumns:
         per-row temporaries, so packing adds little to peak memory)."""
         n = len(instructions)
 
-        def column(name, dtype):
+        def column(name):
             return np.fromiter(map(attrgetter(name), instructions),
-                               dtype=dtype, count=n)
+                               dtype=_ROW_DTYPE[name], count=n)
 
         code = _CODE_BY_ID
-        src_off, src_reg = _pack_csr(instructions, "srcs")
-        dest_off, dest_reg = _pack_csr(instructions, "dests")
+        src_off, src_reg = _pack_csr(list(map(attrgetter("srcs"),
+                                              instructions)))
+        dest_off, dest_reg = _pack_csr(list(map(attrgetter("dests"),
+                                                instructions)))
         return cls(
             codes=np.fromiter(
                 map(code.__getitem__,
                     map(id, map(attrgetter("iclass"), instructions))),
                 dtype=np.int8, count=n),
-            pc=column("pc", np.int64),
+            pc=column("pc"),
             address=_pack_optional(instructions, "address"),
-            size=column("size", np.int32),
-            taken=column("taken", bool),
+            size=column("size"),
+            taken=column("taken"),
             target=_pack_optional(instructions, "target"),
-            flops=column("flops", np.int32),
-            thread=column("thread", np.int32),
+            flops=column("flops"),
+            thread=column("thread"),
             src_off=src_off, src_reg=src_reg,
             dest_off=dest_off, dest_reg=dest_reg)
+
+    @classmethod
+    def build(cls, *, srcs: Sequence[Tuple[int, ...]],
+              dests: Sequence[Tuple[int, ...]],
+              **rows: Sequence) -> "TraceColumns":
+        """Columns from one sequence per field of ``ROWS`` (``address``
+        and ``target`` already -1 for None) and the register tuples of
+        every row."""
+        return _assemble({f: np.asarray(rows[f], dtype=_ROW_DTYPE[f])
+                          for f in cls.ROWS},
+                         _pack_csr(srcs), _pack_csr(dests))
 
     def instructions(self) -> List[Instruction]:
         """Fresh ``Instruction`` records for every row."""
@@ -293,6 +308,11 @@ class TraceColumns:
                              [p.dest_reg for p in parts]))
 
 
+_ROW_DTYPE = {"codes": np.int8, "pc": np.int64, "address": np.int64,
+              "size": np.int32, "taken": bool, "target": np.int64,
+              "flops": np.int32, "thread": np.int32}
+
+
 def _assemble(rows, src, dest) -> TraceColumns:
     """Columns from the per-row arrays and two (offsets, registers)."""
     return TraceColumns(**rows, src_off=src[0], src_reg=src[1],
@@ -309,8 +329,7 @@ def _pack_optional(instructions: Sequence[Instruction],
     return out
 
 
-def _pack_csr(instructions: Sequence[Instruction], name: str):
-    regs = list(map(attrgetter(name), instructions))
+def _pack_csr(regs: Sequence[Tuple[int, ...]]):
     off = np.zeros(len(regs) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, regs), dtype=np.int64,
                           count=len(regs)), out=off[1:])

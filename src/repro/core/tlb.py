@@ -6,12 +6,18 @@ is *when* translation happens: with POWER9's RA-tagged L1s, the ERAT is
 looked up on every L1 access; with POWER10's EA-tagged L1s it is looked
 up only on an L1 miss.  That policy is applied by the LSU/pipeline —
 this module just provides the structures and their hit/miss behaviour.
+
+Translations come in batches (:meth:`MMU.translate_pages`): the
+per-instruction walk makes one-element calls, the activity extraction
+one call for the whole run.  The TLB sees only ERAT misses, so each
+table is walked in one loop of its own.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 from ..errors import ConfigError
 
 PAGE_BYTES = 4096
@@ -36,15 +42,33 @@ class _LruTable:
         self.misses = 0
 
     def access(self, page: int) -> bool:
-        self.lookups += 1
-        if page in self._table:
-            self._table.move_to_end(page)
-            return True
-        self.misses += 1
-        self._table[page] = True
-        if len(self._table) > self.entries:
-            self._table.popitem(last=False)
-        return False
+        return not self.access_pages((page,))
+
+    def access_pages(self, pages: Sequence[int]) -> List[int]:
+        """Look ``pages`` up in order; returns the positions in ``pages``
+        of the misses, which allocate.
+
+        A page equal to the one before it is the most recent entry: a
+        hit that changes no LRU order, so it is only counted.
+        """
+        table = self._table
+        entries = self.entries
+        missed: List[int] = []
+        last = -1
+        for pos, page in enumerate(pages):
+            if page == last:
+                continue
+            last = page
+            if page in table:
+                table.move_to_end(page)
+                continue
+            missed.append(pos)
+            table[page] = True
+            if len(table) > entries:
+                table.popitem(last=False)
+        self.lookups += len(pages)
+        self.misses += len(missed)
+        return missed
 
     @property
     def miss_rate(self) -> float:
@@ -63,11 +87,21 @@ class MMU:
         self.tablewalks = 0
 
     def translate(self, address: int) -> TranslationResult:
-        page = address // PAGE_BYTES
-        if self.erat.access(page):
+        erat_missed, walked = self.translate_pages((address // PAGE_BYTES,))
+        if not erat_missed:
             return TranslationResult(True, True, 0)
-        if self.tlb.access(page):
+        if not walked:
             return TranslationResult(False, True, self.tlb_latency)
-        self.tablewalks += 1
         return TranslationResult(False, False,
                                  self.tlb_latency + self.walk_latency)
+
+    def translate_pages(self, pages: Sequence[int],
+                        ) -> Tuple[List[int], List[int]]:
+        """Translate ``pages`` in order; returns the positions in
+        ``pages`` of the ERAT misses (each a TLB lookup) and, among
+        them, of the TLB misses (each a table walk)."""
+        erat_missed = self.erat.access_pages(pages)
+        walked = [erat_missed[k] for k in self.tlb.access_pages(
+            [pages[pos] for pos in erat_missed])]
+        self.tablewalks += len(walked)
+        return erat_missed, walked

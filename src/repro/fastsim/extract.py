@@ -6,13 +6,27 @@ TLB walks, branch prediction, fusion classification — none of which
 depend on instruction timing) and the *serial occupancy recurrence*
 (dispatch/issue/retire cycles through finite windows, queues and
 ports).  This module performs only the first kind, on the trace's
-columns (:class:`~repro.core.isa.TraceColumns`): it drives the very
-same stateful components (:class:`~repro.core.caches.CacheHierarchy`,
-:class:`~repro.core.tlb.MMU`, the branch predictors) in the exact order
-the walk would, shares the walk's fusion classifier
-(:func:`~repro.core.fusion.fuse`), and stores the outcomes as numpy
-arrays over instruction index — the activity tensor that
-:mod:`repro.fastsim.replay` consumes.
+columns (:class:`~repro.core.isa.TraceColumns`): it drives the same
+stateful components as the walk (:class:`~repro.core.caches.
+CacheHierarchy`, :class:`~repro.core.tlb.MMU`, the branch predictors),
+shares the walk's fusion classifier (:func:`~repro.core.fusion.fuse`),
+and stores the outcomes as numpy arrays over instruction index — the
+activity tensor that :mod:`repro.fastsim.replay` consumes.
+
+The walk interleaves every structure in one per-access loop; the memory
+pass instead walks each structure once, in one batched call, because the
+structures share no state:
+
+* the L1I sees only fetches and the L1D only data accesses, so each
+  one's hit mask depends on its own stream alone;
+* the L2, the L3 and the prefetcher see only L1 misses, in walk order
+  (per decode group: its fetches, then its data accesses);
+* the ERAT and the TLB see only translations, in walk order: a fetch
+  translates on an L1I miss, a data access on an L1D miss (on every
+  access when the L1s are RA-tagged).
+
+Each structure sees exactly the sequence the walk would give it, so the
+outcomes are the walk's; numpy scatters them back to instructions.
 
 Extraction runs four sub-passes, each depending on only part of the
 config:
@@ -38,7 +52,7 @@ event counts against the walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +62,7 @@ from ..core.config import CoreConfig
 from ..core.fusion import EFFECT_BY_CODE, fuse
 from ..core.isa import (ACC_BASE, BASE_LATENCY, CLASS_CODE, CLASS_ORDER,
                         InstrClass, TraceColumns)
-from ..core.tlb import MMU
+from ..core.tlb import MMU, PAGE_BYTES
 from ..errors import SimulationError
 from ..workloads.trace import columns_of
 
@@ -103,7 +117,7 @@ class FusionPass:
 
 @dataclass
 class MemoryPass:
-    """Cache/TLB outcomes from one interleaved hierarchy walk."""
+    """Cache/TLB outcomes from one batched walk per structure."""
 
     newline: np.ndarray        # bool: I-cache access (new 32B sector)
     ic_miss: np.ndarray        # bool: I-cache miss
@@ -267,91 +281,68 @@ def _memory_pass(static: StaticPass, wrong: np.ndarray, fus: FusionPass,
 
     access_store = static.is_store & ~merged & ~skip
 
-    # ---- the one serial walk: caches + MMU in pipeline order ----------
+    # ---- one batched walk per structure --------------------------------
     hier = CacheHierarchy(config.hierarchy)
     mcfg = config.mmu
     mmu = MMU(mcfg.erat_entries, mcfg.tlb_entries,
               mcfg.tlb_latency, mcfg.walk_latency)
-    access_instruction = hier.access_instruction
-    access_data = hier.access_data
-    translate = mmu.translate
-    pcs = memoryview(static.pc)
-    addrs = memoryview(static.addr)
-    load_l = static.is_load.tolist()
+    geo = config.hierarchy
+    fetch_at = np.flatnonzero(newline)
+    data_at = np.flatnonzero(static.is_load | access_store)
+    data_addr = static.addr[data_at]
+    ic_at = fetch_at[hier.l1i.access_lines(
+        (static.pc[fetch_at] // geo.l1i.line_bytes).tolist())]
+    n_ic = len(ic_at)
+    dm_pos = hier.l1d.access_lines(
+        (data_addr // geo.l1d.line_bytes).tolist())
+    dm_at = data_at[dm_pos]
 
-    gstall = np.zeros(n_groups, dtype=np.int64)
-    load_delay = np.zeros(n, dtype=np.int32)
-    load_miss = np.zeros(n, dtype=bool)
-    store_miss = np.zeros(n, dtype=bool)
+    # L2/L3 and the prefetcher: the L1 misses in walk order
+    miss_at = np.concatenate([ic_at, dm_at])
+    order = _walk_order(miss_at, n_ic, decode_w)
+    level = np.empty(len(miss_at), dtype=np.int8)
+    level[order] = hier.lower_walk(
+        np.concatenate([static.pc[ic_at], data_addr[dm_pos]])[order]
+        .tolist())
+    miss_lat = np.array(hier.lower_latency, dtype=np.int64)[level]
+
+    # ERAT/TLB: fetches translate on an I-cache miss; data accesses on
+    # an L1D miss, or always when the L1s are RA-tagged
+    xl_at, xl_addr = (dm_at, data_addr[dm_pos]) if ea_tagged \
+        else (data_at, data_addr)
+    tr_at = np.concatenate([ic_at, xl_at])
+    order = _walk_order(tr_at, n_ic, decode_w)
+    pages = np.concatenate([static.pc[ic_at], xl_addr]) // PAGE_BYTES
+    erat_pos, walk_pos = mmu.translate_pages(pages[order].tolist())
+    erat_missed = order[erat_pos]
+    walked = order[walk_pos]
+    extra = np.zeros(len(tr_at), dtype=np.int64)
+    extra[erat_missed] = mcfg.tlb_latency
+    extra[walked] += mcfg.walk_latency
+    erat_miss = np.bincount(tr_at[erat_missed], minlength=n) \
+        .astype(np.int8)
+    tlb_miss = np.bincount(tr_at[walked], minlength=n).astype(np.int8)
+
+    # scatter: fetch stalls per group, data outcomes per instruction
     ic_miss = np.zeros(n, dtype=bool)
-    erat_miss_at: List[int] = []   # one entry per missing translate
-    tlb_miss_at: List[int] = []
-    dm_idx: List[int] = []         # data misses, with service level
-    dm_lvl: List[str] = []
+    ic_miss[ic_at] = True
+    gstall = np.bincount(ic_at // decode_w,
+                         weights=miss_lat[:n_ic] + extra[:n_ic],
+                         minlength=n_groups).astype(np.int64)
+    data_miss = np.zeros(n, dtype=bool)
+    data_miss[dm_at] = True
+    load_miss = data_miss & static.is_load
+    store_miss = data_miss & static.is_store
+    delay = np.zeros(n, dtype=np.int64)
+    delay[data_at] = geo.l1d.latency
+    delay[dm_at] = miss_lat[n_ic:]
+    delay[xl_at] += extra[n_ic:]
+    load_delay = np.where(static.is_load, delay, 0).astype(np.int32)
+    dm_l3 = np.zeros(n, dtype=bool)
+    dm_l3[dm_at] = level[n_ic:] >= 1
+    dm_mem = np.zeros(n, dtype=bool)
+    dm_mem[dm_at] = level[n_ic:] == 2
 
-    fetch_i = np.flatnonzero(newline).tolist()
-    data_i = np.flatnonzero(static.is_load | access_store).tolist()
-    nf, nd = len(fetch_i), len(data_i)
-    fp = dp = 0
-    g = 0
-    for s in range(0, n, decode_w):
-        e = s + decode_w
-        if e > n:
-            e = n
-        stall = 0
-        while fp < nf and fetch_i[fp] < e:
-            i = fetch_i[fp]
-            fp += 1
-            res = access_instruction(pcs[i])
-            if not res.l1_hit:
-                ic_miss[i] = True
-                tr = translate(pcs[i])
-                if not tr.erat_hit:
-                    erat_miss_at.append(i)
-                    if not tr.tlb_hit:
-                        tlb_miss_at.append(i)
-                stall += res.latency + tr.extra_latency
-        if stall:
-            gstall[g] = stall
-        g += 1
-        while dp < nd and data_i[dp] < e:
-            i = data_i[dp]
-            dp += 1
-            res = access_data(addrs[i])
-            hit = res.l1_hit
-            if load_l[i]:
-                extra = 0
-                if not ea_tagged or not hit:
-                    tr = translate(addrs[i])
-                    if not tr.erat_hit:
-                        erat_miss_at.append(i)
-                        if not tr.tlb_hit:
-                            tlb_miss_at.append(i)
-                        extra = tr.extra_latency
-                load_delay[i] = res.latency + extra
-                if not hit:
-                    load_miss[i] = True
-                    dm_idx.append(i)
-                    dm_lvl.append(res.level)
-            else:
-                if not ea_tagged or not hit:
-                    tr = translate(addrs[i])
-                    if not tr.erat_hit:
-                        erat_miss_at.append(i)
-                        if not tr.tlb_hit:
-                            tlb_miss_at.append(i)
-                if not hit:
-                    store_miss[i] = True
-                    dm_idx.append(i)
-                    dm_lvl.append(res.level)
-
-    # translation event tensors
-    erat_miss = np.zeros(n, dtype=np.int8)
-    if erat_miss_at:
-        np.add.at(erat_miss, erat_miss_at, 1)
-    tlb_miss = np.zeros(n, dtype=np.int8)
-    if tlb_miss_at:
-        np.add.at(tlb_miss, tlb_miss_at, 1)
     # erat_lookup policy: RA-tagged L1s translate on every access,
     # EA-tagged only on an L1 miss (I-side lookups follow the same
     # policy but the I-side RA lookup is counted per access, miss or
@@ -366,15 +357,6 @@ def _memory_pass(static: StaticPass, wrong: np.ndarray, fus: FusionPass,
         erat_lookup += static.is_load
         erat_lookup += access_store
 
-    dm_l3 = np.zeros(n, dtype=bool)
-    dm_mem = np.zeros(n, dtype=bool)
-    for i, lvl in zip(dm_idx, dm_lvl):
-        if lvl == "l3":
-            dm_l3[i] = True
-        elif lvl == "mem":
-            dm_l3[i] = True
-            dm_mem[i] = True
-
     return MemoryPass(
         newline=newline, ic_miss=ic_miss, gstall=gstall,
         erat_lookup=erat_lookup, erat_miss=erat_miss, tlb_miss=tlb_miss,
@@ -385,6 +367,14 @@ def _memory_pass(static: StaticPass, wrong: np.ndarray, fus: FusionPass,
         l2_miss_rate=hier.l2.miss_rate,
         pf_issued=hier.prefetcher.issued,
         pf_useful=hier.prefetcher.useful)
+
+
+def _walk_order(at: np.ndarray, n_fetch: int, decode_w: int) -> np.ndarray:
+    """The walk's order of accesses at instructions ``at``, whose first
+    ``n_fetch`` entries are fetches and the rest data accesses (each part
+    ascending): per decode group, its fetches and then its data."""
+    data = np.arange(len(at)) >= n_fetch
+    return np.lexsort((at, data, at // decode_w))
 
 
 # --------------------------------------------------------------------------

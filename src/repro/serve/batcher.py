@@ -59,10 +59,11 @@ def future_meta(fut: "asyncio.Future"):
     return getattr(fut, _DETACH_ATTR, (None, None))
 
 
-def _mark_retrieved(fut: "asyncio.Future") -> None:
-    # A waiter that timed out (deadline) abandons its shielded future;
-    # touching the exception here keeps asyncio from logging
-    # "exception was never retrieved" for a result nobody consumed.
+def mark_retrieved(fut: "asyncio.Future") -> None:
+    """Done callback for a future its waiter may abandon (a deadline,
+    a cancelled handler): touching the exception keeps asyncio from
+    logging "exception was never retrieved" for a result nobody
+    consumed."""
     if not fut.cancelled():
         fut.exception()
 
@@ -123,7 +124,7 @@ class MicroBatcher:
         fut = self._inflight.get(task.key)
         if fut is None:
             fut = asyncio.get_running_loop().create_future()
-            fut.add_done_callback(_mark_retrieved)
+            fut.add_done_callback(mark_retrieved)
             self._inflight[task.key] = fut
             self._deadlines[task.key] = deadline_s
             self._pending.append(task)

@@ -53,7 +53,7 @@ from ..obs.tracing import span as _obs_span
 from . import protocol
 from .admission import (AdmissionController, CircuitBreaker,
                         ProxyFastPath, TokenBucket)
-from .batcher import MicroBatcher
+from .batcher import MicroBatcher, mark_retrieved
 from .http import (MAX_BODY_BYTES, MAX_HEADERS, FrontEnd, Response,
                    ThreadHost)
 from .slo import SloTracker
@@ -332,12 +332,16 @@ class ReproServer(FrontEnd):
             tasks = [sim_task(self._configs[g], t, tags=_task_tags(),
                               trace_fingerprint=fp)
                      for g in generations for t, fp in built]
+            gathered = asyncio.gather(*[
+                self.batcher.submit(t, deadline_s=deadline_s)
+                for t in tasks])
+            # wait_for cancels the gather when the deadline fires or
+            # this handler is cancelled, and in the latter case never
+            # reads the CancelledError the gather then holds
+            gathered.add_done_callback(mark_retrieved)
             try:
-                payloads = await asyncio.wait_for(
-                    asyncio.gather(*[
-                        self.batcher.submit(t, deadline_s=deadline_s)
-                        for t in tasks]),
-                    timeout=deadline_s)
+                payloads = await asyncio.wait_for(gathered,
+                                                  timeout=deadline_s)
             except (asyncio.TimeoutError, DeadlineError):
                 breaker.record_failure()
                 body = await self._degraded_compare(req, "deadline")

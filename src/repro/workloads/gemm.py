@@ -15,18 +15,23 @@ DGEMM/SGEMM; the difference is the code generation target:
 
 The paper measures "multiple 5K cycle windows" of the kernel steady
 state; :func:`repro.workloads.trace.Trace.windows` provides the
-slicing.
+slicing.  Each kernel is one k-step body tiled over its iterations, with
+the panel addresses computed as arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+
+import numpy as np
 
 from ..core.isa import (ACC_BASE, GPR_BASE, Instruction, InstrClass,
                         VSR_BASE)
 from ..errors import TraceError
-from .trace import Trace
+from .trace import Trace, loop_columns, shift_addresses
+
+#: the A and B panels wrap within this many bytes
+_PANEL_BYTES = 32 * 1024
 
 _FLOPS_PER_FMA = {"fp64": 4, "fp32": 8}       # 128-bit FMA, 2 FLOPs/lane
 _FLOPS_PER_GER = {"fp64": 16, "fp32": 32}     # 4x2 / 4x4 rank-1 tiles
@@ -84,49 +89,51 @@ def dgemm_vsu_trace(k_iterations: int, shape: VsuKernelShape = None,
     ptr_a, ptr_b = GPR_BASE + 3, GPR_BASE + 4
     a_base, b_base = 0x3000000, 0x3800000
 
-    instrs: List[Instruction] = []
     vec_bytes = min(16, max_load_bytes)
-    for k in range(k_iterations):
-        pc = 0x5000
-        a_addr = a_base + (k * shape.mr * elem) % (32 * 1024)
-        b_addr = b_base + (k * shape.nr * elem) % (32 * 1024)
-        for i, reg in enumerate(a_regs):
-            instrs.append(Instruction(
-                iclass=InstrClass.VSX_LOAD, dests=(reg,), srcs=(ptr_a,),
-                address=a_addr + i * vec_bytes, size=vec_bytes,
-                pc=pc + 4 * i))
-        for i, reg in enumerate(b_load_regs):
-            instrs.append(Instruction(
-                iclass=InstrClass.VSX_LOAD, dests=(reg,), srcs=(ptr_b,),
-                address=b_addr + i * vec_bytes, size=vec_bytes,
-                pc=pc + 0x20 + 4 * i))
-        # splat each B element across lanes (consumes a VSX slot)
-        for j in range(shape.nr):
-            src = b_load_regs[j // lanes]
-            instrs.append(Instruction(
-                iclass=InstrClass.VSX, dests=(b_splat_regs[j],),
-                srcs=(src,), pc=pc + 0x40 + 4 * j))
-        # FMAs: C[i,j] += A[i] * Bsplat[j]
-        reg_idx = 0
-        for j in range(shape.nr):
-            for i in range(shape.mr // lanes):
-                c = c_regs[reg_idx]
-                instrs.append(Instruction(
-                    iclass=InstrClass.VSX, dests=(c,),
-                    srcs=(c, a_regs[i], b_splat_regs[j]),
-                    pc=pc + 0x80 + 4 * reg_idx, flops=flops))
-                reg_idx += 1
-        # loop overhead: pointer bumps + count + branch
-        instrs.append(Instruction(
-            iclass=InstrClass.FX, dests=(ptr_a,), srcs=(ptr_a,),
-            pc=pc + 0x140))
-        instrs.append(Instruction(
-            iclass=InstrClass.FX, dests=(ptr_b,), srcs=(ptr_b,),
-            pc=pc + 0x144))
-        instrs.append(Instruction(
-            iclass=InstrClass.BRANCH, pc=pc + 0x148,
-            taken=k != k_iterations - 1, target=pc))
-    return Trace(name=name, instructions=instrs, suite="gemm",
+    pc = 0x5000
+    body = []
+    for i, reg in enumerate(a_regs):
+        body.append(Instruction(
+            iclass=InstrClass.VSX_LOAD, dests=(reg,), srcs=(ptr_a,),
+            address=a_base + i * vec_bytes, size=vec_bytes, pc=pc + 4 * i))
+    for i, reg in enumerate(b_load_regs):
+        body.append(Instruction(
+            iclass=InstrClass.VSX_LOAD, dests=(reg,), srcs=(ptr_b,),
+            address=b_base + i * vec_bytes, size=vec_bytes,
+            pc=pc + 0x20 + 4 * i))
+    # splat each B element across lanes (consumes a VSX slot)
+    for j in range(shape.nr):
+        src = b_load_regs[j // lanes]
+        body.append(Instruction(
+            iclass=InstrClass.VSX, dests=(b_splat_regs[j],),
+            srcs=(src,), pc=pc + 0x40 + 4 * j))
+    # FMAs: C[i,j] += A[i] * Bsplat[j]
+    reg_idx = 0
+    for j in range(shape.nr):
+        for i in range(shape.mr // lanes):
+            c = c_regs[reg_idx]
+            body.append(Instruction(
+                iclass=InstrClass.VSX, dests=(c,),
+                srcs=(c, a_regs[i], b_splat_regs[j]),
+                pc=pc + 0x80 + 4 * reg_idx, flops=flops))
+            reg_idx += 1
+    # loop overhead: pointer bumps + count + branch
+    body.append(Instruction(
+        iclass=InstrClass.FX, dests=(ptr_a,), srcs=(ptr_a,),
+        pc=pc + 0x140))
+    body.append(Instruction(
+        iclass=InstrClass.FX, dests=(ptr_b,), srcs=(ptr_b,),
+        pc=pc + 0x144))
+    body.append(Instruction(
+        iclass=InstrClass.BRANCH, pc=pc + 0x148, taken=True, target=pc))
+    columns, k = loop_columns(body, k_iterations)
+    # per k step the A panel advances mr elements, the B panel nr
+    panel_step = _panel_step(len(body), [shape.mr * elem] * len(a_regs)
+                             + [shape.nr * elem] * len(b_load_regs))
+    step = np.arange(len(k)) % len(body)
+    columns = shift_addresses(columns,
+                              k * panel_step[step] % _PANEL_BYTES)
+    return Trace(name=name, columns=columns, suite="gemm",
                  metadata={"kernel": "vsu", "dtype": shape.dtype,
                            "k": k_iterations,
                            "flops_per_iter": shape.mr * shape.nr * 2})
@@ -154,53 +161,67 @@ def dgemm_mma_trace(k_iterations: int, shape: MmaKernelShape = None,
     ptr_a, ptr_b = GPR_BASE + 3, GPR_BASE + 4
     a_base, b_base = 0x3000000, 0x3800000
 
-    instrs: List[Instruction] = []
-    for k in range(k_iterations):
-        pc = 0x6000
-        a_addr = a_base + (k * a_bytes) % (32 * 1024)
-        b_addr = b_base + (k * b_bytes) % (32 * 1024)
-        for i, reg in enumerate(a_regs):
-            instrs.append(Instruction(
-                iclass=InstrClass.VSX_LOAD, dests=(reg,), srcs=(ptr_a,),
-                address=a_addr + i * max_load_bytes,
-                size=max_load_bytes, pc=pc + 4 * i))
-        for i, reg in enumerate(b_regs):
-            instrs.append(Instruction(
-                iclass=InstrClass.VSX_LOAD, dests=(reg,), srcs=(ptr_b,),
-                address=b_addr + i * max_load_bytes,
-                size=max_load_bytes, pc=pc + 0x20 + 4 * i))
-        for n, acc in enumerate(accs):
-            a_src = a_regs[n % len(a_regs)]
-            b_src = b_regs[n % len(b_regs)]
-            instrs.append(Instruction(
-                iclass=InstrClass.MMA, dests=(acc,),
-                srcs=(acc, a_src, b_src),
-                pc=pc + 0x40 + 4 * n, flops=flops))
-        instrs.append(Instruction(
-            iclass=InstrClass.FX, dests=(ptr_a,), srcs=(ptr_a,),
-            pc=pc + 0x80))
-        instrs.append(Instruction(
-            iclass=InstrClass.FX, dests=(ptr_b,), srcs=(ptr_b,),
-            pc=pc + 0x84))
-        instrs.append(Instruction(
-            iclass=InstrClass.BRANCH, pc=pc + 0x88,
-            taken=k != k_iterations - 1, target=pc))
-        # drain accumulators to memory at panel boundaries
-        if (k + 1) % store_period == 0 or k == k_iterations - 1:
-            for n, acc in enumerate(accs):
-                vsr = VSR_BASE + n
-                instrs.append(Instruction(
-                    iclass=InstrClass.MMA_MOVE, dests=(vsr,), srcs=(acc,),
-                    pc=pc + 0x100 + 8 * n))
-                instrs.append(Instruction(
-                    iclass=InstrClass.VSX_STORE, srcs=(vsr,),
-                    address=0x4000000 + n * 64, size=32,
-                    pc=pc + 0x104 + 8 * n))
-    return Trace(name=name, instructions=instrs, suite="gemm",
+    pc = 0x6000
+    loop = []
+    for i, reg in enumerate(a_regs):
+        loop.append(Instruction(
+            iclass=InstrClass.VSX_LOAD, dests=(reg,), srcs=(ptr_a,),
+            address=a_base + i * max_load_bytes,
+            size=max_load_bytes, pc=pc + 4 * i))
+    for i, reg in enumerate(b_regs):
+        loop.append(Instruction(
+            iclass=InstrClass.VSX_LOAD, dests=(reg,), srcs=(ptr_b,),
+            address=b_base + i * max_load_bytes,
+            size=max_load_bytes, pc=pc + 0x20 + 4 * i))
+    for n, acc in enumerate(accs):
+        a_src = a_regs[n % len(a_regs)]
+        b_src = b_regs[n % len(b_regs)]
+        loop.append(Instruction(
+            iclass=InstrClass.MMA, dests=(acc,),
+            srcs=(acc, a_src, b_src),
+            pc=pc + 0x40 + 4 * n, flops=flops))
+    loop.append(Instruction(
+        iclass=InstrClass.FX, dests=(ptr_a,), srcs=(ptr_a,),
+        pc=pc + 0x80))
+    loop.append(Instruction(
+        iclass=InstrClass.FX, dests=(ptr_b,), srcs=(ptr_b,),
+        pc=pc + 0x84))
+    loop.append(Instruction(
+        iclass=InstrClass.BRANCH, pc=pc + 0x88, taken=True, target=pc))
+    # drain accumulators to memory at panel boundaries
+    drain = []
+    for n, acc in enumerate(accs):
+        vsr = VSR_BASE + n
+        drain.append(Instruction(
+            iclass=InstrClass.MMA_MOVE, dests=(vsr,), srcs=(acc,),
+            pc=pc + 0x100 + 8 * n))
+        drain.append(Instruction(
+            iclass=InstrClass.VSX_STORE, srcs=(vsr,),
+            address=0x4000000 + n * 64, size=32,
+            pc=pc + 0x104 + 8 * n))
+    body = loop + drain
+    columns, k = loop_columns(body, k_iterations)
+    step = np.arange(len(k)) % len(body)
+    drained = ((k + 1) % store_period == 0) | (k == k_iterations - 1)
+    keep = np.flatnonzero((step < len(loop)) | drained)
+    panel_step = _panel_step(len(body), [a_bytes] * len(a_regs)
+                             + [b_bytes] * len(b_regs))
+    columns = shift_addresses(
+        columns.take(keep),
+        k[keep] * panel_step[step[keep]] % _PANEL_BYTES)
+    return Trace(name=name, columns=columns, suite="gemm",
                  metadata={"kernel": "mma", "dtype": shape.dtype,
                            "k": k_iterations,
                            "flops_per_iter": (shape.accumulators
                                               * flops)})
+
+
+def _panel_step(body_len: int, load_steps) -> np.ndarray:
+    """How far each row of a body moves its address per k step: the body
+    opens with its panel loads (``load_steps``); no other row moves."""
+    out = np.zeros(body_len, dtype=np.int64)
+    out[:len(load_steps)] = load_steps
+    return out
 
 
 def gemm_instruction_estimate(m: int, n: int, k: int, *, dtype: str,

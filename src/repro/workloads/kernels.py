@@ -2,16 +2,15 @@
 
 Small, steady-state loops with exactly known instruction patterns —
 useful as sanity anchors for the timing model and as additional proxy
-coverage alongside the synthetic workloads.
+coverage alongside the synthetic workloads.  Each is one loop body tiled
+over its iterations, with the addresses computed as arrays.
 """
 
 from __future__ import annotations
 
-from typing import List
-
 from ..core.isa import GPR_BASE, Instruction, InstrClass, VSR_BASE
 from ..errors import TraceError
-from .trace import Trace
+from .trace import Trace, loop_columns, shift_addresses
 
 
 def daxpy_trace(iterations: int, *, vectorized: bool = True,
@@ -19,56 +18,36 @@ def daxpy_trace(iterations: int, *, vectorized: bool = True,
     """``y[i] += a * x[i]`` over a streaming footprint."""
     if iterations <= 0:
         raise TraceError("iterations must be positive")
-    instrs: List[Instruction] = []
     ptr_x, ptr_y = GPR_BASE + 3, GPR_BASE + 4
     x_base, y_base = 0x3000000, 0x3400000
     if vectorized:
-        vx, vy, va = VSR_BASE + 1, VSR_BASE + 2, VSR_BASE + 0
-        for i in range(iterations):
-            pc = 0x5000
-            addr_x = x_base + i * 16
-            addr_y = y_base + i * 16
-            instrs.append(Instruction(
-                iclass=InstrClass.VSX_LOAD, dests=(vx,), srcs=(ptr_x,),
-                address=addr_x, size=16, pc=pc))
-            instrs.append(Instruction(
-                iclass=InstrClass.VSX_LOAD, dests=(vy,), srcs=(ptr_y,),
-                address=addr_y, size=16, pc=pc + 4))
-            instrs.append(Instruction(
-                iclass=InstrClass.VSX, dests=(vy,), srcs=(vy, va, vx),
-                pc=pc + 8, flops=4))
-            instrs.append(Instruction(
-                iclass=InstrClass.VSX_STORE, srcs=(vy,),
-                address=addr_y, size=16, pc=pc + 12))
-            instrs.append(Instruction(
-                iclass=InstrClass.FX, dests=(ptr_x,), srcs=(ptr_x,),
-                pc=pc + 16))
-            instrs.append(Instruction(
-                iclass=InstrClass.BRANCH, pc=pc + 20,
-                taken=i != iterations - 1, target=pc))
+        pc, step = 0x5000, 16
+        x, y, a = VSR_BASE + 1, VSR_BASE + 2, VSR_BASE + 0
+        load, fma, store = (InstrClass.VSX_LOAD, InstrClass.VSX,
+                            InstrClass.VSX_STORE)
+        fma_srcs, fma_flops = (y, a, x), 4
     else:
-        fx, fy = GPR_BASE + 10, GPR_BASE + 11
-        for i in range(iterations):
-            pc = 0x5100
-            instrs.append(Instruction(
-                iclass=InstrClass.LOAD, dests=(fx,), srcs=(ptr_x,),
-                address=x_base + i * 8, size=8, pc=pc))
-            instrs.append(Instruction(
-                iclass=InstrClass.LOAD, dests=(fy,), srcs=(ptr_y,),
-                address=y_base + i * 8, size=8, pc=pc + 4))
-            instrs.append(Instruction(
-                iclass=InstrClass.FP, dests=(fy,), srcs=(fy, fx),
-                pc=pc + 8, flops=2))
-            instrs.append(Instruction(
-                iclass=InstrClass.STORE, srcs=(fy,),
-                address=y_base + i * 8, size=8, pc=pc + 12))
-            instrs.append(Instruction(
-                iclass=InstrClass.FX, dests=(ptr_x,), srcs=(ptr_x,),
-                pc=pc + 16))
-            instrs.append(Instruction(
-                iclass=InstrClass.BRANCH, pc=pc + 20,
-                taken=i != iterations - 1, target=pc))
-    return Trace(name=name, instructions=instrs, suite="kernels",
+        pc, step = 0x5100, 8
+        x, y = GPR_BASE + 10, GPR_BASE + 11
+        load, fma, store = InstrClass.LOAD, InstrClass.FP, InstrClass.STORE
+        fma_srcs, fma_flops = (y, x), 2
+    body = [
+        Instruction(iclass=load, dests=(x,), srcs=(ptr_x,),
+                    address=x_base, size=step, pc=pc),
+        Instruction(iclass=load, dests=(y,), srcs=(ptr_y,),
+                    address=y_base, size=step, pc=pc + 4),
+        Instruction(iclass=fma, dests=(y,), srcs=fma_srcs, pc=pc + 8,
+                    flops=fma_flops),
+        Instruction(iclass=store, srcs=(y,), address=y_base, size=step,
+                    pc=pc + 12),
+        Instruction(iclass=InstrClass.FX, dests=(ptr_x,), srcs=(ptr_x,),
+                    pc=pc + 16),
+        Instruction(iclass=InstrClass.BRANCH, pc=pc + 20, taken=True,
+                    target=pc),
+    ]
+    columns, it = loop_columns(body, iterations)
+    return Trace(name=name, columns=shift_addresses(columns, it * step),
+                 suite="kernels",
                  metadata={"kernel": "daxpy", "vectorized": vectorized})
 
 
@@ -77,32 +56,27 @@ def stream_triad_trace(iterations: int,
     """``a[i] = b[i] + s * c[i]`` — memory-bandwidth bound."""
     if iterations <= 0:
         raise TraceError("iterations must be positive")
-    instrs: List[Instruction] = []
     ptr = GPR_BASE + 3
     vb, vc, va = VSR_BASE + 1, VSR_BASE + 2, VSR_BASE + 3
-    for i in range(iterations):
-        pc = 0x5200
-        # long strides defeat the L1/L2 on purpose
-        stride = i * 128
-        instrs.append(Instruction(
-            iclass=InstrClass.VSX_LOAD, dests=(vb,), srcs=(ptr,),
-            address=0x8000000 + stride, size=16, pc=pc))
-        instrs.append(Instruction(
-            iclass=InstrClass.VSX_LOAD, dests=(vc,), srcs=(ptr,),
-            address=0xA000000 + stride, size=16, pc=pc + 4))
-        instrs.append(Instruction(
-            iclass=InstrClass.VSX, dests=(va,), srcs=(vb, vc),
-            pc=pc + 8, flops=4))
-        instrs.append(Instruction(
-            iclass=InstrClass.VSX_STORE, srcs=(va,),
-            address=0xC000000 + stride, size=16, pc=pc + 12))
-        instrs.append(Instruction(
-            iclass=InstrClass.FX, dests=(ptr,), srcs=(ptr,), pc=pc + 16))
-        instrs.append(Instruction(
-            iclass=InstrClass.BRANCH, pc=pc + 20,
-            taken=i != iterations - 1, target=pc))
-    return Trace(name=name, instructions=instrs, suite="kernels",
-                 metadata={"kernel": "stream-triad"})
+    pc = 0x5200
+    body = [
+        Instruction(iclass=InstrClass.VSX_LOAD, dests=(vb,), srcs=(ptr,),
+                    address=0x8000000, size=16, pc=pc),
+        Instruction(iclass=InstrClass.VSX_LOAD, dests=(vc,), srcs=(ptr,),
+                    address=0xA000000, size=16, pc=pc + 4),
+        Instruction(iclass=InstrClass.VSX, dests=(va,), srcs=(vb, vc),
+                    pc=pc + 8, flops=4),
+        Instruction(iclass=InstrClass.VSX_STORE, srcs=(va,),
+                    address=0xC000000, size=16, pc=pc + 12),
+        Instruction(iclass=InstrClass.FX, dests=(ptr,), srcs=(ptr,),
+                    pc=pc + 16),
+        Instruction(iclass=InstrClass.BRANCH, pc=pc + 20, taken=True,
+                    target=pc),
+    ]
+    columns, it = loop_columns(body, iterations)
+    # long strides defeat the L1/L2 on purpose
+    return Trace(name=name, columns=shift_addresses(columns, it * 128),
+                 suite="kernels", metadata={"kernel": "stream-triad"})
 
 
 def pointer_chase_trace(iterations: int, *, working_set: int = 8 << 20,
@@ -110,18 +84,20 @@ def pointer_chase_trace(iterations: int, *, working_set: int = 8 << 20,
     """Serial dependent loads over a large footprint (latency bound)."""
     if iterations <= 0:
         raise TraceError("iterations must be positive")
-    instrs: List[Instruction] = []
     reg = GPR_BASE + 5
-    addr = 0x9000000
+    base, pc = 0x9000000, 0x5300
     step = 64 * 1021            # co-prime walk over the working set
-    for i in range(iterations):
-        pc = 0x5300
-        addr = 0x9000000 + (addr + step) % working_set
-        instrs.append(Instruction(
-            iclass=InstrClass.LOAD, dests=(reg,), srcs=(reg,),
-            address=addr, size=8, pc=pc))
-        instrs.append(Instruction(
-            iclass=InstrClass.BRANCH, pc=pc + 4,
-            taken=i != iterations - 1, target=pc))
-    return Trace(name=name, instructions=instrs, suite="kernels",
-                 metadata={"kernel": "pointer-chase"})
+    body = [
+        Instruction(iclass=InstrClass.LOAD, dests=(reg,), srcs=(reg,),
+                    address=base, size=8, pc=pc),
+        Instruction(iclass=InstrClass.BRANCH, pc=pc + 4, taken=True,
+                    target=pc),
+    ]
+    columns, it = loop_columns(body, iterations)
+    # address_i = base + (address_{i-1} + step) % working_set, starting
+    # from address_{-1} = base, is base + (i + 1) * stride % working_set
+    # (stride <= base + step, so the product fits in int64)
+    stride = (base + step) % working_set
+    offset = (it + 1) * stride % working_set
+    return Trace(name=name, columns=shift_addresses(columns, offset),
+                 suite="kernels", metadata={"kernel": "pointer-chase"})

@@ -11,7 +11,9 @@ Two roles, mirroring the paper's workload machinery:
   zero/random`` suites): fixed dependency distance (DD), chosen data
   values, single instruction class emphasis.
 
-Generation is deterministic given the seed.
+Generation is deterministic given the seed.  Both write trace columns
+directly: :func:`generate` appends each field to a list, in its fixed rng
+draw order; :func:`microbenchmark` tiles one 64-instruction body.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.isa import (GPR_BASE, Instruction, InstrClass, NUM_GPRS,
-                        VSR_BASE)
+from ..core.isa import (CLASS_CODE, GPR_BASE, Instruction, InstrClass,
+                        NUM_GPRS, TraceColumns, VSR_BASE)
 from ..errors import TraceError
-from .trace import Trace, merge_smt
+from .trace import Trace, merge_smt, shift_addresses
 
 # Default instruction mix loosely matching SPECint averages.
 DEFAULT_MIX: Dict[InstrClass, float] = {
@@ -182,7 +184,6 @@ def generate(spec: WorkloadSpec) -> Trace:
 
     code_lines = max(1, spec.code_bytes // 32)
     hot_lines = max(1, min(code_lines, spec.code_hot_bytes // 32))
-    instrs: List[Instruction] = []
     pc_line = 0
     # long-lived base registers (stack/frame/loop-invariant pointers):
     # roots of most dependence chains in compiled code
@@ -203,6 +204,18 @@ def generate(spec: WorkloadSpec) -> Trace:
         indirect_sites.append((site_pc, targets, alternating))
     indirect_counters = [0] * len(indirect_sites)
 
+    class_codes = [CLASS_CODE[cls] for cls in classes]
+    # one list per column; address and target are -1 for none
+    codes: List[int] = []
+    pcs: List[int] = []
+    addresses: List[int] = []
+    sizes: List[int] = []
+    takens: List[bool] = []
+    branch_targets: List[int] = []
+    flop_counts: List[int] = []
+    src_regs: List[tuple] = []
+    dest_regs: List[tuple] = []
+    draws = draws.tolist()
     for i in range(spec.instructions):
         iclass = classes[draws[i]]
         # walk the code footprint; branches jump within it
@@ -223,11 +236,12 @@ def generate(spec: WorkloadSpec) -> Trace:
                 other = int(rng.integers(0, strands))
                 srcs.append(strand_last[other])
 
+        dests = (dest,)
+        address, size, taken, target, flops = -1, 0, False, -1, 0
         if iclass is InstrClass.BRANCH:
-            bpc, taken = branches.next()
-            instr = Instruction(iclass=iclass, srcs=tuple(srcs[:1]),
-                                taken=taken, pc=bpc,
-                                target=bpc + (64 if taken else 4))
+            pc, taken = branches.next()
+            srcs, dests = srcs[:1], ()
+            target = pc + (64 if taken else 4)
             if taken:
                 # control transfers land in the hot code region most of
                 # the time; occasional cold transfers touch the rest
@@ -237,44 +251,50 @@ def generate(spec: WorkloadSpec) -> Trace:
                     pc_line = int(rng.integers(0, code_lines))
         elif iclass is InstrClass.BRANCH_IND:
             site = int(rng.integers(0, len(indirect_sites)))
-            site_pc, targets, alternating = indirect_sites[site]
+            pc, targets, alternating = indirect_sites[site]
             indirect_counters[site] += 1
             if alternating:
-                tgt = targets[indirect_counters[site] % len(targets)]
+                target = targets[indirect_counters[site] % len(targets)]
             elif rng.random() < 0.9:
-                tgt = targets[0]
+                target = targets[0]
             else:
-                tgt = targets[int(rng.integers(1, len(targets)))]
-            instr = Instruction(iclass=iclass, srcs=tuple(srcs[:1]),
-                                taken=True, pc=site_pc, target=tgt)
+                target = targets[int(rng.integers(1, len(targets)))]
+            srcs, dests, taken = srcs[:1], (), True
         elif iclass in (InstrClass.LOAD, InstrClass.VSX_LOAD):
             size = 16 if iclass is InstrClass.VSX_LOAD else 8
             if rng.random() < spec.pointer_chase_fraction:
                 addr_src = strand_last[strand]  # address from a result
             else:
                 addr_src = base_regs[int(rng.integers(0, len(base_regs)))]
-            instr = Instruction(iclass=iclass, dests=(dest,),
-                                srcs=(addr_src,),
-                                address=addr.next(size), size=size, pc=pc)
+            srcs = [addr_src]
+            address = addr.next(size)
         elif iclass in (InstrClass.STORE, InstrClass.VSX_STORE):
             size = 16 if iclass is InstrClass.VSX_STORE else 8
-            instr = Instruction(iclass=iclass, srcs=tuple(srcs),
-                                address=addr.next(size), size=size, pc=pc)
+            dests = ()
+            address = addr.next(size)
         elif iclass is InstrClass.VSX:
-            vdest = VSR_BASE + int(rng.integers(0, 32))
-            instr = Instruction(iclass=iclass, dests=(vdest,),
-                                srcs=tuple(srcs), pc=pc, flops=4)
+            dests = (VSR_BASE + int(rng.integers(0, 32)),)
+            flops = 4
         elif iclass is InstrClass.FP:
-            instr = Instruction(iclass=iclass, dests=(dest,),
-                                srcs=tuple(srcs), pc=pc, flops=2)
-        else:
-            instr = Instruction(iclass=iclass, dests=(dest,),
-                                srcs=tuple(srcs), pc=pc)
-        if instr.dests:
-            strand_last[strand] = instr.dests[0]
-        instrs.append(instr)
+            flops = 2
+        if dests:
+            strand_last[strand] = dests[0]
+        codes.append(class_codes[draws[i]])
+        pcs.append(pc)
+        addresses.append(address)
+        sizes.append(size)
+        takens.append(taken)
+        branch_targets.append(target)
+        flop_counts.append(flops)
+        src_regs.append(tuple(srcs))
+        dest_regs.append(dests)
 
-    return Trace(name=spec.name, instructions=instrs, suite=spec.suite,
+    columns = TraceColumns.build(
+        codes=codes, pc=pcs, address=addresses, size=sizes, taken=takens,
+        target=branch_targets, flops=flop_counts,
+        thread=np.zeros(len(codes), dtype=np.int32),
+        srcs=src_regs, dests=dest_regs)
+    return Trace(name=spec.name, columns=columns, suite=spec.suite,
                  weight=spec.weight,
                  metadata={"spec": spec.name, "seed": spec.seed})
 
@@ -285,8 +305,7 @@ def generate(spec: WorkloadSpec) -> Trace:
 
 def microbenchmark(name: str, *, dependency_distance: int = 0,
                    data_init: str = "random", instructions: int = 4000,
-                   iclass: InstrClass = InstrClass.FX,
-                   seed: int = 7) -> Trace:
+                   iclass: InstrClass = InstrClass.FX) -> Trace:
     """A directed microbenchmark with fixed dependency distance.
 
     ``dependency_distance=0`` (DD0) makes every instruction depend on the
@@ -300,21 +319,20 @@ def microbenchmark(name: str, *, dependency_distance: int = 0,
         raise TraceError("dependency distance must be 0 or 1 (DD0/DD1)")
     if data_init not in ("zero", "random"):
         raise TraceError("data_init must be 'zero' or 'random'")
-    rng = np.random.default_rng(seed)
     chains = dependency_distance + 1
     regs = [GPR_BASE + 2 + c for c in range(chains)]
-    instrs: List[Instruction] = []
-    for i in range(instructions):
-        reg = regs[i % chains]
-        pc = 0x4000 + (i % 64) * 4
-        if iclass is InstrClass.LOAD:
-            instrs.append(Instruction(
-                iclass=iclass, dests=(reg,), srcs=(reg,),
-                address=0x2000000 + (i % 512) * 8, size=8, pc=pc))
-        else:
-            instrs.append(Instruction(
-                iclass=iclass, dests=(reg,), srcs=(reg,), pc=pc))
-    return Trace(name=name, instructions=instrs, suite="microprobe",
+    # pcs cycle every 64 instructions and the chains divide that, so one
+    # 64-row body tiles the test; loads walk 512 doublewords
+    base = 0x2000000 if iclass is InstrClass.LOAD else None
+    size = 8 if iclass is InstrClass.LOAD else 0
+    body = [Instruction(iclass=iclass, dests=(regs[i % chains],),
+                        srcs=(regs[i % chains],), address=base, size=size,
+                        pc=0x4000 + i * 4)
+            for i in range(64)]
+    row = np.arange(instructions, dtype=np.int64)
+    columns = shift_addresses(TraceColumns.pack(body).take(row % 64),
+                              row % 512 * 8)
+    return Trace(name=name, columns=columns, suite="microprobe",
                  metadata={"dd": dependency_distance,
                            "data_init": data_init,
                            "iclass": iclass.value})

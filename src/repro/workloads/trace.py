@@ -4,23 +4,25 @@ A :class:`Trace` is an ordered run of dynamic instructions plus metadata
 (name, suite, weight for suite-level aggregation).  It stores the
 instructions as one :class:`~repro.core.isa.TraceColumns`: a class code,
 pc, address, size, taken, target, FLOPs and thread array, and the
-registers in CSR form.  Generators (synthetic microbenchmarks, SPECint
-proxies, GEMM kernels, AI workload layers) emit
-:class:`~repro.core.isa.Instruction` records, which the constructor packs
-once.  Every transform — windows for the 5K-cycle measurement
-methodology of Fig. 5, loop unrolling, SMT interleaving — is an array
-operation on the columns; ``trace.instructions`` builds fresh records
-only for the code that reads them one at a time.
+registers in CSR form.  Generators write those columns directly:
+fixed-body kernels (GEMM, daxpy, stressmarks) tile one loop body with
+:func:`loop_columns` and compute their addresses as arrays, and the
+synthetic generator appends each field to a list.  Every transform —
+windows for the 5K-cycle measurement methodology of Fig. 5, loop
+unrolling, SMT interleaving — is an array operation on the columns;
+``trace.instructions`` builds fresh records only for the code that reads
+them one at a time.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.isa import CLASS_ORDER, Instruction, InstrClass, TraceColumns
+from ..core.isa import (CLASS_CODE, CLASS_ORDER, Instruction, InstrClass,
+                        TraceColumns)
 from ..errors import TraceError
 
 
@@ -118,6 +120,33 @@ def merge_smt(traces: Sequence[Trace], name: str = "smt") -> Trace:
     merged = dataclasses.replace(merged, thread=tid).take(order)
     return Trace(name=name, columns=merged, suite=traces[0].suite,
                  metadata={"threads": len(traces)})
+
+
+def loop_columns(body: Sequence[Instruction], iterations: int, *,
+                 period: int = 1) -> Tuple[TraceColumns, np.ndarray]:
+    """``iterations`` iterations of a loop, tiled from ``body``: the rows
+    of ``period`` consecutive iterations (more than one when registers
+    rotate).  Returns the columns and each row's iteration number.  The
+    body's one branch per iteration closes the loop: taken, except on
+    the last iteration."""
+    columns = TraceColumns.pack(body)
+    per_iteration = len(body) // period
+    row = np.arange(iterations * per_iteration, dtype=np.int64)
+    columns = columns.take(row % len(body))
+    taken = columns.taken.copy()
+    taken[np.flatnonzero(columns.codes == _BRANCH)[-1]] = False
+    return dataclasses.replace(columns, taken=taken), row // per_iteration
+
+
+def shift_addresses(columns: TraceColumns,
+                    offset: np.ndarray) -> TraceColumns:
+    """``columns`` with every address moved by ``offset`` (one entry per
+    row); rows without an address keep none."""
+    address = np.where(columns.address < 0, -1, columns.address + offset)
+    return dataclasses.replace(columns, address=address)
+
+
+_BRANCH = CLASS_CODE[InstrClass.BRANCH]
 
 
 def columns_of(trace) -> TraceColumns:

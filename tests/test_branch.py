@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.branch import (BimodalPredictor, BranchUnit,
                                GSharePredictor, HybridPredictor,
@@ -132,3 +134,30 @@ class TestBranchUnit:
     def test_mispredict_rate_definition(self):
         unit = make_branch_unit("power9")
         assert unit.stats.mispredict_rate == 0.0
+
+
+# Training returns the prediction it replaced, so a resolved branch looks
+# its predictor up once; it must equal ``predict`` before ``update``.
+_PREDICTORS = {
+    "bimodal": lambda: BimodalPredictor(64),
+    "gshare": lambda: GSharePredictor(64, history_bits=4),
+    "hybrid": lambda: HybridPredictor(64, history_bits=4),
+    "tage": lambda: TagePredictor(64, 16, histories=(2, 4, 8)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_PREDICTORS)),
+       st.lists(st.tuples(st.sampled_from((0x4000, 0x4004, 0x4100,
+                                           0x8040)),
+                          st.booleans(), st.sampled_from((0, 1))),
+                max_size=300))
+def test_update_returns_the_prediction(kind, stream):
+    asked, trained = _PREDICTORS[kind](), _PREDICTORS[kind]()
+    for pc, taken, thread in stream:
+        predicted = asked.predict(pc, thread)
+        asked.update(pc, taken, thread)
+        assert trained.update(pc, taken, thread) == predicted
+    for pc in (0x4000, 0x4004, 0x4100, 0x8040):
+        for thread in (0, 1):
+            assert trained.predict(pc, thread) == asked.predict(pc, thread)

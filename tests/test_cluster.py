@@ -709,9 +709,13 @@ class TestCliServeFlags:
         ["loadgen", "--cluster", "--cache-dir", "tier"],
         # no server started at all: nothing would take the flag
         ["loadgen", "--port", "1", "--workers", "2"],
+        # the started servers bind ephemeral ports
+        ["loadgen", "--cluster", "--port", "8419"],
+        ["loadgen", "--self-serve", "--port", "9000"],
     ], ids=["cluster-sanitize", "cluster-access-log",
             "loadgen-sanitize", "loadgen-access-log",
-            "loadgen-cache-dir", "loadgen-external-workers"])
+            "loadgen-cache-dir", "loadgen-external-workers",
+            "loadgen-cluster-port", "loadgen-self-serve-port"])
     def test_flags_a_cluster_cannot_honor_are_refused(
             self, tmp_path, monkeypatch, argv):
         import repro.cluster

@@ -79,6 +79,11 @@ _CONFIG_BUILDERS = {
     "p10": lambda: power10_config(),
     "p9": lambda: power9_config(),
     "p10-smt4": lambda: power10_config(smt=4),
+    # the core model of Fig. 10: nothing past the L2
+    "p10-smt2-inf-l2": lambda: power10_config(smt=2, infinite_l2=True),
+    # eighth-size caches and TLB: miss-, prefetch- and ERAT-heavy
+    "p9-scale8": lambda: power9_config(cache_scale=8),
+    "p10-scale8": lambda: power10_config(cache_scale=8),
 }
 
 
@@ -114,7 +119,7 @@ _SIZES = (4, 8, 16, 32)
 
 @st.composite
 def synthetic_traces(draw):
-    """A short adversarial trace plus the config family to run it on.
+    """A short adversarial trace plus the config to run it on.
 
     The generator leans into the corners the replay has to get right:
     register dependence chains per hardware thread, MMA accumulators
@@ -177,15 +182,18 @@ def synthetic_traces(draw):
             flops=flops, pc=pc, thread=draw(st.sampled_from(threads))))
         pc += 4
     warmup = draw(st.sampled_from((0.0, 0.3)))
-    return on_p9, Trace(name="hypo", instructions=instrs), warmup
+    config = draw(st.sampled_from(
+        ("p9", "p9-scale8") if on_p9
+        else ("p10", "p10-smt2-inf-l2", "p10-scale8")))
+    return config, Trace(name="hypo", instructions=instrs), warmup
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(synthetic_traces())
 def test_synthetic_workloads_agree(case):
-    on_p9, trace, warmup = case
-    config = power9_config() if on_p9 else power10_config()
+    cfg_name, trace, warmup = case
+    config = _CONFIG_BUILDERS[cfg_name]()
     detailed = simulate_reference(config, trace, warmup_fraction=warmup)
     fast = simulate_fast(config, trace, warmup_fraction=warmup)
     assert_results_equivalent(detailed, fast)

@@ -11,6 +11,7 @@ bodies, never hangs.
 """
 
 import asyncio
+import gc
 import json
 import threading
 import time
@@ -28,6 +29,7 @@ from repro.serve import (EstimateRequest, LoadgenConfig, ReproServer,
                          TokenBucket,
                          build_schedule, error_body, error_status,
                          run_phase, start_in_thread)
+from repro.serve import protocol
 from repro.serve.admission import AdmissionController
 from repro.workloads import resolve_workload
 
@@ -625,6 +627,59 @@ class TestDeadline:
             handle.stop()
 
 
+class TestAbandonedCompare:
+    """A compare's gathered simulations are abandoned when its deadline
+    fires or its handler is cancelled (a drain); the loop must never
+    report an exception nobody retrieved."""
+
+    @staticmethod
+    def _run(abandon):
+        calls = []
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda _loop, ctx: calls.append(ctx.get("message")))
+            server = ReproServer(ServeConfig(window_ms=1.0, port=0))
+            await server.start()
+            submitted = asyncio.Event()
+            try:
+                async def stalled(task, deadline_s=None):
+                    submitted.set()
+                    await asyncio.Event().wait()
+
+                server.batcher.submit = stalled
+                await abandon(server, submitted)
+            finally:
+                await server.stop()
+            gc.collect()
+            await asyncio.sleep(0)
+
+        asyncio.run(main())
+        return calls
+
+    def test_deadline(self):
+        async def abandon(server, _submitted):
+            status, body, _ = await server._handle_compare(
+                protocol.CompareRequest(("daxpy", "xz"), 300,
+                                        deadline_ms=50))
+            assert status == 200 and body["shed_reason"] == "deadline"
+
+        assert self._run(abandon) == []
+
+    def test_cancelled_handler(self):
+        async def abandon(server, submitted):
+            handler = asyncio.ensure_future(server._handle_compare(
+                protocol.CompareRequest(("daxpy", "xz"), 300,
+                                        deadline_ms=60_000)))
+            await submitted.wait()
+            handler.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await handler
+
+        assert self._run(abandon) == []
+
+
 # ---- the per-route circuit breaker ---------------------------------------
 
 class TestBreakerIntegration:
@@ -739,6 +794,25 @@ class TestLoadgen:
         assert doc["malformed"] == 0
         assert {"p50", "p95", "p99"} <= set(doc["latency_s"])
         assert "latency p50" in capsys.readouterr().out
+
+    def test_cli_targets_port_8419_by_default(self, tmp_path,
+                                                monkeypatch):
+        """Without --self-serve or --cluster the load goes to an
+        external server: --port, or 8419 when omitted."""
+        import repro.serve
+        from repro.cli import main
+        seen = []
+
+        def record(config, start=None):
+            seen.append((config.host, config.port, start))
+            raise ServeError("stop here")
+
+        monkeypatch.setattr(repro.serve, "run_phase", record)
+        monkeypatch.chdir(tmp_path)
+        assert main(["loadgen"]) == 2
+        assert main(["loadgen", "--port", "9000"]) == 2
+        assert seen == [("127.0.0.1", 8419, None),
+                        ("127.0.0.1", 9000, None)]
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ServeError):
