@@ -252,9 +252,8 @@ class CacheHierarchy:
         Past the core model's infinite L2 nothing is touched.
         """
         n = len(addresses)
-        levels = [0] * n
         if self.geometry.infinite_l2 or not n:
-            return levels
+            return [0] * n
         address = np.asarray(addresses, dtype=np.int64)
         line = address // LINE_BYTES
         depth = self.prefetcher.depth
@@ -282,27 +281,3 @@ class CacheHierarchy:
             (address[l2_missed] // self.l3.geometry.line_bytes).tolist())
         code[l2_missed[l3_missed]] = 2
         return code.tolist()
-        l2_access = self.l2.access
-        fill = self.l2.fill
-        train = self.prefetcher.train
-        l2_missed: List[int] = []
-        useful = 0
-        for pos, address in enumerate(addresses):
-            hit = l2_access(address)
-            # a demand access trains the streams either way; prefetches
-            # that follow an L2 hit keep a confirmed stream ahead
-            ahead = train(address)
-            for line_addr in ahead:
-                fill(line_addr)
-            if hit:
-                useful += len(ahead)
-            else:
-                l2_missed.append(pos)
-        self.prefetcher.useful += useful
-        line_bytes = self.l3.geometry.line_bytes
-        for pos in l2_missed:
-            levels[pos] = 1
-        for k in self.l3.access_lines([addresses[pos] // line_bytes
-                                       for pos in l2_missed]):
-            levels[l2_missed[k]] = 2
-        return levels

@@ -188,7 +188,7 @@ def synthetic_traces(draw):
     return config, Trace(name="hypo", instructions=instrs), warmup
 
 
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=180, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(synthetic_traces())
 def test_synthetic_workloads_agree(case):
