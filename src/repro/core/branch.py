@@ -109,42 +109,28 @@ class HybridPredictor(DirectionPredictor):
 
 class _TageTable:
     def __init__(self, entries: int, history_bits: int, tag_bits: int = 10):
-        self._mask = entries - 1
-        self._hist_mask = (1 << history_bits) - 1
-        self._tag_mask = (1 << tag_bits) - 1
+        self.mask = entries - 1
+        self.hist_mask = (1 << history_bits) - 1
+        self.tag_mask = (1 << tag_bits) - 1
         self.history_bits = history_bits
-        self._tags = [0] * entries
-        self._ctrs = [0] * entries      # signed -4..3, >=0 -> taken
+        self.tags = [0] * entries
+        self.ctrs = [0] * entries       # signed -4..3, >=0 -> taken
         self._useful = [0] * entries
 
-    def _index(self, pc: int, history: int) -> int:
-        folded = history & self._hist_mask
-        folded ^= (history >> self.history_bits) & self._hist_mask
-        return ((pc >> 2) ^ folded) & self._mask
+    def train(self, idx: int, taken: bool) -> None:
+        """Train the entry a branch hit."""
+        ctr = self.ctrs[idx]
+        self.ctrs[idx] = min(3, ctr + 1) if taken else max(-4, ctr - 1)
+        self._useful[idx] = min(3, self._useful[idx] + 1)
 
-    def _tag(self, pc: int, history: int) -> int:
-        return ((pc >> 6) ^ (history * 2654435761)) & self._tag_mask
-
-    def lookup(self, pc: int, history: int) -> Optional[bool]:
-        idx = self._index(pc, history)
-        if self._tags[idx] == self._tag(pc, history):
-            return self._ctrs[idx] >= 0
-        return None
-
-    def update(self, pc: int, history: int, taken: bool,
-               allocate: bool) -> None:
-        idx = self._index(pc, history)
-        tag = self._tag(pc, history)
-        if self._tags[idx] == tag:
-            ctr = self._ctrs[idx]
-            self._ctrs[idx] = min(3, ctr + 1) if taken else max(-4, ctr - 1)
-            self._useful[idx] = min(3, self._useful[idx] + 1)
-        elif allocate:
-            if self._useful[idx] == 0:
-                self._tags[idx] = tag
-                self._ctrs[idx] = 0 if taken else -1
-            else:
-                self._useful[idx] -= 1
+    def allocate(self, idx: int, tag: int, taken: bool) -> None:
+        """Claim the entry a branch missed, unless it is still useful
+        (then age it instead)."""
+        if self._useful[idx] == 0:
+            self.tags[idx] = tag
+            self.ctrs[idx] = 0 if taken else -1
+        else:
+            self._useful[idx] -= 1
 
 
 class TagePredictor(DirectionPredictor):
@@ -163,33 +149,47 @@ class TagePredictor(DirectionPredictor):
         self.tables = [_TageTable(table_entries, h) for h in histories]
         self._history: Dict[int, int] = {}
 
-    def _provider(self, pc: int, thread: int):
-        """The longest-history table that hits, as ``(prediction,
-        table index)``, or ``(None, None)``."""
-        hist = self._history.get(thread, 0)
-        for idx in range(len(self.tables) - 1, -1, -1):
-            pred = self.tables[idx].lookup(pc, hist)
-            if pred is not None:
-                return pred, idx
-        return None, None
+    def _lookup(self, pc: int, hist: int):
+        """``(prediction, slots)``: ``slots`` holds ``(table, index,
+        tag)`` from the longest-history table down to the provider (the
+        longest that hits), or every table when none hits; the
+        prediction is the provider's, or None.  Each table's index and
+        tag are computed once per branch."""
+        slots = []
+        line, hashed = pc >> 2, (pc >> 6) ^ (hist * 2654435761)
+        for table in reversed(self.tables):
+            # the pc xor the history folded to the table's length picks
+            # the entry; the tag is the same pc/history hash in every table
+            fold = table.hist_mask
+            idx = (line ^ (hist & fold)
+                   ^ ((hist >> table.history_bits) & fold)) & table.mask
+            tag = hashed & table.tag_mask
+            slots.append((table, idx, tag))
+            if table.tags[idx] == tag:
+                return table.ctrs[idx] >= 0, slots
+        return None, slots
 
     def predict(self, pc: int, thread: int = 0) -> bool:
-        pred, _ = self._provider(pc, thread)
+        pred, _ = self._lookup(pc, self._history.get(thread, 0))
         if pred is not None:
             return pred
         return self.base.predict(pc, thread)
 
     def update(self, pc: int, taken: bool, thread: int = 0) -> bool:
         hist = self._history.get(thread, 0)
-        pred, idx = self._provider(pc, thread)
-        if idx is None:
+        pred, slots = self._lookup(pc, hist)
+        if pred is None:
             pred = self.base.update(pc, taken, thread)
             if pred != taken:
-                self.tables[0].update(pc, hist, taken, allocate=True)
+                table, idx, tag = slots[-1]     # the shortest history
+                table.allocate(idx, tag, taken)
         else:
-            self.tables[idx].update(pc, hist, taken, allocate=False)
-            if pred != taken and idx + 1 < len(self.tables):
-                self.tables[idx + 1].update(pc, hist, taken, allocate=True)
+            table, idx, _ = slots[-1]
+            table.train(idx, taken)
+            if pred != taken and len(slots) > 1:
+                # the next longer history gets a chance at this branch
+                table, idx, tag = slots[-2]
+                table.allocate(idx, tag, taken)
         self._history[thread] = ((hist << 1) | int(taken)) & ((1 << 64) - 1)
         return pred
 

@@ -132,12 +132,16 @@ class StreamPrefetcher:
     Tracks up to ``max_streams`` ascending-line streams; once a stream is
     confirmed it prefetches ``depth`` lines ahead into the target cache.
     POWER10 supports 16 streams with L3 prefetch extension (48 entries).
+    The live streams are indexed by the line each expects next, so a
+    miss finds its stream without scanning them.
     """
 
     def __init__(self, max_streams: int = 16, depth: int = 4):
         self.max_streams = max_streams
         self.depth = depth
         self._streams: OrderedDict = OrderedDict()   # start line -> next
+        # next line -> start lines of the streams expecting it
+        self._waiting: Dict[int, List[int]] = {}
         self.issued = 0
         self.useful = 0
 
@@ -152,21 +156,41 @@ class StreamPrefetcher:
         """Observe demand misses (line numbers) in order; returns the
         positions in ``lines`` that continue a stream.  Each of those
         prefetches the ``depth`` lines that follow it."""
-        streams = self._streams
+        streams, waiting = self._streams, self._waiting
+        max_streams = self.max_streams
         fired: List[int] = []
         for pos, line in enumerate(lines):
-            for key, expected in streams.items():
-                if line == expected:
-                    streams[key] = line + 1
-                    streams.move_to_end(key)
-                    fired.append(pos)
-                    break
+            keys = waiting.pop(line, None)
+            if keys is None:
+                # a new stream goes last in LRU order; a restarted one
+                # keeps its place
+                key, old = line, streams.get(line)
+                if old is not None:
+                    _unwait(waiting, key, old)
             else:
-                streams[line] = line + 1
-                if len(streams) > self.max_streams:
-                    streams.popitem(last=False)
+                # the least recently used stream expecting the line wins
+                key = keys[0]
+                if len(keys) > 1:
+                    key = next(k for k in streams if k in keys)
+                    keys.remove(key)
+                    waiting[line] = keys
+                streams.move_to_end(key)
+                fired.append(pos)
+            streams[key] = line + 1
+            waiting.setdefault(line + 1, []).append(key)
+            if len(streams) > max_streams:
+                _unwait(waiting, *streams.popitem(last=False))
         self.issued += self.depth * len(fired)
         return fired
+
+
+def _unwait(waiting: Dict[int, List[int]], key: int, line: int) -> None:
+    """Stream ``key`` no longer expects ``line``."""
+    keys = waiting[line]
+    if len(keys) == 1:
+        del waiting[line]
+    else:
+        keys.remove(key)
 
 
 @dataclass

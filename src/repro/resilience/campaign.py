@@ -214,7 +214,7 @@ class CampaignRunner:
         schedule = generate_schedule(
             seed,
             population=self.population,
-            n_instructions=len(self.trace.instructions),
+            n_instructions=len(self.trace),
             n_intervals=int(golden["n_intervals"]),
             n_faults=self.config.faults_per_run)
         budget = int(golden["cycles"]

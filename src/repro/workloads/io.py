@@ -63,7 +63,7 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
         "weight": trace.weight,
         "metadata": {k: v for k, v in trace.metadata.items()
                      if isinstance(v, (str, int, float, bool, list))},
-        "instructions": len(trace.instructions),
+        "instructions": len(trace),
     }
     with path.open("w") as fh:
         fh.write(json.dumps(header) + "\n")

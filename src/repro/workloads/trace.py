@@ -7,7 +7,7 @@ pc, address, size, taken, target, FLOPs and thread array, and the
 registers in CSR form.  Generators write those columns directly:
 fixed-body kernels (GEMM, daxpy, stressmarks) tile one loop body with
 :func:`loop_columns` and compute their addresses as arrays, and the
-synthetic generator appends each field to a list.  Every transform —
+synthetic generator fills one list per column.  Every transform —
 windows for the 5K-cycle measurement methodology of Fig. 5, loop
 unrolling, SMT interleaving — is an array operation on the columns;
 ``trace.instructions`` builds fresh records only for the code that reads

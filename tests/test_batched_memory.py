@@ -10,7 +10,7 @@ the per-access code the batched walks replaced.
 
 from collections import OrderedDict
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.caches import (LINE_BYTES, LOWER_LEVELS, Cache,
@@ -186,6 +186,32 @@ address = st.one_of(st.integers(0, 40).map(lambda line: line * LINE_BYTES),
                     st.integers(0, 40 * LINE_BYTES - 1))
 addresses = st.lists(address, max_size=120)
 
+#: short ascending runs of misses over a dozen lines: streams often
+#: advance onto a line another stream already expects, and misses restart
+#: a stream at its start line
+miss_lines = st.lists(st.tuples(st.integers(0, 12), st.integers(1, 4)),
+                      max_size=40).map(
+    lambda runs: [line for start, n in runs
+                  for line in range(start, start + n)])
+
+
+def scan_cases(ref, lines):
+    """Train ``ref`` (the scan) on ``lines``; for each miss, whether it
+    continues a stream (``shared`` when another stream expected the line
+    too), restarts a stream at its own start line, or starts one."""
+    cases = []
+    for line in lines:
+        expecting = [k for k, e in ref._streams.items() if e == line]
+        if len(expecting) > 1:
+            cases.append("continues, shared")
+        elif expecting:
+            cases.append("continues")
+        else:
+            cases.append("restarts" if line in ref._streams else "starts")
+        ref.train(line * LINE_BYTES)
+    return cases
+
+
 _SETTINGS = settings(max_examples=80, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
 
@@ -220,6 +246,38 @@ class TestCache:
         for pf in (batched, scalar):
             assert list(pf._streams.items()) == list(ref._streams.items())
             assert pf.issued == ref.issued
+
+    @_SETTINGS
+    @example([5, 3, 4, 5, 6, 6], 2)
+    @example([5, 6, 9, 5, 20, 10], 2)
+    @given(miss_lines, st.integers(1, 4))
+    def test_prefetcher_index_equals_scan(self, lines, max_streams):
+        """The stream index against the scan it replaced, on miss
+        streams that meet both cases an index can get wrong."""
+        indexed = StreamPrefetcher(max_streams, 2)
+        ref = RefPrefetcher(max_streams, 2)
+        want = []
+        for pos, case in enumerate(scan_cases(ref, lines)):
+            event(case)
+            if case.startswith("continues"):
+                want.append(pos)
+        assert indexed.train_lines(lines) == want
+        assert list(indexed._streams.items()) == list(ref._streams.items())
+        assert indexed.issued == ref.issued
+        waiting = {}
+        for key, expected in ref._streams.items():
+            waiting.setdefault(expected, set()).add(key)
+        assert {line: set(keys) for line, keys
+                in indexed._waiting.items()} == waiting
+
+    def test_prefetcher_examples_meet_both_cases(self):
+        """The explicit examples above: streams 5 and 3 both expect
+        line 6, and a miss on line 5 restarts stream 5 in its LRU
+        place (so the miss on 20 evicts it and stream 9 still fires)."""
+        cases = scan_cases(RefPrefetcher(2, 2), [5, 3, 4, 5, 6, 6])
+        assert cases[4] == "continues, shared"
+        cases = scan_cases(RefPrefetcher(2, 2), [5, 6, 9, 5, 20, 10])
+        assert cases[3] == "restarts" and cases[5] == "continues"
 
 
 class TestHierarchy:

@@ -161,3 +161,106 @@ def test_update_returns_the_prediction(kind, stream):
     for pc in (0x4000, 0x4004, 0x4100, 0x8040):
         for thread in (0, 1):
             assert trained.predict(pc, thread) == asked.predict(pc, thread)
+
+
+# --- TAGE against the version that looked each table up twice -------------
+
+class RefTageTable:
+    def __init__(self, entries, history_bits, tag_bits=10):
+        self._mask = entries - 1
+        self._hist_mask = (1 << history_bits) - 1
+        self._tag_mask = (1 << tag_bits) - 1
+        self.history_bits = history_bits
+        self._tags = [0] * entries
+        self._ctrs = [0] * entries
+        self._useful = [0] * entries
+
+    def _index(self, pc, history):
+        folded = history & self._hist_mask
+        folded ^= (history >> self.history_bits) & self._hist_mask
+        return ((pc >> 2) ^ folded) & self._mask
+
+    def _tag(self, pc, history):
+        return ((pc >> 6) ^ (history * 2654435761)) & self._tag_mask
+
+    def lookup(self, pc, history):
+        idx = self._index(pc, history)
+        if self._tags[idx] == self._tag(pc, history):
+            return self._ctrs[idx] >= 0
+        return None
+
+    def update(self, pc, history, taken, allocate):
+        idx = self._index(pc, history)
+        tag = self._tag(pc, history)
+        if self._tags[idx] == tag:
+            ctr = self._ctrs[idx]
+            self._ctrs[idx] = min(3, ctr + 1) if taken else max(-4, ctr - 1)
+            self._useful[idx] = min(3, self._useful[idx] + 1)
+        elif allocate:
+            if self._useful[idx] == 0:
+                self._tags[idx] = tag
+                self._ctrs[idx] = 0 if taken else -1
+            else:
+                self._useful[idx] -= 1
+
+
+class RefTage:
+    def __init__(self, base_entries, table_entries, histories):
+        self.base = BimodalPredictor(base_entries)
+        self.tables = [RefTageTable(table_entries, h) for h in histories]
+        self._history = {}
+
+    def _provider(self, pc, thread):
+        hist = self._history.get(thread, 0)
+        for idx in range(len(self.tables) - 1, -1, -1):
+            pred = self.tables[idx].lookup(pc, hist)
+            if pred is not None:
+                return pred, idx
+        return None, None
+
+    def predict(self, pc, thread=0):
+        pred, _ = self._provider(pc, thread)
+        if pred is not None:
+            return pred
+        return self.base.predict(pc, thread)
+
+    def update(self, pc, taken, thread=0):
+        hist = self._history.get(thread, 0)
+        pred, idx = self._provider(pc, thread)
+        if idx is None:
+            pred = self.base.update(pc, taken, thread)
+            if pred != taken:
+                self.tables[0].update(pc, hist, taken, allocate=True)
+        else:
+            self.tables[idx].update(pc, hist, taken, allocate=False)
+            if pred != taken and idx + 1 < len(self.tables):
+                self.tables[idx + 1].update(pc, hist, taken, allocate=True)
+        self._history[thread] = ((hist << 1) | int(taken)) & ((1 << 64) - 1)
+        return pred
+
+
+#: small tables, so a few hundred branches alias, allocate and age entries
+_TAGE_SHAPES = [(64, 16, (2, 4, 8)), (64, 8, (1, 3)), (32, 32, (4, 8, 16, 32)),
+                (16, 4, (6,))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_TAGE_SHAPES),
+       st.lists(st.tuples(st.sampled_from((0x4000, 0x4004, 0x4100, 0x8040,
+                                           0x8844, 0xC010)),
+                          st.booleans(), st.integers(0, 3)),
+                max_size=400))
+def test_tage_single_lookup_equals_reference(shape, stream):
+    """Predictions, trained tables and histories match the version that
+    recomputed the provider's and the next table's index and tag; the
+    stream interleaves up to four SMT threads."""
+    tage, ref = TagePredictor(*shape), RefTage(*shape)
+    for pc, taken, thread in stream:
+        assert tage.predict(pc, thread) == ref.predict(pc, thread)
+        assert tage.update(pc, taken, thread) == ref.update(pc, taken,
+                                                            thread)
+    for table, want in zip(tage.tables, ref.tables):
+        assert (table.tags, table.ctrs, table._useful) == \
+            (want._tags, want._ctrs, want._useful)
+    assert tage.base._table == ref.base._table
+    assert tage._history == ref._history
