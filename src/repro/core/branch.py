@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .isa import Instruction, InstrClass
-from ..errors import ConfigError, SimulationError
+from ..errors import ConfigError
 
 
 class DirectionPredictor:
@@ -257,18 +256,11 @@ class BranchUnit:
         self.indirect = indirect
         self.stats = BranchStats()
 
-    def process(self, instr: Instruction) -> bool:
-        """Predict and train on one branch; returns True on mispredict."""
-        if not instr.iclass.is_branch:
-            raise SimulationError("process() requires a branch instruction")
-        return self.resolve(instr.iclass is InstrClass.BRANCH_IND,
-                            instr.pc, instr.taken, instr.target,
-                            instr.thread)
-
     def resolve(self, indirect: bool, pc: int, taken: bool,
                 target: Optional[int], thread: int) -> bool:
-        """:meth:`process` on a branch given by its fields (``indirect``
-        for ``BRANCH_IND``; ``target`` may be None)."""
+        """Predict and train on one branch given by its fields
+        (``indirect`` for ``BRANCH_IND``; ``target`` may be None);
+        returns True on a mispredict."""
         if indirect:
             self.stats.indirect_lookups += 1
             predicted = self.indirect.predict(pc, thread)

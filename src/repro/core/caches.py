@@ -15,16 +15,17 @@ prefetcher (16 streams on POWER10) can be attached in front of the L2.
 
 Each structure takes its accesses in batches (:meth:`Cache.access_lines`,
 :meth:`StreamPrefetcher.train_lines`, :meth:`CacheHierarchy.lower_walk`),
-which the activity extraction calls once per run; the per-instruction
-walk makes one-element calls of the same per-structure rules.  Batching
-is exact because the structures share no state: an L1 sees only its own
-stream, and the L2, its prefetcher and the L3 see only L1 misses.
+which the activity extraction calls once per run.  Batching is exact
+because the structures share no state: an L1 sees only its own stream,
+and the L2, its prefetcher and the L3 see only L1 misses.  The test
+oracle (``tests/walk_oracle.py``) adds one-access-at-a-time methods
+that make one-element calls of the same rules.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
@@ -66,16 +67,6 @@ class Cache:
         line = address // self.geometry.line_bytes
         return line % self.geometry.num_sets, line
 
-    def probe(self, address: int) -> bool:
-        """Check presence without updating LRU or counters."""
-        set_idx, tag = self._locate(address)
-        cache_set = self._sets.get(set_idx)
-        return cache_set is not None and tag in cache_set
-
-    def access(self, address: int) -> bool:
-        """Access a line; returns True on hit.  Misses allocate."""
-        return not self.access_lines((address // self.geometry.line_bytes,))
-
     def access_lines(self, lines: Sequence[int]) -> List[int]:
         """Demand-access ``lines`` (line numbers) in order; returns the
         positions in ``lines`` of the misses."""
@@ -83,10 +74,6 @@ class Cache:
         self.accesses += len(lines)
         self.misses += len(missed)
         return missed
-
-    def fill(self, address: int) -> None:
-        """Install a line (prefetch path) without counting an access."""
-        self.touch_lines((address // self.geometry.line_bytes,))
 
     def touch_lines(self, lines: Sequence[int]) -> List[int]:
         """The LRU rule, counting nothing: make each of ``lines`` the most
@@ -145,13 +132,6 @@ class StreamPrefetcher:
         self.issued = 0
         self.useful = 0
 
-    def train(self, address: int) -> list:
-        """Observe a demand miss; returns line addresses to prefetch."""
-        line = address // LINE_BYTES
-        if not self.train_lines((line,)):
-            return []
-        return [(line + 1 + i) * LINE_BYTES for i in range(self.depth)]
-
     def train_lines(self, lines: Sequence[int]) -> List[int]:
         """Observe demand misses (line numbers) in order; returns the
         positions in ``lines`` that continue a stream.  Each of those
@@ -193,15 +173,6 @@ def _unwait(waiting: Dict[int, List[int]], key: int, line: int) -> None:
         keys.remove(key)
 
 
-@dataclass
-class AccessResult:
-    """Outcome of a hierarchy access: service level and latency."""
-
-    level: str                   # "l1" | "l2" | "l3" | "mem"
-    latency: int
-    l1_hit: bool
-
-
 #: where :meth:`CacheHierarchy.lower_walk` serves an L1 miss, by code
 LOWER_LEVELS = ("l2", "l3", "mem")
 
@@ -239,32 +210,6 @@ class CacheHierarchy:
         """Latency of an L1 miss served at each of ``LOWER_LEVELS``."""
         g = self.geometry
         return g.l2.latency, g.l3.latency, g.memory_latency
-
-    def access_instruction(self, address: int) -> AccessResult:
-        return self._access(self.l1i, address)
-
-    def access_data(self, address: int) -> AccessResult:
-        return self._access(self.l1d, address)
-
-    def _access(self, l1: Cache, address: int) -> AccessResult:
-        """One access, with :meth:`lower_walk` on a miss spelled out for
-        a single address (the array set-up would cost the walk more than
-        the access itself)."""
-        if l1.access(address):
-            return AccessResult("l1", l1.geometry.latency, True)
-        g = self.geometry
-        if g.infinite_l2:
-            return AccessResult("l2", g.l2.latency, False)
-        hit = self.l2.access(address)
-        ahead = self.prefetcher.train(address)
-        for line_addr in ahead:
-            self.l2.fill(line_addr)
-        if hit:
-            self.prefetcher.useful += len(ahead)
-            return AccessResult("l2", g.l2.latency, False)
-        if self.l3.access(address):
-            return AccessResult("l3", g.l3.latency, False)
-        return AccessResult("mem", g.memory_latency, False)
 
     def lower_walk(self, addresses: Sequence[int]) -> List[int]:
         """Serve L1 misses (byte addresses) in order; returns the level

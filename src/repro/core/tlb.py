@@ -8,28 +8,17 @@ up only on an L1 miss.  That policy is applied by the LSU/pipeline —
 this module just provides the structures and their hit/miss behaviour.
 
 Translations come in batches (:meth:`MMU.translate_pages`): the
-per-instruction walk makes one-element calls, the activity extraction
-one call for the whole run.  The TLB sees only ERAT misses, so each
-table is walked in one loop of its own.
+activity extraction makes one call for the whole run.  The TLB sees
+only ERAT misses, so each table is walked in one loop of its own.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 from ..errors import ConfigError
 
 PAGE_BYTES = 4096
-
-
-@dataclass
-class TranslationResult:
-    """Outcome of one effective-to-real translation."""
-
-    erat_hit: bool
-    tlb_hit: bool
-    extra_latency: int       # cycles added beyond the ERAT lookup itself
 
 
 class _LruTable:
@@ -40,9 +29,6 @@ class _LruTable:
         self._table: OrderedDict = OrderedDict()
         self.lookups = 0
         self.misses = 0
-
-    def access(self, page: int) -> bool:
-        return not self.access_pages((page,))
 
     def access_pages(self, pages: Sequence[int]) -> List[int]:
         """Look ``pages`` up in order; returns the positions in ``pages``
@@ -85,15 +71,6 @@ class MMU:
         self.tlb_latency = tlb_latency
         self.walk_latency = walk_latency
         self.tablewalks = 0
-
-    def translate(self, address: int) -> TranslationResult:
-        erat_missed, walked = self.translate_pages((address // PAGE_BYTES,))
-        if not erat_missed:
-            return TranslationResult(True, True, 0)
-        if not walked:
-            return TranslationResult(False, True, self.tlb_latency)
-        return TranslationResult(False, False,
-                                 self.tlb_latency + self.walk_latency)
 
     def translate_pages(self, pages: Sequence[int],
                         ) -> Tuple[List[int], List[int]]:

@@ -1,17 +1,18 @@
 """Activity-stream extraction: the tensor half of the replay.
 
-``core.pipeline.simulate_reference`` interleaves two kinds of work in one
-per-instruction loop: *stateful event derivation* (I-cache/D-cache and
-TLB walks, branch prediction, fusion classification — none of which
-depend on instruction timing) and the *serial occupancy recurrence*
-(dispatch/issue/retire cycles through finite windows, queues and
-ports).  This module performs only the first kind, on the trace's
-columns (:class:`~repro.core.isa.TraceColumns`): it drives the same
-stateful components as the walk (:class:`~repro.core.caches.
-CacheHierarchy`, :class:`~repro.core.tlb.MMU`, the branch predictors),
-shares the walk's fusion classifier (:func:`~repro.core.fusion.fuse`),
-and stores the outcomes as numpy arrays over instruction index — the
-activity tensor that :mod:`repro.fastsim.replay` consumes.
+The per-instruction walk (the test oracle, ``tests/walk_oracle.py``)
+interleaves two kinds of work in one loop: *stateful event derivation*
+(I-cache/D-cache and TLB walks, branch prediction, fusion
+classification — none of which depend on instruction timing) and the
+*serial occupancy recurrence* (dispatch/issue/retire cycles through
+finite windows, queues and ports).  This module performs only the first
+kind, on the trace's columns (:class:`~repro.core.isa.TraceColumns`):
+it drives the same stateful components as the walk
+(:class:`~repro.core.caches.CacheHierarchy`, :class:`~repro.core.tlb.
+MMU`, the branch predictors), shares the walk's fusion classifier
+(:func:`~repro.core.fusion.fuse`), and stores the outcomes as numpy
+arrays over instruction index — the activity tensor that
+:mod:`repro.fastsim.replay` consumes.
 
 The walk interleaves every structure in one per-access loop; the memory
 pass instead walks each structure once, in one batched call, because the

@@ -1,22 +1,35 @@
-"""Table-driven replay: the default path of ``core.pipeline.simulate``.
+"""Table-driven replay: the one path of ``core.pipeline.simulate``.
 
 Consumes the activity tensor from :mod:`repro.fastsim.extract` and runs
 only the serial occupancy recurrence — dispatch/issue/retire through
 the window, issue queue, load/store/load-miss queues and execution
 ports — with every stateful derivation (cache hits, translations,
 mispredicts, fusion) already resolved to table lookups.  The port
-arbiters are the *same* ``_Ports`` state machines the per-instruction walk
-uses (via :func:`repro.core.pipeline.build_ports`), and the queue
-models replicate ``_Ring``/``_Pool`` semantics with plain lookback
-lists and heaps, so replayed cycle counts are bit-identical to the
-walk; ``ActivityCounters`` are then tallied array-at-a-time from the
-tensor (full-run totals minus a warmup prefix at the same decode-group
-boundary the walk snapshots).
+arbiters are the ``_Ports`` state machines of
+:func:`repro.core.pipeline.build_ports`, and the queues are plain
+lookback lists and heaps; ``ActivityCounters`` are tallied
+array-at-a-time from the tensor.
 
-Interval samplers and active fault-injection campaigns observe or
-perturb mid-run state the replay never materializes, so
-:func:`repro.core.pipeline.simulate` sends those runs to the
-per-instruction walk instead; this module never sees them.
+The loop keeps two taps: the cycle ``max(last_retire, front_cycle)`` at
+the end of every decode group, and the wrong-path volume of every
+mispredict, the only timing-dependent events.  The cumulative counters
+at any group end are then the tensor's prefix sums plus those taps,
+which is how mid-run observers are served:
+
+* a sampler's ``observe`` runs at the groups whose cycle reaches its
+  next boundary (at any other group it would emit nothing);
+* an injector's ``poll`` runs at the end of each group where a fault is
+  due (``FaultSchedule.sim_faults`` is sorted by instruction index), its
+  stall goes into ``front_cycle``, and a forced count becomes a delta
+  on every later count; the cycle-budget watchdog reads the group
+  cycles between polls;
+* trace-record faults are column edits made before extraction
+  (:meth:`~repro.resilience.injector.FaultInjector.begin_sim`).
+
+Samples, injection records and errors come out in the order of the
+per-instruction walk this replay was derived from (``tests/
+walk_oracle.py``): the loop pauses at each poll, and the observes of
+the groups before it go first.
 """
 
 from __future__ import annotations
@@ -33,8 +46,7 @@ from ..core.isa import CLASS_CODE, CLASS_ORDER, InstrClass
 from ..core.pipeline import (_FRONT_DEPTH, _WRONG_PATH_WINDOW, SimResult,
                              build_ports, derive_busy_cycles)
 from ..errors import SimulationError
-from ..obs.metrics import get_registry as _obs_registry
-from ..obs.tracing import span as _obs_span
+from ..workloads.trace import columns_of
 from .extract import ActivityStream, extract_stream
 
 
@@ -44,33 +56,26 @@ _CHUNK_GROUPS = 256
 
 def simulate_fast(config: CoreConfig, trace, *,
                   max_instructions: Optional[int] = None,
-                  warmup_fraction: float = 0.0) -> SimResult:
+                  warmup_fraction: float = 0.0,
+                  sampler=None) -> SimResult:
     """Replay one trace; :func:`repro.core.pipeline.simulate` calls this.
 
-    Returns a :class:`~repro.core.pipeline.SimResult` bit-identical to
-    :func:`repro.core.pipeline.simulate_reference` for the same inputs
-    (enforced by ``tests/test_fastsim_diff.py``).  No ``sampler``
-    parameter: sampled runs take the walk.
+    ``sampler`` is a :class:`~repro.obs.sampler.CycleIntervalSampler`
+    or None; the active fault injector, if any, is looked up here.
     """
-    with _obs_span("fastsim.simulate", "fastsim", config=config.name,
-                   trace=getattr(trace, "name", "?")) as sp:
-        result = _replay(config, trace, max_instructions=max_instructions,
-                         warmup_fraction=warmup_fraction)
-        sp.set(cycles=result.cycles, instructions=result.instructions,
-               ipc=round(result.ipc, 4))
-        _obs_registry().counter(
-            "repro_fast_simulations_total",
-            "fastsim.simulate_fast invocations").inc(config=config.name)
-        return result
-
-
-def _replay(config: CoreConfig, trace, *,
-            max_instructions: Optional[int],
-            warmup_fraction: float) -> SimResult:
     if not 0.0 <= warmup_fraction < 1.0:
         raise SimulationError("warmup_fraction must be in [0, 1)")
-    stream = extract_stream(config, trace,
-                            max_instructions=max_instructions)
+    # lazy: the resilience layer imports the core
+    from ..resilience.injector import get_injector
+    injector = get_injector()
+    columns = columns_of(trace)
+    if max_instructions is not None:
+        columns = columns[:max_instructions]
+    if not len(columns):
+        raise SimulationError("cannot simulate an empty trace")
+    if injector is not None:
+        columns = injector.begin_sim(columns)
+    stream = extract_stream(config, columns)
     st, fus, mem, wrong = (stream.static, stream.fusion, stream.memory,
                            stream.wrong)
     n = st.n
@@ -98,11 +103,14 @@ def _replay(config: CoreConfig, trace, *,
     ports = build_ports(issue_cfg)
     port_by_code = [ports.get(cls) for cls in CLASS_ORDER]
     present = np.array([p is not None for p in port_by_code], dtype=bool)
-    missing = ~present[st.codes.astype(np.int64)]
-    if missing.any():
-        cls = CLASS_ORDER[int(st.codes[int(np.argmax(missing))])]
-        raise SimulationError(
-            f"no execution resource for {cls} on {config.name}")
+    # an instruction without a port fails the run where the walk meets
+    # it: the loop stops at the start of its group
+    missing = np.flatnonzero(~present[st.codes.astype(np.int64)])
+    if len(missing):
+        n_loop = int(missing[0]) // decode_w * decode_w
+        missing_cls = CLASS_ORDER[int(st.codes[missing[0]])]
+    else:
+        n_loop, missing_cls = n, None
 
     # Port arbitration is inlined for single-cycle initiation intervals
     # (the common case); each distinct _Ports group gets one mutable
@@ -130,23 +138,37 @@ def _replay(config: CoreConfig, trace, *,
     if idx0 >= n:
         idx0 = 0
     # Everything but the wrong-path volumes is tallied before the loop,
-    # so the loop holds only the columns it reads: peak memory is the
-    # tensor the loop needs plus one chunk of rows, not the whole
+    # so a plain run's loop holds only the columns it reads: peak memory
+    # is the tensor the loop needs plus one chunk of rows, not the whole
     # activity tensor plus Python objects for every instruction.
-    ev = _tally(stream, idx0)
+    # Samplers and injectors read mid-run counters off the whole tensor.
+    ev = _tally(stream, idx0, n)
     mispredicts = int(np.count_nonzero(wrong[idx0:]))
+    mispredicts0 = int(np.count_nonzero(wrong[:idx0]))
     flops = int(st.flops[idx0:].sum())
     l1d_miss_rate, l2_miss_rate = mem.l1d_miss_rate, mem.l2_miss_rate
+    pf_issued, pf_useful = mem.pf_issued, mem.pf_useful
+    # assigned at the end of the run, as in the walk: not warmup-cut
+    ev["prefetch_issued"], ev["prefetch_useful"] = pf_issued, pf_useful
     fusion_rate = fus.fusion_rate
-    columns = (st.codes,
-               st.is_load.astype(np.int8) + 2 * st.is_store.astype(np.int8),
-               fus.fused,
-               st.is_store & ~(fus.fused & fus.single_storeq),
-               wrong, fus.latency, mem.load_miss, mem.load_delay)
+    loop_columns = (
+        st.codes, st.is_load.astype(np.int8) + 2 * st.is_store.astype(np.int8),
+        fus.fused, st.is_store & ~(fus.fused & fus.single_storeq),
+        wrong, fus.latency, mem.load_miss, mem.load_delay)
     gstall_l = mem.gstall.tolist()
     dep_off = memoryview(st.dep_off)
     dep_p = memoryview(st.dep_p)
     dep_acc = memoryview(st.dep_acc)
+    taps = array("q")                 # cycle at the end of each group
+    wps = array("q")                  # wrong-path volume per mispredict
+    hooks = None
+    polls: set = set()
+    if sampler is not None or injector is not None:
+        hooks = _Hooks(stream, sampler, injector, decode_w, taps, wps)
+        if injector is not None:
+            # a fault is due at the end of the group holding its index
+            polls = {min(n, (f.at // decode_w + 1) * decode_w)
+                     for f in injector.schedule.sim_faults if f.at < n_loop}
     del stream, st, fus, mem, wrong
 
     issue_ts = array("q", bytes(8 * n))
@@ -169,19 +191,24 @@ def _replay(config: CoreConfig, trace, *,
     front_cycle = 0
     last_retire = 0
     retire_in_cycle = 0
-    wp_flush = 0
-    wp_decode = 0
+    taps_append = taps.append
+    wps_append = wps.append
     snap = None
+    delta0: dict = {}
     g = 0
-    chunk = decode_w * _CHUNK_GROUPS     # splits only between groups
-    for c0 in range(0, n, chunk):
-        c1 = min(n, c0 + chunk)
-        codes, *rest = (col[c0:c1].tolist() for col in columns)
+    # the loop pauses only between groups: at every chunk of rows, at
+    # each poll and at the warmup boundary
+    chunk = decode_w * _CHUNK_GROUPS
+    stops = sorted({*range(chunk, n_loop, chunk), *polls, n_loop}
+                   | ({idx0} if 0 < idx0 < n_loop else set()))
+    if sampler is not None:
+        sampler.begin(config, getattr(trace, "name", "?"))
+    c0 = 0
+    for c1 in stops:
+        codes, *rest = (col[c0:c1].tolist() for col in loop_columns)
         # one row tuple per instruction: single unpack in the loop
         rows = list(zip([state_by_code[c] for c in codes], *rest))
         for s in range(c0, c1, decode_w):
-            if s == idx0 and idx0:
-                snap = (front_cycle, last_retire, wp_flush, wp_decode)
             e = s + decode_w
             if e > c1:
                 e = c1
@@ -281,9 +308,7 @@ def _replay(config: CoreConfig, trace, *,
                         ahead = 0
                     elif ahead > wrong_window:
                         ahead = wrong_window
-                    wp = int(wp_factor * ahead)
-                    wp_flush += wp
-                    wp_decode += wp >> 1
+                    wps_append(int(wp_factor * ahead))
                     if stall > 0:
                         front_cycle += stall
                 retire = finish + 1
@@ -305,19 +330,43 @@ def _replay(config: CoreConfig, trace, *,
                     else:
                         heap_push(iq, v)
                         iq_len += 1
+            taps_append(last_retire if last_retire > front_cycle
+                        else front_cycle)
+        if c1 in polls:
+            front_cycle += hooks.poll(c1, front_cycle, last_retire)
+        if c1 == idx0:
+            # the walk's warmup snapshot: state at this group start
+            snap = (front_cycle, last_retire)
+            if hooks is not None:
+                delta0 = dict(hooks.delta)
+        c0 = c1
 
+    if hooks is not None:
+        hooks.catch_up(len(taps))
+    if missing_cls is not None:
+        raise SimulationError(
+            f"no execution resource for {missing_cls} on {config.name}")
     cycles = max(last_retire, front_cycle) + 1
+    if hooks is not None:
+        hooks.finalize(cycles, pf_issued, pf_useful)
     if snap is not None:
-        front0, retire0, wp_flush0, wp_decode0 = snap
+        front0, retire0 = snap
         cycles = max(1, cycles - (max(retire0, front0) + 1))
-    else:
-        wp_flush0 = wp_decode0 = 0
     measured = n - idx0
-    flushed = wp_flush - wp_flush0
-    ev["fetch_instr"] += flushed
-    ev["predecode_instr"] += flushed
-    ev["decode_instr"] += wp_decode - wp_decode0
-    ev["flush_instr"] = flushed
+    flushed = _add_wrong_path(ev, wps[mispredicts0:])
+    if hooks is not None:
+        # forced counts: what they added by the end less what they had
+        # added by the warmup snapshot; the prefetch counts are assigned
+        # at the end of the run, over anything forced into them
+        for key, d in hooks.delta.items():
+            if key not in _ASSIGNED:
+                ev[key] += d
+        for key, d in delta0.items():
+            ev[key] -= d
+        if snap is not None:
+            for key, v in ev.items():
+                if v < 0:
+                    ev[key] = 0
 
     act = ActivityCounters()
     act.events = ev
@@ -342,28 +391,45 @@ def _replay(config: CoreConfig, trace, *,
     )
 
 
-def _tally(stream: ActivityStream, idx0: int) -> dict:
-    """Post-warmup event counts, array-at-a-time from the tensor.
+#: counts the walk assigns at the end of a run instead of accumulating
+_ASSIGNED = ("prefetch_issued", "prefetch_useful")
 
-    Equivalent to the walk's "snapshot at the warmup group
-    boundary, subtract at the end": every per-instruction event here is
-    attributed to its instruction index, and the warmup boundary is a
-    decode-group start, so the prefix sum at ``idx0`` *is* the
-    snapshot.  Wrong-path volumes (the only timing-dependent events)
-    are left out; the replay loop adds them.
+
+def _add_wrong_path(ev: dict, volumes: array) -> int:
+    """Add the wrong-path work of mispredicts with these volumes: each
+    one's volume is fetched, predecoded and flushed in full and decoded
+    at half.  Returns the instructions flushed."""
+    flushed = sum(volumes)
+    ev["fetch_instr"] += flushed
+    ev["predecode_instr"] += flushed
+    ev["decode_instr"] += sum(v >> 1 for v in volumes)
+    ev["flush_instr"] += flushed
+    return flushed
+
+
+def _tally(stream: ActivityStream, lo: int, hi: int) -> dict:
+    """Event counts of instructions ``lo:hi``, array-at-a-time from the
+    tensor.
+
+    Every per-instruction event is attributed to its instruction index,
+    so the walk's counters at a decode-group boundary are the tally up
+    to it: the warmup snapshot subtracted at the end of a run is
+    ``_tally(stream, 0, idx0)``, and the run measures ``idx0:n``.
+    Wrong-path volumes (the only timing-dependent events) are left out;
+    the replay loop adds them.  The prefetch counts read 0, as the
+    walk's do until the end of the run.
     """
     st, fus, mem, wrong = (stream.static, stream.fusion, stream.memory,
                            stream.wrong)
-    n = st.n
-    live = n - idx0
+    live = hi - lo
 
     def cnt(mask) -> int:
-        return int(np.count_nonzero(mask[idx0:]))
+        return int(np.count_nonzero(mask[lo:hi]))
 
     def tot(arr) -> int:
-        return int(arr[idx0:].sum())
+        return int(arr[lo:hi].sum())
 
-    per_class = np.bincount(st.codes[idx0:].astype(np.int64),
+    per_class = np.bincount(st.codes[lo:hi].astype(np.int64),
                             minlength=len(CLASS_ORDER))
     fused_c = cnt(fus.fused)
     mispred = cnt(wrong)
@@ -419,8 +485,6 @@ def _tally(stream: ActivityStream, idx0: int) -> dict:
     ev["tlb_lookup"] = erat_miss
     ev["tlb_miss"] = tlb_miss
     ev["tablewalk"] = tlb_miss
-    ev["prefetch_issued"] = mem.pf_issued      # assigned, never warmup-cut
-    ev["prefetch_useful"] = mem.pf_useful
     ev["l2_access"] = l1d_miss
     ev["l2_miss"] = dm_l3
     ev["l3_access"] = dm_l3
@@ -429,3 +493,104 @@ def _tally(stream: ActivityStream, idx0: int) -> dict:
     ev["complete_instr"] = live
     ev["flush_event"] = mispred
     return ev
+
+
+class _Hooks:
+    """Serves a sampler and a fault injector from the replay's taps.
+
+    Keeps the walk's cumulative counters at the last group end asked
+    for: the tensor's tally up to it, plus the wrong-path volumes of the
+    mispredicts before it, plus ``delta``, what forced counts have added
+    so far.  Groups are visited in order; ``catch_up`` runs the walk's
+    per-group observe and watchdog over groups where no fault is due,
+    and ``poll`` the group where one is.
+    """
+
+    def __init__(self, stream: ActivityStream, sampler, injector,
+                 decode_w: int, taps: array, wps: array):
+        self.delta: dict = {}
+        self._stream = stream
+        self._n = stream.static.n
+        self._mis_at = np.flatnonzero(stream.wrong)
+        self._sampler = sampler
+        self._injector = injector
+        self._budget = None if injector is None else injector.cycle_budget
+        self._decode_w = decode_w
+        self._taps = taps
+        self._wps = wps
+        self._done = 0              # groups observed and watched
+        self._end = 0               # instructions in _base
+        self._base = dict.fromkeys(EVENT_NAMES, 0)
+
+    def _group_end(self, group: int) -> int:
+        return min(self._n, (group + 1) * self._decode_w)
+
+    def counters(self, end: int) -> ActivityCounters:
+        """The walk's counters after the group ending at ``end``."""
+        if end > self._end:
+            base = self._base
+            for key, v in _tally(self._stream, self._end, end).items():
+                base[key] += v
+            k0, k1 = np.searchsorted(self._mis_at, (self._end, end))
+            _add_wrong_path(base, self._wps[k0:k1])
+            self._end = end
+        act = ActivityCounters()
+        act.events = dict(self._base)
+        for key, d in self.delta.items():
+            act.events[key] += d
+        return act
+
+    def catch_up(self, stop: int) -> None:
+        """The walk's observe and watchdog at groups ``_done:stop``, none
+        of which has a fault due: observe emits only at a group whose
+        cycle reaches the sampler's next boundary, and the watchdog
+        fires at the first cycle past the budget."""
+        start = self._done
+        taps = np.array(self._taps[start:stop], dtype=np.int64)
+        hang = len(taps)
+        if self._budget is not None:
+            over = np.flatnonzero(taps > self._budget)
+            if len(over):
+                hang = int(over[0])
+        if self._sampler is not None:
+            # group cycles never decrease, so each crossing is a search
+            i = 0
+            while True:
+                i += int(np.searchsorted(taps[i:hang],
+                                         self._sampler.next_boundary))
+                if i >= hang:
+                    break
+                self._sampler.observe(
+                    int(taps[i]), self.counters(self._group_end(start + i)))
+                i += 1
+        if hang < len(taps):
+            end = self._group_end(start + hang)
+            # raises HangError
+            self._injector.poll(end, self.counters(end), int(taps[hang]))
+        self._done = stop
+
+    def poll(self, end: int, front_cycle: int, last_retire: int) -> int:
+        """The walk's poll and observe after the group ending at
+        ``end``; returns the stall the poll adds to the front end."""
+        group = (end - 1) // self._decode_w
+        self.catch_up(group)
+        act = self.counters(end)
+        # the poll sees the cycle from before its stall, observe after
+        stall = self._injector.poll(end, act, max(last_retire, front_cycle))
+        base = self._base
+        self.delta = {key: v - base[key] for key, v in act.events.items()
+                      if v != base[key]}
+        if self._sampler is not None:
+            self._sampler.observe(max(last_retire, front_cycle + stall), act)
+        self._done = group + 1
+        return stall
+
+    def finalize(self, cycles: int, pf_issued: int, pf_useful: int) -> None:
+        """Close the sampler's trailing interval on the run's raw
+        counts, with the prefetch counts assigned."""
+        if self._sampler is None:
+            return
+        act = self.counters(self._n)
+        act.events["prefetch_issued"] = pf_issued
+        act.events["prefetch_useful"] = pf_useful
+        self._sampler.finalize(cycles, act)

@@ -59,7 +59,6 @@ WELL_KNOWN_METRICS: Dict[str, str] = {
     "repro_serve_breaker_transitions_total": "counter",
     "repro_serve_breaker_state": "gauge",
     "repro_chaos_faults_fired_total": "counter",
-    "repro_fast_simulations_total": "counter",
     "repro_cluster_requests_total": "counter",
     "repro_cluster_request_seconds": "histogram",
     "repro_cluster_failovers_total": "counter",

@@ -13,12 +13,15 @@ rather than one end-of-run aggregate.  A
 * the power-proxy value for the interval — by default the APEX
   count-based estimate, the same math the hardware proxy approximates.
 
-Because the timing model walks instructions in program order, interval
-boundaries land on the first observation at or after each multiple of
+The timing model observes at decode-group ends (the cycle
+``max(last_retire, front_cycle)`` after each group), so interval
+boundaries land on the first group end at or after each multiple of
 ``interval_cycles``; widths are therefore *approximately* the requested
 interval (exact boundaries would require cycle-stepped simulation).
-Sampling is deterministic: the same config and trace produce the same
-series, bit for bit.
+The replay calls :meth:`CycleIntervalSampler.observe` only at the group
+ends that reach :attr:`~CycleIntervalSampler.next_boundary`; at any
+other group it would emit nothing.  Sampling is deterministic: the same
+config and trace produce the same series, bit for bit.
 
 One sampler instance can span many runs (a suite, a P9-vs-P10
 comparison); each ``begin()`` opens a new run segment and samples carry
@@ -88,6 +91,11 @@ class CycleIntervalSampler:
         self._mark_cycle = 0
         self._mark_events = {}
         self._next_boundary = self.interval_cycles
+
+    @property
+    def next_boundary(self) -> int:
+        """The first cycle at which :meth:`observe` emits a sample."""
+        return self._next_boundary
 
     def observe(self, cycle: int, activity: ActivityCounters) -> None:
         """Called as simulated time advances; emits a sample whenever a

@@ -4,12 +4,14 @@ One :class:`FaultInjector` owns one :class:`~repro.resilience.faults.
 FaultSchedule` and is *installed* for the duration of a run via the
 :func:`injection` context manager.  The hook points it serves:
 
-* ``core.pipeline.simulate`` sends every run to the per-instruction
-  walk (``simulate_reference``) while an injector is active; the walk
-  calls :func:`get_injector` once per run, applies trace-record faults
-  up front (:meth:`FaultInjector.begin_sim`) and polls once per decode
-  group (:meth:`FaultInjector.poll`) to deliver latch flips and counter
-  corruption and to enforce the campaign's cycle-budget watchdog;
+* the replay behind ``core.pipeline.simulate``
+  (``fastsim.replay.simulate_fast``) calls :func:`get_injector` once
+  per run and applies trace-record faults to the run's columns before
+  extraction (:meth:`FaultInjector.begin_sim`).  It calls
+  :meth:`FaultInjector.poll` after each decode group where a fault is
+  due, to deliver latch flips and counter corruption, and after the
+  first group past the campaign's cycle budget, where the poll's
+  watchdog raises.  At every other group a poll would do nothing;
 * ``obs.sampler.CycleIntervalSampler._emit`` passes every interval
   sample through :meth:`FaultInjector.on_sample` (dropout / stuck-at /
   NaN / blank telemetry);
@@ -35,10 +37,14 @@ report cross-checks against the static prediction.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..core.activity import ActivityCounters
+from ..core.isa import TraceColumns
 from ..errors import HangError, ResilienceError
 from .faults import (CounterFault, DroopFault, Fault, FaultSchedule,
                      LatchFlipFault, TelemetryFault, TraceFault)
@@ -128,62 +134,68 @@ class FaultInjector:
 
     # ---- pipeline hooks ----------------------------------------------
 
-    def begin_sim(self, instructions: List) -> List:
+    def begin_sim(self, columns: TraceColumns) -> TraceColumns:
         """Reset run cursors and apply trace-record faults.
 
-        Returns the (possibly corrupted) instruction list; the input is
-        never mutated — corrupted records are shallow copies, so the
-        trace object stays reusable for clean runs.
+        Returns the (possibly corrupted) columns of the run; the input
+        is never mutated — a corrupted column is a copy, so the trace
+        object stays reusable for clean runs.
         """
-        import copy
-
         self._sim_pos = 0
         self._interval_index = 0
         self._last_proxy = None
         self._marks = {}
-        if not self._trace_faults:
-            return instructions
-        out = list(instructions)
+        edits: Dict[str, np.ndarray] = {}
+
+        def column(name: str) -> np.ndarray:
+            if name not in edits:
+                edits[name] = getattr(columns, name).copy()
+            return edits[name]
+
         for fault in self._trace_faults:
-            if fault.at >= len(out):
+            at = fault.at
+            if at >= len(columns):
                 self.records.append(InjectionRecord(
                     fault=fault.to_json(), applied=False,
                     effect="out-of-range",
-                    detail=f"index {fault.at} beyond trace end"))
+                    detail=f"index {at} beyond trace end"))
                 continue
-            instr = copy.copy(out[fault.at])
             if fault.mode == "address_bit":
-                if instr.address is None:
+                if columns.address[at] < 0:
                     self.records.append(InjectionRecord(
                         fault=fault.to_json(), propagated=False,
                         effect="masked",
                         detail="target is not a memory instruction"))
                     continue
-                instr.address = instr.address ^ (1 << fault.value)
+                address = column("address")
+                address[at] = int(address[at]) ^ (1 << fault.value)
                 detail = f"address bit {fault.value} flipped"
             else:
-                if not instr.srcs:
+                first = int(columns.src_off[at])
+                if first == columns.src_off[at + 1]:
                     self.records.append(InjectionRecord(
                         fault=fault.to_json(), propagated=False,
                         effect="masked",
                         detail="target reads no registers"))
                     continue
-                instr.srcs = (fault.value,) + tuple(instr.srcs[1:])
+                column("src_reg")[first] = fault.value
                 detail = f"src register swapped to {fault.value}"
-            out[fault.at] = instr
             self.records.append(InjectionRecord(
                 fault=fault.to_json(), propagated=True,
                 effect="trace-corruption", detail=detail))
-        return out
+        return dataclasses.replace(columns, **edits) if edits else columns
 
     def poll(self, instr_index: int, act: ActivityCounters,
              cycle: int) -> int:
         """Deliver due sim faults; returns extra stall cycles.
 
-        Called once per decode group by the timing model.  Also the
-        watchdog: when the run crosses the campaign cycle budget the
-        poll raises :class:`~repro.errors.HangError`, which the
-        campaign classifies as a hang instead of wedging the driver.
+        Called after a decode group with the run's cumulative counters
+        and the cycle reached before any stall this poll adds; faults
+        at instruction indices before ``instr_index`` are delivered.
+        Also the watchdog: when the run crosses the campaign cycle
+        budget the poll raises :class:`~repro.errors.HangError`, which
+        the campaign classifies as a hang instead of wedging the
+        driver.
         """
         if self.cycle_budget is not None and cycle > self.cycle_budget:
             raise HangError(

@@ -11,24 +11,32 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..core.isa import CLASS_CODE, InstrClass, TraceColumns
 from ..errors import TraceError
+from ..workloads.trace import columns_of
+
+_BRANCH_CODES = [CLASS_CODE[InstrClass.BRANCH],
+                 CLASS_CODE[InstrClass.BRANCH_IND]]
 
 
-def split_intervals(trace, interval: int) -> List[List]:
+def split_intervals(trace, interval: int) -> List[TraceColumns]:
+    """The trace's columns in windows of ``interval`` rows; a short last
+    window is kept only if it holds at least ``interval // 2``."""
     if interval <= 0:
         raise TraceError("interval must be positive")
-    instrs = trace.instructions
-    return [instrs[i:i + interval]
-            for i in range(0, len(instrs), interval)
-            if len(instrs[i:i + interval]) >= interval // 2]
+    columns = columns_of(trace)
+    n = len(columns)
+    return [columns[i:i + interval] for i in range(0, n, interval)
+            if min(interval, n - i) >= interval // 2]
 
 
 def basic_block_vectors(trace, *, interval: int = 1000,
-                        ) -> Tuple[np.ndarray, List[List]]:
+                        ) -> Tuple[np.ndarray, List[TraceColumns]]:
     """Compute normalized BBVs; returns (matrix, intervals).
 
     Block identity is the PC of the block's leader (the instruction
-    after the previous branch).
+    after the previous branch; -1 after a taken branch without a
+    target).
     """
     intervals = split_intervals(trace, interval)
     if not intervals:
@@ -37,18 +45,19 @@ def basic_block_vectors(trace, *, interval: int = 1000,
     rows: List[Dict[int, int]] = []
     for chunk in intervals:
         counts: Dict[int, int] = {}
-        leader = chunk[0].pc
-        block_len = 0
-        for instr in chunk:
-            block_len += 1
-            if instr.iclass.is_branch:
-                bid = block_ids.setdefault(leader, len(block_ids))
-                counts[bid] = counts.get(bid, 0) + block_len
-                leader = instr.target if instr.taken else instr.pc + 4
-                block_len = 0
-        if block_len:
+        at = np.flatnonzero(np.isin(chunk.codes, _BRANCH_CODES))
+        # a taken branch leads to its target, a fall-through to pc + 4
+        leaders = np.where(chunk.taken[at], chunk.target[at],
+                           chunk.pc[at] + 4).tolist()
+        leader = int(chunk.pc[0])
+        block_end = -1
+        for pos, after in zip(at.tolist(), leaders):
             bid = block_ids.setdefault(leader, len(block_ids))
-            counts[bid] = counts.get(bid, 0) + block_len
+            counts[bid] = counts.get(bid, 0) + pos - block_end
+            leader, block_end = after, pos
+        if block_end < len(chunk) - 1:
+            bid = block_ids.setdefault(leader, len(block_ids))
+            counts[bid] = counts.get(bid, 0) + len(chunk) - 1 - block_end
         rows.append(counts)
     matrix = np.zeros((len(rows), len(block_ids)))
     for i, counts in enumerate(rows):

@@ -150,8 +150,11 @@ _BRANCH = CLASS_CODE[InstrClass.BRANCH]
 
 
 def columns_of(trace) -> TraceColumns:
-    """The columns of a :class:`Trace`, or of any object carrying an
-    ``instructions`` sequence (packed on the spot)."""
+    """The columns of a :class:`Trace`, the columns themselves, or those
+    of any object carrying an ``instructions`` sequence (packed on the
+    spot)."""
+    if isinstance(trace, TraceColumns):
+        return trace
     columns = getattr(trace, "columns", None)
     if columns is None:
         columns = TraceColumns.pack(trace.instructions)

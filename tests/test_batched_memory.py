@@ -2,10 +2,11 @@
 
 The activity extraction walks each structure in one batched call
 (:meth:`Cache.access_lines`, :meth:`CacheHierarchy.lower_walk`,
-:meth:`MMU.translate_pages`); the per-instruction walk makes one call per
-access.  Both must leave every structure in the same state — outputs,
-LRU order and counters — and both must match the ``Ref*`` classes below,
-the per-access code the batched walks replaced.
+:meth:`MMU.translate_pages`); the per-instruction walk of
+``tests/walk_oracle.py`` makes one call per access.  Both must leave
+every structure in the same state — outputs, LRU order and counters —
+and both must match the ``Ref*`` classes below, the per-access code the
+batched walks replaced.
 """
 
 from collections import OrderedDict
@@ -13,10 +14,10 @@ from collections import OrderedDict
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.caches import (LINE_BYTES, LOWER_LEVELS, Cache,
-                               CacheGeometry, CacheHierarchy,
-                               HierarchyGeometry, StreamPrefetcher)
-from repro.core.tlb import MMU, PAGE_BYTES
+from repro.core.caches import (LINE_BYTES, LOWER_LEVELS, CacheGeometry,
+                               HierarchyGeometry)
+from repro.core.tlb import PAGE_BYTES
+from tests.walk_oracle import Cache, CacheHierarchy, MMU, StreamPrefetcher
 
 
 # --- the per-access reference ----------------------------------------------

@@ -11,6 +11,7 @@ from repro.core.branch import (BimodalPredictor, BranchUnit,
                                make_branch_unit)
 from repro.core.isa import Instruction, InstrClass
 from repro.errors import ConfigError, SimulationError
+from tests.walk_oracle import process
 
 
 def _run(pred, seq):
@@ -116,19 +117,19 @@ class TestBranchUnit:
         unit = make_branch_unit("power10")
         instr = Instruction(iclass=InstrClass.BRANCH, taken=True,
                             pc=0x4000, target=0x4040)
-        unit.process(instr)
+        process(unit, instr)
         assert unit.stats.lookups == 1
 
     def test_process_rejects_non_branch(self):
         unit = make_branch_unit("power9")
         with pytest.raises(SimulationError):
-            unit.process(Instruction(iclass=InstrClass.FX))
+            process(unit, Instruction(iclass=InstrClass.FX))
 
     def test_indirect_path(self):
         unit = make_branch_unit("power9")
         instr = Instruction(iclass=InstrClass.BRANCH_IND, taken=True,
                             pc=0x4800, target=0x9000)
-        unit.process(instr)
+        process(unit, instr)
         assert unit.stats.indirect_lookups == 1
 
     def test_mispredict_rate_definition(self):

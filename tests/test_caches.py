@@ -1,10 +1,11 @@
-"""Unit tests for caches, prefetcher and the hierarchy."""
+"""Unit tests for caches, prefetcher and the hierarchy, driven one
+access at a time through the walk oracle's scalar methods."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.core.caches import (AccessResult, Cache, CacheGeometry,
-                               CacheHierarchy, HierarchyGeometry,
+from repro.core.caches import CacheGeometry, HierarchyGeometry
+from tests.walk_oracle import (AccessResult, Cache, CacheHierarchy,
                                StreamPrefetcher)
 
 

@@ -15,9 +15,8 @@ from pathlib import Path
 import pytest
 
 import repro
-import repro.core.pipeline
+import repro.fastsim.replay
 from repro.core import power9_config, power10_config
-from repro.core.pipeline import simulate_reference
 from repro.core.simulator import compare_configs, simulate_suite
 from repro.errors import ExecError
 from repro.exec import (Engine, ExecPlan, ResultCache, campaign_task,
@@ -28,6 +27,7 @@ from repro.exec import (Engine, ExecPlan, ResultCache, campaign_task,
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.resilience import CampaignConfig, CampaignRunner
 from repro.workloads import daxpy_trace, resolve_workload
+from tests.walk_oracle import simulate_reference
 
 
 @pytest.fixture(autouse=True)
@@ -92,11 +92,11 @@ class TestFingerprints:
     def test_precomputed_trace_fingerprint_same_key(self, p10, path,
                                                      monkeypatch):
         """One key however the trace is hashed, and one result behind
-        it whichever path ``simulate`` takes: the forced walk
-        ("detailed") or the default replay ("fast")."""
+        it whether ``simulate`` runs the oracle walk in place of the
+        replay ("detailed") or the replay ("fast")."""
         if path == "detailed":
-            monkeypatch.setattr(repro.core.pipeline, "_replays",
-                                lambda sampler: False)
+            monkeypatch.setattr(repro.fastsim.replay, "simulate_fast",
+                                simulate_reference)
         t = daxpy_trace(400)
         task = sim_task(p10, t, trace_fingerprint=fingerprint_trace(t))
         assert task.key == sim_task(p10, t).key

@@ -1,12 +1,11 @@
 """Differential fidelity harness: the replay against the walk.
 
 :func:`repro.core.pipeline.simulate` replays extracted activity
-(:mod:`repro.fastsim`) unless a sampler or an active fault injector
-needs the per-instruction walk (:func:`simulate_reference`).  The walk
-is the accuracy reference; the replay must agree with it on every
-registered workload *and* on adversarial synthetic traces that
-hypothesis invents.  The agreement contract is deliberately
-two-layered:
+(:mod:`repro.fastsim`).  The per-instruction walk it was derived from
+(:func:`tests.walk_oracle.simulate_reference`) is the accuracy
+reference; the replay must agree with it on every registered workload
+*and* on adversarial synthetic traces that hypothesis invents.  The
+agreement contract is deliberately two-layered:
 
 * the rtol-form contract the golden harness enforces (cycles, IPC,
   energy within tolerance), and
@@ -28,13 +27,15 @@ from hypothesis import strategies as st
 import repro.core.config
 from repro.core import power9_config, power10_config
 from repro.core.isa import ACC_BASE, Instruction, InstrClass
-from repro.core.pipeline import simulate, simulate_reference
+import repro.fastsim.replay
+from repro.core.pipeline import simulate
 from repro.errors import SimulationError
+from repro.exec.cache import sim_result_to_json
 from repro.fastsim import simulate_fast
-from repro.obs.metrics import get_registry
 from repro.power.einspower import EinspowerModel
 from repro.workloads import resolve_workload, workload_names
 from repro.workloads.trace import Trace
+from tests.walk_oracle import simulate_reference
 
 RTOL = 1e-9
 
@@ -242,48 +243,69 @@ def test_harness_detects_energy_perturbation(monkeypatch):
 
 
 # ---------------------------------------------------------------------
-# Path selection inside simulate().
+# simulate() has one path: the replay, with or without observers.
 # ---------------------------------------------------------------------
 
-def _replays_during(fn):
-    """How many replays ``fn()`` ran, per the replay's own counter."""
-    counter = get_registry().counter("repro_fast_simulations_total")
-    before = counter.total
+def _replays_during(monkeypatch, fn):
+    """``fn()``'s result and how many replays it ran."""
+    calls = []
+    replay = repro.fastsim.replay.simulate_fast
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(repro.fastsim.replay, "simulate_fast", counted)
     result = fn()
-    return result, counter.total - before
+    return result, len(calls)
 
 
-def test_default_simulate_replays():
+def test_default_simulate_replays(monkeypatch):
     config = power10_config()
     trace = resolve_workload("daxpy", 600)
     result, replays = _replays_during(
-        lambda: simulate(config, trace, warmup_fraction=0.2))
+        monkeypatch, lambda: simulate(config, trace, warmup_fraction=0.2))
     assert replays == 1
     assert_results_equivalent(
         simulate_reference(config, trace, warmup_fraction=0.2), result)
 
 
-def test_sampler_takes_the_walk_with_identical_results():
+def test_sampled_runs_replay_and_equal_the_oracle(monkeypatch):
     from repro.obs.sampler import CycleIntervalSampler
     config = power10_config()
     trace = resolve_workload("daxpy", 600)
     plain = simulate(config, trace, warmup_fraction=0.2)
-    sampler = CycleIntervalSampler(100)
+    sampler, oracle = CycleIntervalSampler(100), CycleIntervalSampler(100)
     sampled, replays = _replays_during(
-        lambda: simulate(config, trace, warmup_fraction=0.2,
-                         sampler=sampler))
-    assert replays == 0
+        monkeypatch, lambda: simulate(config, trace, warmup_fraction=0.2,
+                                      sampler=sampler))
+    walked = simulate_reference(config, trace, warmup_fraction=0.2,
+                                sampler=oracle)
+    assert replays == 1
     assert sampler.samples
-    assert sampled.cycles == plain.cycles
-    assert dict(sampled.activity.events) == dict(plain.activity.events)
+    assert [vars(s) for s in sampler.samples] \
+        == [vars(s) for s in oracle.samples]
+    assert sim_result_to_json(sampled) == sim_result_to_json(plain) \
+        == sim_result_to_json(walked)
 
 
-def test_active_injector_takes_the_walk():
-    from repro.resilience.faults import FaultSchedule
+def test_injected_runs_replay_and_equal_the_oracle(monkeypatch):
+    from repro.resilience.faults import CounterFault, FaultSchedule
     from repro.resilience.injector import FaultInjector, injection
     config = power10_config()
     trace = resolve_workload("daxpy", 600)
-    with injection(FaultInjector(FaultSchedule(seed=0, faults=()))):
-        _result, replays = _replays_during(
-            lambda: simulate(config, trace))
-    assert replays == 0
+    schedule = FaultSchedule(seed=0, faults=(
+        CounterFault(at=100, event="l1d_access", mode="spike",
+                     magnitude=50),))
+    runs = []
+    for run in (simulate, simulate_reference):
+        injector = FaultInjector(schedule)
+        with injection(injector):
+            result, replays = _replays_during(
+                monkeypatch, lambda: run(config, trace))
+        runs.append((sim_result_to_json(result), replays,
+                     [r.to_json() for r in injector.records]))
+    (replayed, replays, records), (walked, walks, oracle) = runs
+    assert (replays, walks) == (1, 0)
+    assert replayed == walked and records == oracle
+    assert records[0]["detail"].startswith("l1d_access: ")

@@ -5,9 +5,9 @@ Each scenario in :mod:`repro.exec.figs` runs at its reduced
 ``tests/goldens/<name>.json`` within the scenario's ``rtol``.  Any
 model change that moves a figure — an energy coefficient, a pipeline
 rule, a derating weight — fails here with the exact scalar that moved.
-Each scenario also runs with every simulation forced onto the
-per-instruction walk, and its scalars must equal the default (replay)
-run's exactly.
+Each scenario also runs with every simulation on the per-instruction
+walk of ``tests/walk_oracle.py`` in place of the replay, and its
+scalars must equal the replay run's exactly.
 
 Intentional changes regenerate the files with::
 
@@ -26,9 +26,10 @@ from pathlib import Path
 import pytest
 
 import repro.core.config
-import repro.core.pipeline
+import repro.fastsim.replay
 from repro.exec import Engine
 from repro.exec.figs import SCENARIOS, run_scenario
+from tests.walk_oracle import simulate_reference
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -90,18 +91,17 @@ def default_scalars(name: str) -> dict:
 @pytest.mark.parametrize("path", ["detailed", "fast"])
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_golden(name, path, request, monkeypatch):
-    """Every scenario lands on its committed golden on both simulation
-    paths: the default replay ("fast") and, with the selection point
-    in ``simulate`` forced to walk, the per-instruction walk
-    ("detailed").  The walk's scalars must also equal the replay's
-    exactly: the replay is exact at figure level, not merely within
-    ``rtol``."""
+    """Every scenario lands on its committed golden both through the
+    replay ("fast") and with ``simulate`` running the per-instruction
+    walk of ``tests/walk_oracle.py`` in its place ("detailed").  The
+    walk's scalars must also equal the replay's exactly: the replay is
+    exact at figure level, not merely within ``rtol``."""
     spec = SCENARIOS[name]
     scalars = default_scalars(name)
     assert scalars, f"scenario {name} produced no scalars"
     if path == "detailed":
-        monkeypatch.setattr(repro.core.pipeline, "_replays",
-                            lambda sampler: False)
+        monkeypatch.setattr(repro.fastsim.replay, "simulate_fast",
+                            simulate_reference)
         _rich, walked = run_scenario(name, scale=spec.quick_scale,
                                      engine=Engine(workers=1))
         assert walked == scalars

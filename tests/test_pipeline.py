@@ -3,11 +3,12 @@
 import pytest
 
 from repro.core import power9_config, power10_config
-from repro.core.pipeline import _Pool, _Ports, _Ring, simulate
+from repro.core.pipeline import _Ports, simulate
 from repro.errors import ConfigError, SimulationError
 from repro.workloads import (daxpy_trace, dgemm_mma_trace,
                              dgemm_vsu_trace, max_power_stressmark,
                              merge_smt, pointer_chase_trace)
+from tests.walk_oracle import _Pool, _Ring
 
 
 class TestRing:

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.regression import mean_abs_pct_error, ols, predict
-from repro.core.caches import Cache, CacheGeometry
+from repro.core.caches import CacheGeometry
 from repro.core.isa import Instruction, InstrClass
 from repro.core.mma import MMAUnit, mma_gemm
-from repro.core.pipeline import _Pool, _Ports, _Ring
+from repro.core.pipeline import _Ports
 from repro.power.lfsr import LfsrCounter, LfsrDecoder
 from repro.workloads.trace import Trace
+from tests.walk_oracle import Cache, _Pool, _Ring
 
 _DECODER8 = LfsrDecoder(8)
 

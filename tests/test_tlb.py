@@ -1,9 +1,11 @@
-"""Unit tests for the MMU (ERAT/TLB/table walker)."""
+"""Unit tests for the MMU (ERAT/TLB/table walker), driven one address
+at a time through the walk oracle's scalar methods."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.core.tlb import MMU, PAGE_BYTES, _LruTable
+from repro.core.tlb import PAGE_BYTES
+from tests.walk_oracle import MMU, _LruTable
 
 
 class TestLruTable:

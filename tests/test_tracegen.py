@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import TraceError
 from repro.tracegen import (aggregate_counters, basic_block_vectors,
                             build_tracepoint, collect_epochs, kmeans,
                             pick_simpoints, project_bbvs, simpoint_suite,
                             validate_against_reference)
-from repro.workloads import specint_suite
+from repro.workloads import resolve_workload, specint_suite, workload_names
 from repro.workloads.ai import bert_large_profile  # noqa: F401  (api check)
+from tests.test_fastsim_diff import synthetic_traces
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +35,64 @@ class TestBbv:
     def test_bad_interval(self, workload):
         with pytest.raises(TraceError):
             basic_block_vectors(workload, interval=0)
+
+
+def ref_basic_block_vectors(trace, interval):
+    """The record-walking BBVs the column version replaced."""
+    instrs = trace.instructions
+    intervals = [instrs[i:i + interval]
+                 for i in range(0, len(instrs), interval)
+                 if len(instrs[i:i + interval]) >= interval // 2]
+    block_ids, rows = {}, []
+    for chunk in intervals:
+        counts = {}
+        leader = chunk[0].pc
+        block_len = 0
+        for instr in chunk:
+            block_len += 1
+            if instr.iclass.is_branch:
+                bid = block_ids.setdefault(leader, len(block_ids))
+                counts[bid] = counts.get(bid, 0) + block_len
+                leader = instr.target if instr.taken else instr.pc + 4
+                block_len = 0
+        if block_len:
+            bid = block_ids.setdefault(leader, len(block_ids))
+            counts[bid] = counts.get(bid, 0) + block_len
+        rows.append(counts)
+    matrix = np.zeros((len(rows), len(block_ids)))
+    for i, counts in enumerate(rows):
+        for bid, count in counts.items():
+            matrix[i, bid] = count
+        total = matrix[i].sum()
+        if total > 0:
+            matrix[i] /= total
+    return matrix, intervals
+
+
+class TestBbvColumns:
+    """BBVs read the trace's columns; the matrix and the intervals must
+    be those of the record walk, bit for bit."""
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_registered_workloads(self, name):
+        trace = resolve_workload(name, 2600)
+        for interval in (100, 333, 1000):
+            matrix, intervals = basic_block_vectors(trace,
+                                                    interval=interval)
+            want, chunks = ref_basic_block_vectors(trace, interval)
+            assert matrix.tobytes() == want.tobytes()
+            assert matrix.shape == want.shape
+            assert [len(c) for c in intervals] == [len(c) for c in chunks]
+
+    @settings(max_examples=60, deadline=None)
+    @given(synthetic_traces())
+    def test_synthetic_traces(self, case):
+        """Branch targets of 0, none, and taken branches without one."""
+        _cfg, trace, _warmup = case
+        for interval in (7, 40):
+            matrix, _ = basic_block_vectors(trace, interval=interval)
+            want, _ = ref_basic_block_vectors(trace, interval)
+            assert matrix.tobytes() == want.tobytes()
 
 
 class TestKmeans:
