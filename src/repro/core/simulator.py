@@ -31,9 +31,8 @@ def simulate_trace(config: CoreConfig, trace, *,
     ``sampler`` (a :class:`repro.obs.sampler.CycleIntervalSampler`) is
     forwarded to the timing model for interval telemetry capture;
     ``warmup_fraction``/``max_instructions`` pass through to
-    :func:`repro.core.pipeline.simulate`, which replays the extracted
-    activity stream unless the sampler (or an active fault injector)
-    needs the per-instruction walk.
+    :func:`repro.core.pipeline.simulate`, whose one path replays the
+    extracted activity stream, samplers and fault injectors included.
     """
     with _obs_span("simulator.simulate_trace", "core",
                    config=config.name,

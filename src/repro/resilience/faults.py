@@ -164,12 +164,21 @@ class TraceFault(Fault):
 
     kind: ClassVar[str] = "trace"
 
+    #: exclusive bound of ``value`` per mode: a flip must keep the int64
+    #: address column in range, and a register must fit int32 ``src_reg``
+    VALUE_LIMITS: ClassVar[Dict[str, int]] = {"address_bit": 63,
+                                              "src_reg": 2 ** 31}
+
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.mode not in TRACE_MODES:
             raise ResilienceError(f"unknown trace mode: {self.mode!r}")
         if self.value < 0:
             raise ResilienceError("trace fault value must be >= 0")
+        if self.value >= self.VALUE_LIMITS[self.mode]:
+            raise ResilienceError(
+                f"{self.mode} trace fault value must be < "
+                f"{self.VALUE_LIMITS[self.mode]}, got {self.value}")
 
 
 _FAULT_TYPES = {cls.kind: cls for cls in

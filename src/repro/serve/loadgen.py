@@ -52,12 +52,13 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ServeError
 from .client import ServeClient, ServeResponse
+from .slo import percentile
 
 # (route, weight) — the mix leans on simulate (the expensive path) with
 # enough estimate/compare traffic to exercise every handler.
@@ -132,21 +133,13 @@ def _digest(value: object) -> str:
         .encode("utf-8")).hexdigest()[:16]
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]) of pre-sorted values."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, int(np.ceil(q / 100.0 * len(sorted_values))))
-    return float(sorted_values[rank - 1])
-
-
 def latency_doc(values: List[float]) -> Dict[str, float]:
     """The latency summary every load-generator table carries."""
     values = sorted(values)
     return {
-        "p50": _percentile(values, 50.0),
-        "p95": _percentile(values, 95.0),
-        "p99": _percentile(values, 99.0),
+        "p50": percentile(values, 0.50),
+        "p95": percentile(values, 0.95),
+        "p99": percentile(values, 0.99),
         "max": values[-1] if values else 0.0,
         "mean": float(np.mean(values)) if values else 0.0,
     }
@@ -252,7 +245,7 @@ def run_loadgen(config: LoadgenConfig,
             "latency_s": latency_doc(stats["latencies"]),
         }
 
-    p99 = _percentile(latencies, 99.0)
+    p99 = percentile(latencies, 0.99)
     answered = len(latencies)
     slo: Dict[str, object] = {
         "target_p99_ms": config.slo_p99_ms,

@@ -1,9 +1,11 @@
 """Wire protocol for the simulation service (``repro serve``).
 
-Every request body is a JSON object decoded into a frozen dataclass;
-validation happens here, through the :mod:`repro.errors` taxonomy, so a
-bad payload fails *before* it reaches the batcher and maps to a
-structured error body with a stable machine-readable code::
+Every request body is a JSON object decoded into a frozen dataclass
+by one codec that takes the accepted names, defaults and JSON kinds
+from the dataclass's own fields; validation happens here, through the
+:mod:`repro.errors` taxonomy, so a bad payload fails *before* it
+reaches the batcher and maps to a structured error body with a stable
+machine-readable code::
 
     {"ok": false,
      "error": {"code": "bad_request",
@@ -23,7 +25,9 @@ proxy-instead-of-measurement philosophy.
 
 from __future__ import annotations
 
+import functools
 import json
+import typing
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, Optional, Tuple, Type
 
@@ -81,6 +85,11 @@ _JSON_KINDS = {int: (int, "an integer"),
 
 def _field(data: Dict[str, object], key: str, kind, default):
     value = data.get(key, default)
+    if kind is tuple:                        # a list of names
+        if not isinstance(value, (list, tuple)) \
+                or not all(isinstance(w, str) for w in value):
+            raise ConfigError(f"field {key!r} must be a list of names")
+        return tuple(value)
     if value is None and default is None:    # an optional field
         return None
     accepted, label = _JSON_KINDS[kind]
@@ -92,6 +101,43 @@ def _field(data: Dict[str, object], key: str, kind, default):
         return kind(value)
     except OverflowError as exc:        # an integer too large for float
         raise ConfigError(f"field {key!r} is out of range") from exc
+
+
+@functools.cache
+def _schema(cls: Type) -> Tuple[Tuple[str, type, object], ...]:
+    """``(name, kind, default)`` of each field of a request type, in
+    declaration order.  ``kind`` is the type the annotation names
+    (``Optional[int]`` -> ``int``), or ``tuple`` for a tuple of names."""
+    hints = typing.get_type_hints(cls)
+    schema = []
+    for f in fields(cls):
+        hint = hints[f.name]
+        if typing.get_origin(hint) is tuple:
+            kind = tuple
+        else:
+            kind = next(arg for arg in typing.get_args(hint) or (hint,)
+                        if arg is not type(None))
+        schema.append((f.name, kind, f.default))
+    return tuple(schema)
+
+
+def _decode(cls: Type, data: Dict[str, object]):
+    """The one request decoder: accepted names, defaults and JSON kinds
+    all come from the fields of request type ``cls``.  Each type still
+    defines its own one-line ``from_json``, because the per-layer
+    tracer in ``benchmarks/e2e/trace`` times ``<Type>.from_json``."""
+    schema = _schema(cls)
+    _reject_unknown(data, tuple(name for name, _, _ in schema), cls.ROUTE)
+    return cls(**{name: _field(data, name, kind, default)
+                  for name, kind, default in schema})
+
+
+class _JsonRequest:
+    """The JSON encoding every request type shares."""
+
+    def to_json(self) -> Dict[str, object]:
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in asdict(self).items()}
 
 
 def _check_generation(name: str) -> str:
@@ -124,7 +170,7 @@ def _check_deadline(ms: Optional[int]) -> Optional[int]:
 
 
 @dataclass(frozen=True)
-class SimulateRequest:
+class SimulateRequest(_JsonRequest):
     """``POST /v1/simulate`` — one full-fidelity timing-model run."""
 
     config: str = "power10"
@@ -134,6 +180,10 @@ class SimulateRequest:
     deadline_ms: Optional[int] = None
 
     ROUTE = "/v1/simulate"
+
+    @classmethod
+    def from_json(cls, data: Dict[str, object]) -> "SimulateRequest":
+        return _decode(cls, data)
 
     def __post_init__(self) -> None:
         _check_generation(self.config)
@@ -145,24 +195,9 @@ class SimulateRequest:
                 f"{self.warmup_fraction}")
         _check_deadline(self.deadline_ms)
 
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "SimulateRequest":
-        _reject_unknown(data, ("config", "workload", "instructions",
-                               "warmup_fraction", "deadline_ms"),
-                        cls.ROUTE)
-        return cls(
-            config=_field(data, "config", str, "power10"),
-            workload=_field(data, "workload", str, "xz"),
-            instructions=_field(data, "instructions", int, 2000),
-            warmup_fraction=_field(data, "warmup_fraction", float, 0.0),
-            deadline_ms=_field(data, "deadline_ms", int, None))
-
-    def to_json(self) -> Dict[str, object]:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class CompareRequest:
+class CompareRequest(_JsonRequest):
     """``POST /v1/compare`` — P9 vs P10 across a workload list."""
 
     workloads: Tuple[str, ...] = ("daxpy",)
@@ -170,6 +205,10 @@ class CompareRequest:
     deadline_ms: Optional[int] = None
 
     ROUTE = "/v1/compare"
+
+    @classmethod
+    def from_json(cls, data: Dict[str, object]) -> "CompareRequest":
+        return _decode(cls, data)
 
     def __post_init__(self) -> None:
         if not self.workloads:
@@ -183,27 +222,9 @@ class CompareRequest:
         _check_instructions(self.instructions)
         _check_deadline(self.deadline_ms)
 
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "CompareRequest":
-        _reject_unknown(data, ("workloads", "instructions",
-                               "deadline_ms"), cls.ROUTE)
-        raw = data.get("workloads", ["daxpy"])
-        if not isinstance(raw, (list, tuple)) \
-                or not all(isinstance(w, str) for w in raw):
-            raise ConfigError("field 'workloads' must be a list of names")
-        return cls(
-            workloads=tuple(raw),
-            instructions=_field(data, "instructions", int, 2000),
-            deadline_ms=_field(data, "deadline_ms", int, None))
-
-    def to_json(self) -> Dict[str, object]:
-        doc = asdict(self)
-        doc["workloads"] = list(self.workloads)
-        return doc
-
 
 @dataclass(frozen=True)
-class EstimateRequest:
+class EstimateRequest(_JsonRequest):
     """``POST /v1/estimate`` — the explicit power-proxy fast path."""
 
     config: str = "power10"
@@ -212,26 +233,18 @@ class EstimateRequest:
 
     ROUTE = "/v1/estimate"
 
+    @classmethod
+    def from_json(cls, data: Dict[str, object]) -> "EstimateRequest":
+        return _decode(cls, data)
+
     def __post_init__(self) -> None:
         _check_generation(self.config)
         _check_workload(self.workload)
         _check_instructions(self.instructions)
 
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "EstimateRequest":
-        _reject_unknown(data, ("config", "workload", "instructions"),
-                        cls.ROUTE)
-        return cls(
-            config=_field(data, "config", str, "power10"),
-            workload=_field(data, "workload", str, "xz"),
-            instructions=_field(data, "instructions", int, 2000))
-
-    def to_json(self) -> Dict[str, object]:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class InjectRequest:
+class InjectRequest(_JsonRequest):
     """``POST /v1/inject`` — one seeded fault-injection run."""
 
     seed: int = 0
@@ -243,6 +256,10 @@ class InjectRequest:
 
     ROUTE = "/v1/inject"
 
+    @classmethod
+    def from_json(cls, data: Dict[str, object]) -> "InjectRequest":
+        return _decode(cls, data)
+
     def __post_init__(self) -> None:
         _check_generation(self.config)
         _check_workload(self.workload)
@@ -251,22 +268,6 @@ class InjectRequest:
             raise ConfigError(
                 f"faults must be in [1, {MAX_FAULTS}], got {self.faults}")
         _check_deadline(self.deadline_ms)
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "InjectRequest":
-        _reject_unknown(data, ("seed", "config", "workload",
-                               "instructions", "faults", "deadline_ms"),
-                        cls.ROUTE)
-        return cls(
-            seed=_field(data, "seed", int, 0),
-            config=_field(data, "config", str, "power10"),
-            workload=_field(data, "workload", str, "xz"),
-            instructions=_field(data, "instructions", int, 2000),
-            faults=_field(data, "faults", int, 3),
-            deadline_ms=_field(data, "deadline_ms", int, None))
-
-    def to_json(self) -> Dict[str, object]:
-        return asdict(self)
 
 
 REQUEST_TYPES: Dict[str, Type] = {

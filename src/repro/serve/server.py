@@ -11,13 +11,15 @@ it shares with the cluster router.  Routes:
 * ``GET /healthz``      — liveness + drain state;
 * ``GET /metrics``      — the obs metrics-registry dump.
 
-Request flow: admission control (token bucket + bounded in-flight)
-→ micro-batcher (single-flight dedupe into one Engine plan) → the
-PR 4 execution engine with its content-addressed cache.  A request
-that cannot be admitted or misses its deadline degrades to the
-power-proxy fast path (``"degraded": true``) when a proxy answer
-exists, and is rejected with 503 + ``Retry-After`` only when it does
-not.  Shutdown drains: the listener closes, in-flight work gets
+Request flow: the route's circuit breaker → admission control (token
+bucket + bounded in-flight) → micro-batcher (single-flight dedupe into
+one Engine plan) → the PR 4 execution engine with its
+content-addressed cache.  Every engine-backed route runs that chain
+through one guarded path (``ReproServer._guarded``).  A request that
+meets an open breaker, cannot be admitted or misses its deadline
+degrades to the power-proxy fast path (``"degraded": true``) when a
+proxy answer exists, and is refused (503 + ``Retry-After``, or 504
+for a missed deadline) only when it does not.  Shutdown drains: the listener closes, in-flight work gets
 ``drain_timeout_s`` to finish, and whatever remains is answered with a
 well-formed ``shutting_down`` error body — never a hang.
 
@@ -30,6 +32,7 @@ power is recomputed in this process from exact cached activity.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import os
 import signal
@@ -38,7 +41,8 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import (Awaitable, Callable, Dict, Iterable, List,
+                    Optional, Tuple)
 
 from ..errors import DeadlineError, DrainingError, OverloadError, ReproError
 from ..exec.cache import fingerprint_trace, sim_result_from_json
@@ -71,6 +75,31 @@ def _publish_port(port_file: str, port: int) -> None:
     tmp = Path(f"{port_file}.tmp{os.getpid()}")
     tmp.write_text(str(port))
     os.replace(tmp, port_file)
+
+
+def _compare_result(pairs: Iterable[Tuple[str, float, Dict, Dict]],
+                    ) -> Dict[str, object]:
+    """A compare answer from ``(workload, weight, p9, p10)`` pairs,
+    where each side carries ``ipc`` and ``power_w``: one row per
+    workload and the weighted aggregate ratios."""
+    rows = []
+    perf = power = wsum = 0.0
+    for name, weight, m9, m10 in pairs:
+        wsum += weight
+        perf += weight * m10["ipc"] / m9["ipc"]
+        power += weight * m10["power_w"] / m9["power_w"]
+        rows.append({
+            "workload": name, "weight": weight,
+            "p9_ipc": m9["ipc"], "p10_ipc": m10["ipc"],
+            "p9_power_w": m9["power_w"],
+            "p10_power_w": m10["power_w"],
+            "perf_ratio": m10["ipc"] / m9["ipc"],
+            "power_ratio": m10["power_w"] / m9["power_w"]})
+    return {"workloads": rows,
+            "aggregate": {
+                "perf_ratio": perf / wsum,
+                "power_ratio": power / wsum,
+                "perf_per_watt_ratio": perf / power}}
 
 
 def _task_tags() -> Tuple[str, ...]:
@@ -237,21 +266,22 @@ class ReproServer(FrontEnd):
                 else self.config.default_deadline_ms) / 1000.0
 
     async def _proxy_answer(self, generation: str, workload: str,
-                            instructions: int, *, degraded: bool,
+                            instructions: int,
                             reason: str = "") -> Dict[str, object]:
+        """The proxy body; a shed ``reason`` marks it degraded."""
         est = await asyncio.to_thread(
             self.fastpath.estimate, generation, workload, instructions)
-        body = protocol.ok_body(est, degraded=degraded, source="proxy")
+        body = protocol.ok_body(est, degraded=bool(reason),
+                                source="proxy")
         if reason:
             body["shed_reason"] = reason
         return body
 
     @staticmethod
-    def _reject(decision) -> Tuple[int, Dict, Dict[str, str]]:
-        exc = OverloadError(
-            f"server overloaded ({decision.reason}); retry after "
-            f"{decision.retry_after_s:.1f}s")
-        retry = str(max(1, int(round(decision.retry_after_s))))
+    def _overloaded(why: str, retry_after_s: float) -> Response:
+        """The 503 + ``Retry-After`` of a request with no proxy answer."""
+        exc = OverloadError(f"{why}; retry after {retry_after_s:.1f}s")
+        retry = str(max(1, int(round(retry_after_s))))
         return 503, protocol.error_body(exc), {"Retry-After": retry}
 
     def _measure(self, generation: str, payload: Dict) -> Dict[str, object]:
@@ -268,70 +298,41 @@ class ReproServer(FrontEnd):
                 "power_w": m.power_w,
                 "flops_per_cycle": m.flops_per_cycle}
 
-    # ---- route handlers ----------------------------------------------
+    async def _guarded(self, route: str, deadline_ms: Optional[int],
+                       build: Callable[[], Awaitable[List]],
+                       answer: Callable[[List], Dict[str, object]],
+                       degrade: Optional[Callable[[str], Awaitable[Dict]]],
+                       ) -> Response:
+        """Run one engine-backed request under its route's breaker,
+        admission control and deadline.
 
-    async def _handle_simulate(self, req: protocol.SimulateRequest):
-        breaker = self.breakers[protocol.SimulateRequest.ROUTE]
+        ``build()`` makes the request's engine tasks once it is
+        admitted (a shed request never builds a trace), and
+        ``answer(payloads)`` shapes their results.  ``degrade(reason)``
+        is the proxy body served instead when the breaker is open,
+        admission sheds or the deadline passes.  A route without one
+        (inject) is refused instead: a 503 with a retry hint, or a 504
+        when its deadline passes.
+        """
+        breaker = self.breakers[route]
         if not breaker.allow():
-            body = await self._proxy_answer(
-                req.config, req.workload, req.instructions,
-                degraded=True, reason="breaker")
-            return 200, body, {}
-        decision = self.admission.decide(degradable=True)
+            if degrade is None:
+                # the breaker's own retry hint instead of feeding a
+                # sick engine
+                return self._overloaded(
+                    f"circuit breaker open for {route}",
+                    breaker.retry_after_s())
+            return 200, await degrade("breaker"), {}
+        decision = self.admission.decide(degradable=degrade is not None)
         if not decision.admitted:
-            body = await self._proxy_answer(
-                req.config, req.workload, req.instructions,
-                degraded=True, reason=decision.reason)
-            return 200, body, {}
+            if degrade is None:
+                return self._overloaded(
+                    f"server overloaded ({decision.reason})",
+                    decision.retry_after_s)
+            return 200, await degrade(decision.reason), {}
         try:
-            deadline_s = self._deadline_s(req.deadline_ms)
-            trace, fingerprint = await asyncio.to_thread(
-                self._build_trace, req.workload, req.instructions)
-            task = sim_task(self._configs[req.config], trace,
-                            warmup_fraction=req.warmup_fraction,
-                            tags=_task_tags(),
-                            trace_fingerprint=fingerprint)
-            try:
-                payload = await asyncio.wait_for(
-                    self.batcher.submit(task, deadline_s=deadline_s),
-                    timeout=deadline_s)
-            except (asyncio.TimeoutError, DeadlineError):
-                breaker.record_failure()
-                body = await self._proxy_answer(
-                    req.config, req.workload, req.instructions,
-                    degraded=True, reason="deadline")
-                return 200, body, {}
-            except DrainingError:
-                raise                   # shutdown, not engine health
-            except ReproError:
-                breaker.record_failure()
-                raise
-            fields = self._measure(req.config, payload)
-            fields["workload"] = req.workload
-            breaker.record_success()
-            return 200, protocol.ok_body(fields), {}
-        finally:
-            self.admission.release()
-
-    async def _handle_compare(self, req: protocol.CompareRequest):
-        breaker = self.breakers[protocol.CompareRequest.ROUTE]
-        if not breaker.allow():
-            body = await self._degraded_compare(req, "breaker")
-            return 200, body, {}
-        decision = self.admission.decide(degradable=True)
-        if not decision.admitted:
-            body = await self._degraded_compare(req, decision.reason)
-            return 200, body, {}
-        try:
-            deadline_s = self._deadline_s(req.deadline_ms)
-            built = [await asyncio.to_thread(self._build_trace, w,
-                                             req.instructions)
-                     for w in req.workloads]
-            traces = [trace for trace, _ in built]
-            generations = ("power9", "power10")
-            tasks = [sim_task(self._configs[g], t, tags=_task_tags(),
-                              trace_fingerprint=fp)
-                     for g in generations for t, fp in built]
+            deadline_s = self._deadline_s(deadline_ms)
+            tasks = await build()
             gathered = asyncio.gather(*[
                 self.batcher.submit(t, deadline_s=deadline_s)
                 for t in tasks])
@@ -344,44 +345,71 @@ class ReproServer(FrontEnd):
                                                   timeout=deadline_s)
             except (asyncio.TimeoutError, DeadlineError):
                 breaker.record_failure()
-                body = await self._degraded_compare(req, "deadline")
-                return 200, body, {}
+                if degrade is None:
+                    raise DeadlineError(
+                        "fault-injection run missed its deadline (no "
+                        f"proxy fast path exists for {route})") from None
+                return 200, await degrade("deadline"), {}
             except DrainingError:
-                raise
+                raise                   # shutdown, not engine health
             except ReproError:
                 breaker.record_failure()
                 raise
-            n = len(traces)
-            rows = []
-            perf = power = wsum = 0.0
-            for i, trace in enumerate(traces):
-                m9 = self._measure("power9", payloads[i])
-                m10 = self._measure("power10", payloads[n + i])
-                weight = float(getattr(trace, "weight", 1.0))
-                wsum += weight
-                perf += weight * m10["ipc"] / m9["ipc"]
-                power += weight * m10["power_w"] / m9["power_w"]
-                rows.append({
-                    "workload": req.workloads[i], "weight": weight,
-                    "p9_ipc": m9["ipc"], "p10_ipc": m10["ipc"],
-                    "p9_power_w": m9["power_w"],
-                    "p10_power_w": m10["power_w"],
-                    "perf_ratio": m10["ipc"] / m9["ipc"],
-                    "power_ratio": m10["power_w"] / m9["power_w"]})
-            result = {"workloads": rows,
-                      "aggregate": {
-                          "perf_ratio": perf / wsum,
-                          "power_ratio": power / wsum,
-                          "perf_per_watt_ratio": perf / power}}
+            body = protocol.ok_body(answer(payloads))
             breaker.record_success()
-            return 200, protocol.ok_body(result), {}
+            return 200, body, {}
         finally:
             self.admission.release()
 
+    # ---- route handlers ----------------------------------------------
+
+    async def _handle_simulate(self, req: protocol.SimulateRequest):
+        async def build():
+            trace, fingerprint = await asyncio.to_thread(
+                self._build_trace, req.workload, req.instructions)
+            return [sim_task(self._configs[req.config], trace,
+                             warmup_fraction=req.warmup_fraction,
+                             tags=_task_tags(),
+                             trace_fingerprint=fingerprint)]
+
+        def answer(payloads):
+            fields = self._measure(req.config, payloads[0])
+            fields["workload"] = req.workload
+            return fields
+
+        return await self._guarded(
+            req.ROUTE, req.deadline_ms, build, answer,
+            functools.partial(self._proxy_answer, req.config,
+                              req.workload, req.instructions))
+
+    async def _handle_compare(self, req: protocol.CompareRequest):
+        weights: List[float] = []
+
+        async def build():
+            built = [await asyncio.to_thread(self._build_trace, w,
+                                             req.instructions)
+                     for w in req.workloads]
+            weights.extend(float(getattr(trace, "weight", 1.0))
+                           for trace, _ in built)
+            return [sim_task(self._configs[g], trace, tags=_task_tags(),
+                             trace_fingerprint=fp)
+                    for g in protocol.GENERATIONS for trace, fp in built]
+
+        def answer(payloads):
+            n = len(weights)
+            return _compare_result(
+                (name, weight, self._measure("power9", p9),
+                 self._measure("power10", p10))
+                for name, weight, p9, p10 in zip(
+                    req.workloads, weights, payloads[:n], payloads[n:]))
+
+        return await self._guarded(
+            req.ROUTE, req.deadline_ms, build, answer,
+            functools.partial(self._degraded_compare, req))
+
     async def _degraded_compare(self, req: protocol.CompareRequest,
                                 reason: str) -> Dict[str, object]:
-        rows = []
-        perf = power = wsum = 0.0
+        pairs = []
         for name in req.workloads:
             e9 = await asyncio.to_thread(
                 self.fastpath.estimate, "power9", name,
@@ -389,70 +417,31 @@ class ReproServer(FrontEnd):
             e10 = await asyncio.to_thread(
                 self.fastpath.estimate, "power10", name,
                 req.instructions)
-            wsum += 1.0
-            perf += e10["ipc"] / e9["ipc"]
-            power += e10["power_w"] / e9["power_w"]
-            rows.append({
-                "workload": name, "weight": 1.0,
-                "p9_ipc": e9["ipc"], "p10_ipc": e10["ipc"],
-                "p9_power_w": e9["power_w"],
-                "p10_power_w": e10["power_w"],
-                "perf_ratio": e10["ipc"] / e9["ipc"],
-                "power_ratio": e10["power_w"] / e9["power_w"]})
-        result = {"workloads": rows,
-                  "aggregate": {
-                      "perf_ratio": perf / wsum,
-                      "power_ratio": power / wsum,
-                      "perf_per_watt_ratio": perf / power}}
-        body = protocol.ok_body(result, degraded=True, source="proxy")
+            pairs.append((name, 1.0, e9, e10))
+        body = protocol.ok_body(_compare_result(pairs), degraded=True,
+                                source="proxy")
         body["shed_reason"] = reason
         return body
 
     async def _handle_estimate(self, req: protocol.EstimateRequest):
         # the explicit fast path: never batched, never sheds further
         body = await self._proxy_answer(req.config, req.workload,
-                                        req.instructions, degraded=False)
+                                        req.instructions)
         return 200, body, {}
 
     async def _handle_inject(self, req: protocol.InjectRequest):
         from ..resilience.campaign import CampaignConfig
-        breaker = self.breakers[protocol.InjectRequest.ROUTE]
-        if not breaker.allow():
-            # no proxy equivalent exists: reject with the breaker's
-            # own retry hint instead of feeding a sick engine
-            exc = OverloadError(
-                f"circuit breaker open for {req.ROUTE}; retry after "
-                f"{breaker.retry_after_s():.1f}s")
-            retry = str(max(1, int(round(breaker.retry_after_s()))))
-            return 503, protocol.error_body(exc), {"Retry-After": retry}
-        decision = self.admission.decide(degradable=False)
-        if not decision.admitted:
-            return self._reject(decision)
-        try:
-            deadline_s = self._deadline_s(req.deadline_ms)
+
+        async def build():
             cconfig = CampaignConfig(
                 seed=req.seed, runs=1, workload=req.workload,
                 instructions=req.instructions,
                 faults_per_run=req.faults, generation=req.config)
-            task = campaign_task(cconfig, 0, tags=_task_tags())
-            try:
-                payload = await asyncio.wait_for(
-                    self.batcher.submit(task, deadline_s=deadline_s),
-                    timeout=deadline_s)
-            except (asyncio.TimeoutError, DeadlineError):
-                breaker.record_failure()
-                raise DeadlineError(
-                    "fault-injection run missed its deadline (no "
-                    "proxy fast path exists for /v1/inject)") from None
-            except DrainingError:
-                raise
-            except ReproError:
-                breaker.record_failure()
-                raise
-            breaker.record_success()
-            return 200, protocol.ok_body({"run": payload}), {}
-        finally:
-            self.admission.release()
+            return [campaign_task(cconfig, 0, tags=_task_tags())]
+
+        return await self._guarded(req.ROUTE, req.deadline_ms, build,
+                                   lambda payloads: {"run": payloads[0]},
+                                   None)
 
     # ---- HTTP ---------------------------------------------------------
 

@@ -17,10 +17,19 @@ import bisect
 import math
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ServeError
 from ..obs.metrics import get_registry
+
+
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (q in [0, 1]) of pre-sorted values; the
+    SLO window and the load generator's reports both use it."""
+    if not sorted_values:
+        return 0.0
+    rank = max(1, math.ceil(q * len(sorted_values)))
+    return float(sorted_values[min(rank, len(sorted_values)) - 1])
 
 
 class SloTracker:
@@ -69,14 +78,6 @@ class SloTracker:
                 "(error, or latency above the p99 target)").inc(
                     reason="error" if error else "latency")
 
-    @staticmethod
-    def _percentile(sorted_values: List[float], q: float) -> float:
-        """Nearest-rank percentile (q in [0, 1]) of pre-sorted values."""
-        if not sorted_values:
-            return 0.0
-        rank = max(1, math.ceil(q * len(sorted_values)))
-        return sorted_values[min(rank, len(sorted_values)) - 1]
-
     def snapshot(self) -> Dict[str, object]:
         """Window state: percentiles, rates, budget, overall verdict.
 
@@ -92,9 +93,9 @@ class SloTracker:
         latencies = sorted(e[1] for e in events)
         n_errors = sum(1 for e in events if e[2])
         n_degraded = sum(1 for e in events if e[3])
-        p50 = self._percentile(latencies, 0.50)
-        p95 = self._percentile(latencies, 0.95)
-        p99 = self._percentile(latencies, 0.99)
+        p50 = percentile(latencies, 0.50)
+        p95 = percentile(latencies, 0.95)
+        p99 = percentile(latencies, 0.99)
         error_rate = n_errors / n if n else 0.0
         allowed = self.target_error_rate * n
         budget = 1.0 - (n_errors / allowed) if allowed > 0 else 1.0

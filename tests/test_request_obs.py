@@ -25,6 +25,7 @@ from repro.obs.context import (RequestContext, clean_request_id,
                                request_scope)
 from repro.obs.prometheus import CONTENT_TYPE as PROM_CONTENT_TYPE
 from repro.serve import ServeClient, ServeConfig, start_in_thread
+from repro.serve.loadgen import latency_doc
 from repro.serve.slo import SloTracker
 from repro.workloads import resolve_workload
 
@@ -292,6 +293,18 @@ class TestSloTracker:
         slo.observe(0.1, degraded=True)
         slo.observe(0.1)
         assert slo.snapshot()["degraded_rate"] == pytest.approx(0.5)
+
+    def test_window_percentiles_match_loadgen_reports(self):
+        # /healthz and BENCH_serve.json rank one latency list alike
+        latencies = [float((7 * i) % 37) for i in range(37)]
+        slo = SloTracker(clock=lambda: 0.0)
+        for value in latencies:
+            slo.observe(value)
+        doc = latency_doc(latencies)
+        snap = slo.snapshot()["latency_s"]
+        assert snap == {k: doc[k] for k in ("p50", "p95", "p99")}
+        assert (snap["p50"], snap["p95"], snap["p99"]) \
+            == (18.0, 35.0, 36.0)
 
 
 # ---- access log -----------------------------------------------------------

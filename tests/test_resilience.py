@@ -36,6 +36,7 @@ from repro.resilience import (CampaignConfig, CampaignRunner,
                               generate_schedule, get_injector,
                               injection)
 from repro.resilience.campaign import resolve_workload
+from repro.resilience.faults import TraceFault, fault_from_json
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +85,33 @@ class TestFaultSchedules:
                               n_instructions=0)
         with pytest.raises(ResilienceError):
             LatchFlipFault(at=0, probe=1.5)
+
+    @pytest.mark.parametrize("mode,value", [("address_bit", 63),
+                                            ("address_bit", 64),
+                                            ("src_reg", 2 ** 31)])
+    def test_trace_fault_value_must_fit_its_column(self, mode, value):
+        # a flip past bit 62 overflows the int64 address column, and a
+        # register past int32 the src_reg column, when the fault lands
+        match = f"{mode} trace fault value must be <"
+        with pytest.raises(ResilienceError, match=match):
+            TraceFault(at=0, mode=mode, value=value)
+        with pytest.raises(ResilienceError, match=match):
+            fault_from_json({"kind": "trace", "at": 0, "mode": mode,
+                             "value": value})
+
+    @pytest.mark.parametrize("mode,value", [("address_bit", 62),
+                                            ("src_reg", 2 ** 31 - 1)])
+    def test_largest_trace_fault_values_apply(self, p10, mode, value):
+        trace = resolve_workload("daxpy", 400)
+        assert trace.columns.address[0] >= 0    # a memory instruction
+        fault = fault_from_json({"kind": "trace", "at": 0, "mode": mode,
+                                 "value": value})
+        injector = FaultInjector(FaultSchedule(seed=0, faults=(fault,)))
+        with injection(injector):
+            simulate(p10, trace)
+        [record] = injector.records
+        assert record.effect == "trace-corruption"
+        assert str(value) in record.detail
 
 
 class TestInjectionOff:

@@ -15,6 +15,7 @@ import gc
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +31,7 @@ from repro.serve import (EstimateRequest, LoadgenConfig, ReproServer,
                          build_schedule, error_body, error_status,
                          run_phase, start_in_thread)
 from repro.serve import protocol
-from repro.serve.admission import AdmissionController
+from repro.serve.admission import AdmissionController, CircuitBreaker
 from repro.workloads import resolve_workload
 
 
@@ -867,3 +868,145 @@ class TestClientJitter:
         seq_c = [c._backoff_s(i, None) for i in range(4)]
         assert seq_a == seq_b
         assert seq_a != seq_c
+
+
+# ---- byte-identity pin of every serving outcome --------------------------
+
+#: route × outcome -> status, Retry-After and exact body bytes; the
+#: bodies were captured from the server before its guarded request
+#: path was shared across routes, so any change to a body shows here
+_PINNED = Path(__file__).parent / "fixtures" / "serve_bodies.json"
+
+_SIM = {"workload": "daxpy", "instructions": 300}
+_CMP = {"workloads": ["daxpy", "xz"], "instructions": 300}
+_INJ = {"seed": 3, "workload": "daxpy", "instructions": 300, "faults": 2}
+
+#: (case id, route, payload, server state)
+_PIN_CASES = [
+    ("simulate-ok", "/v1/simulate", _SIM, "ok"),
+    ("simulate-rate", "/v1/simulate", _SIM, "rate"),
+    ("simulate-queue", "/v1/simulate", _SIM, "queue"),
+    ("simulate-breaker", "/v1/simulate", _SIM, "breaker"),
+    ("simulate-deadline", "/v1/simulate",
+     dict(_SIM, deadline_ms=50), "stalled"),
+    ("compare-ok", "/v1/compare", _CMP, "ok"),
+    ("compare-rate", "/v1/compare", _CMP, "rate"),
+    ("compare-queue", "/v1/compare", _CMP, "queue"),
+    ("compare-breaker", "/v1/compare", _CMP, "breaker"),
+    ("compare-deadline", "/v1/compare",
+     dict(_CMP, deadline_ms=50), "stalled"),
+    ("estimate-ok", "/v1/estimate", {"workload": "xz",
+                                     "instructions": 300}, "ok"),
+    ("inject-ok", "/v1/inject", _INJ, "ok"),
+    ("inject-rate", "/v1/inject", _INJ, "rate"),
+    ("inject-queue", "/v1/inject", _INJ, "queue"),
+    ("inject-breaker", "/v1/inject", _INJ, "breaker"),
+    ("inject-deadline", "/v1/inject",
+     dict(_INJ, deadline_ms=50), "stalled"),
+    ("simulate-unknown-field", "/v1/simulate",
+     {"generation": "power9"}, "ok"),
+    ("inject-unknown-field", "/v1/inject",
+     {"seed": 1, "bogus": 2, "alpha": 3}, "ok"),
+    ("simulate-wrong-kind", "/v1/simulate",
+     {"instructions": "300"}, "ok"),
+    ("simulate-null-required", "/v1/simulate",
+     {"workload": None}, "ok"),
+    ("simulate-float-range", "/v1/simulate",
+     {"warmup_fraction": 1.5}, "ok"),
+    ("estimate-bool-int", "/v1/estimate",
+     {"instructions": True}, "ok"),
+    ("inject-float-int", "/v1/inject", {"faults": 2.5}, "ok"),
+    ("inject-deadline-range", "/v1/inject",
+     {"deadline_ms": 0}, "ok"),
+    ("compare-workloads-not-a-list", "/v1/compare",
+     {"workloads": "daxpy"}, "ok"),
+    ("compare-workloads-not-names", "/v1/compare",
+     {"workloads": ["daxpy", 7]}, "ok"),
+    ("compare-workloads-null", "/v1/compare",
+     {"workloads": None, "instructions": "x"}, "ok"),
+    ("compare-workloads-empty", "/v1/compare",
+     {"workloads": []}, "ok"),
+]
+
+
+async def _pin_enter(server, state, route):
+    """Put the pin server into one admission/breaker/engine state."""
+    # closed breakers on a frozen clock: an open one's retry hint is
+    # exactly its reset time
+    for name in server.breakers:
+        server.breakers[name] = CircuitBreaker(
+            name, failure_threshold=1, reset_s=60.0, clock=lambda: 0.0)
+    server.batcher.__dict__.pop("submit", None)
+    server.admission.bucket = None
+    if state == "rate":
+        # an empty bucket on a frozen clock: the refusal's retry hint
+        # is exactly one token's refill time
+        server.admission.bucket = TokenBucket(0.001, 1,
+                                              clock=lambda: 0.0)
+        server.admission.bucket.try_take()
+    elif state == "queue":
+        server.admission.decide(degradable=False)   # hold the one slot
+    elif state == "breaker":
+        server.breakers[route].record_failure()
+    elif state == "stalled":
+        async def stalled(task, deadline_s=None):
+            await asyncio.Event().wait()
+        server.batcher.submit = stalled
+
+
+async def _pin_leave(server, state):
+    if state == "queue":
+        server.admission.release()
+
+
+def _pin_server():
+    return start_in_thread(ServeConfig(window_ms=1.0, max_inflight=1))
+
+
+def _pin_fetch(handle, case):
+    """One pinned case against a running pin server: ``(status,
+    Retry-After or None, body text)``."""
+    from repro.serve.http import fetch
+    _cid, route, payload, state = case
+    handle.call(_pin_enter, state, route)
+    try:
+        status, headers, body = asyncio.run(fetch(
+            "127.0.0.1", handle.port, "POST", route,
+            body=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"}))
+    finally:
+        handle.call(_pin_leave, state)
+    return status, headers.get("retry-after"), body.decode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def pin_server():
+    import os
+    saved = {k: os.environ.pop(k)
+             for k in ("REPRO_WORKERS", "REPRO_CACHE_DIR",
+                       "REPRO_CHAOS_DIR")
+             if k in os.environ}
+    handle = _pin_server()
+    yield handle
+    handle.stop()
+    os.environ.update(saved)
+
+
+class TestPinnedBodies:
+    """Every route × outcome answers with exactly the pinned status,
+    ``Retry-After`` and body bytes: engine answers, the four degraded
+    answers of simulate and compare (rate, queue, breaker, deadline),
+    inject's 503s and 504, and the protocol's 400 texts."""
+
+    @pytest.mark.parametrize("case", _PIN_CASES,
+                             ids=[c[0] for c in _PIN_CASES])
+    def test_body_is_pinned(self, pin_server, case):
+        expected = json.loads(_PINNED.read_text())[case[0]]
+        status, retry_after, body = _pin_fetch(pin_server, case)
+        assert (status, retry_after) == (expected["status"],
+                                         expected["retry_after"])
+        assert body == expected["body"]
+
+    def test_every_case_is_pinned(self):
+        assert sorted(json.loads(_PINNED.read_text())) \
+            == sorted(c[0] for c in _PIN_CASES)
