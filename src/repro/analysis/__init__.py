@@ -1,8 +1,6 @@
-"""Analysis utilities: metrics, constrained regression, and report
+"""Analysis utilities: constrained regression, validation and report
 formatting for the benchmark harness."""
 
-from .metrics import (bips, efficiency_gain, energy_delay_product, geomean,
-                      perf_per_watt, weighted_mean)
 from .regression import (FitResult, GreedyFeatureSelector,
                          mean_abs_pct_error, nnls, ols, predict)
 from .report import format_comparison, format_series, format_table
@@ -12,8 +10,6 @@ from .validate import (EnvironmentRow, PowerValidationRow,
                        regression_check)
 
 __all__ = [
-    "bips", "efficiency_gain", "energy_delay_product", "geomean",
-    "perf_per_watt", "weighted_mean",
     "FitResult", "GreedyFeatureSelector", "mean_abs_pct_error",
     "nnls", "ols", "predict",
     "format_comparison", "format_series", "format_table",

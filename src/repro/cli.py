@@ -86,52 +86,41 @@ def _compare_results(args: argparse.Namespace, p9, p10, proxies):
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .analysis import format_table
-    from .core import power9_config, power10_config
+    from .core import power9_config, power10_config, weighted_comparison
     from .power import EinspowerModel
     from .workloads import specint_proxies
 
     proxies = specint_proxies(instructions=args.instructions)
     p9, p10 = power9_config(), power10_config()
-    rows = []
-    proxies_out = []
-    wsum = perf = power = 0.0
-    for trace, (r9, r10) in zip(proxies,
-                                _compare_results(args, p9, p10, proxies)):
-        w9 = EinspowerModel(p9).report(r9.activity).total_w
-        w10 = EinspowerModel(p10).report(r10.activity).total_w
-        wsum += trace.weight
-        perf += trace.weight * r10.ipc / r9.ipc
-        power += trace.weight * w10 / w9
-        proxies_out.append({
-            "proxy": trace.name, "weight": trace.weight,
-            "p9_ipc": r9.ipc, "p10_ipc": r10.ipc,
-            "p9_power_w": w9, "p10_power_w": w10,
-            "perf_ratio": r10.ipc / r9.ipc,
-            "power_ratio": w10 / w9})
-        if args.verbose:
-            rows.append([trace.name, f"{r9.ipc:.2f}", f"{r10.ipc:.2f}",
-                         f"{r10.ipc / r9.ipc:.2f}x",
-                         f"{w10 / w9:.2f}x"])
-    perf /= wsum
-    power /= wsum
+    comparison = weighted_comparison(
+        (trace.name, trace.weight,
+         r9.ipc, EinspowerModel(p9).report(r9.activity).total_w,
+         r10.ipc, EinspowerModel(p10).report(r10.activity).total_w)
+        for trace, (r9, r10) in zip(
+            proxies, _compare_results(args, p9, p10, proxies)))
+    agg = comparison["aggregate"]
     if args.json:
         print(json.dumps({
             "command": "compare",
             "instructions": args.instructions,
-            "proxies": proxies_out,
-            "aggregate": {"perf_ratio": perf, "power_ratio": power,
-                          "perf_per_watt_ratio": perf / power},
+            "proxies": comparison["workloads"],
+            "aggregate": agg,
             "paper": {"perf_ratio": 1.3, "power_ratio": 0.5,
                       "perf_per_watt_ratio": 2.6},
         }, indent=2))
         return 0
-    if rows:
-        print(format_table("per-proxy results",
-                           ["proxy", "P9 IPC", "P10 IPC", "perf",
-                            "power"], rows))
+    if args.verbose:
+        print(format_table(
+            "per-proxy results",
+            ["proxy", "P9 IPC", "P10 IPC", "perf", "power"],
+            [[row["workload"], f"{row['p9_ipc']:.2f}",
+              f"{row['p10_ipc']:.2f}", f"{row['perf_ratio']:.2f}x",
+              f"{row['power_ratio']:.2f}x"]
+             for row in comparison["workloads"]]))
     print(f"POWER10 vs POWER9 (weighted over {len(proxies)} proxies): "
-          f"{perf:.2f}x perf @ {power:.2f}x power -> "
-          f"{perf / power:.2f}x perf/watt (paper: 1.3x @ 0.5x -> 2.6x)")
+          f"{agg['perf_ratio']:.2f}x perf @ {agg['power_ratio']:.2f}x "
+          f"power -> {agg['perf_per_watt_ratio']:.2f}x perf/watt "
+          f"(paper: 1.3x @ 0.5x -> 2.6x)")
     return 0
 
 

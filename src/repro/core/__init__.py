@@ -10,8 +10,8 @@ from .isa import Instruction, InstrClass
 from .mma import MMAUnit, mma_gemm, ger_instructions_for_gemm
 from .vsu import VSUnit, vsu_gemm, vector_fma_count_for_gemm
 from .pipeline import SimResult, simulate
-from .simulator import (RunMeasurement, SuiteResult, compare_configs,
-                        simulate_suite, simulate_trace)
+from .simulator import (RunMeasurement, simulate_trace,
+                        weighted_comparison)
 from .socket import (POWER9_SOCKET, POWER10_SOCKET, SocketConfig,
                      SocketProjection, precision_speedup, project_socket)
 
@@ -23,8 +23,7 @@ __all__ = [
     "MMAUnit", "mma_gemm", "ger_instructions_for_gemm",
     "VSUnit", "vsu_gemm", "vector_fma_count_for_gemm",
     "SimResult", "simulate",
-    "RunMeasurement", "SuiteResult", "compare_configs",
-    "simulate_suite", "simulate_trace",
+    "RunMeasurement", "simulate_trace", "weighted_comparison",
     "POWER9_SOCKET", "POWER10_SOCKET", "SocketConfig",
     "SocketProjection", "precision_speedup", "project_socket",
 ]

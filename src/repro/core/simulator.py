@@ -1,4 +1,4 @@
-"""High-level simulation API: single runs, suites, and SMT sweeps.
+"""High-level simulation API: single runs and the P9/P10 comparison.
 
 This is the public entry point most examples and benchmarks use:
 
@@ -9,15 +9,14 @@ This is the public entry point most examples and benchmarks use:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..errors import SimulationError
 from ..obs.metrics import get_registry
 from ..obs.tracing import span as _obs_span
 from .config import CoreConfig
 from .pipeline import SimResult, simulate
-from .activity import ActivityCounters
 
 
 def simulate_trace(config: CoreConfig, trace, *,
@@ -119,104 +118,31 @@ def _freq_of(result: SimResult) -> float:
     return float(result.metadata.get("frequency_ghz", 4.0))
 
 
-@dataclass
-class SuiteResult:
-    """Weighted aggregate over a suite of traces (e.g. SPECint proxies)."""
+def weighted_comparison(
+        rows: Iterable[Tuple[str, float, float, float, float, float]],
+        ) -> Dict[str, object]:
+    """The POWER10-vs-POWER9 comparison over a weighted workload list.
 
-    runs: List[RunMeasurement]
-    weights: List[float]
-
-    def __post_init__(self) -> None:
-        if len(self.runs) != len(self.weights):
-            raise SimulationError("runs and weights must align")
-        if not self.runs:
-            raise SimulationError("empty suite result")
-
-    @property
-    def mean_ipc(self) -> float:
-        return self._weighted(lambda r: r.ipc)
-
-    @property
-    def mean_power_w(self) -> float:
-        return self._weighted(lambda r: r.power_w or 0.0)
-
-    @property
-    def mean_cpi(self) -> float:
-        return self._weighted(lambda r: r.cpi)
-
-    @property
-    def perf_per_watt(self) -> float:
-        power = self.mean_power_w
-        if power <= 0:
-            raise SimulationError("suite has no power data")
-        return self.mean_ipc / power
-
-    @property
-    def total_flushed(self) -> int:
-        return sum(r.result.flushed_instructions for r in self.runs)
-
-    @property
-    def total_instructions(self) -> int:
-        return sum(r.result.instructions for r in self.runs)
-
-    def _weighted(self, fn) -> float:
-        total_w = sum(self.weights)
-        return sum(fn(r) * w for r, w in zip(self.runs, self.weights)) \
-            / total_w
-
-
-def simulate_suite(config: CoreConfig, traces: Sequence,
-                   with_power: bool = True, sampler=None,
-                   engine=None) -> SuiteResult:
-    """Run a whole trace suite and aggregate by trace weight.
-
-    Runs route through the execution engine
-    (:class:`repro.exec.Engine`), so worker fan-out and the result
-    cache apply; pass ``engine`` to share one across calls, or leave it
-    None for the environment default (``$REPRO_WORKERS`` /
-    ``$REPRO_CACHE_DIR``).  A shared ``sampler`` collects one telemetry
-    segment per trace (run labels distinguish them) and forces the
-    direct in-process path, since samplers are stateful.
+    Each row is ``(name, weight, ipc9, power9_w, ipc10, power10_w)``.
+    The answer (the ``/v1/compare`` result) carries one entry per
+    workload and the weighted aggregate: the mean perf and power
+    ratios, and their quotient as the perf/W ratio (the paper's 1.3x
+    at 0.5x -> 2.6x, Table I).
     """
-    if sampler is not None:
-        runs = [simulate_trace(config, t, with_power=with_power,
-                               sampler=sampler)
-                for t in traces]
-    else:
-        from ..exec.executor import Engine, run_sim_plan, sim_task
-        if engine is None:
-            engine = Engine()
-        results = run_sim_plan(
-            engine, [sim_task(config, t) for t in traces])
-        runs = [measurement_from_result(config, r,
-                                        with_power=with_power)
-                for r in results]
-    weights = [getattr(t, "weight", 1.0) for t in traces]
-    return SuiteResult(runs=runs, weights=weights)
-
-
-def compare_configs(configs: Sequence[CoreConfig], traces: Sequence,
-                    with_power: bool = True,
-                    engine=None) -> Dict[str, SuiteResult]:
-    """Run the same suite across configs; keys are config names.
-
-    All (config, trace) runs go to the engine as one flat plan, so
-    ``workers=N`` parallelizes across the whole cross product rather
-    than one suite at a time.
-    """
-    from ..exec.executor import Engine, run_sim_plan, sim_task
-    if engine is None:
-        engine = Engine()
-    traces = list(traces)
-    results = run_sim_plan(
-        engine, [sim_task(c, t) for c in configs for t in traces])
-    weights = [getattr(t, "weight", 1.0) for t in traces]
-    out: Dict[str, SuiteResult] = {}
-    for ci, config in enumerate(configs):
-        block = results[ci * len(traces):(ci + 1) * len(traces)]
-        runs = [measurement_from_result(config, r,
-                                        with_power=with_power)
-                for r in block]
-        out[config.name] = SuiteResult(runs=runs,
-                                       weights=list(weights))
-    return out
+    workloads = []
+    perf = power = wsum = 0.0
+    for name, weight, ipc9, power9_w, ipc10, power10_w in rows:
+        wsum += weight
+        perf += weight * ipc10 / ipc9
+        power += weight * power10_w / power9_w
+        workloads.append({
+            "workload": name, "weight": weight,
+            "p9_ipc": ipc9, "p10_ipc": ipc10,
+            "p9_power_w": power9_w, "p10_power_w": power10_w,
+            "perf_ratio": ipc10 / ipc9,
+            "power_ratio": power10_w / power9_w})
+    return {"workloads": workloads,
+            "aggregate": {
+                "perf_ratio": perf / wsum,
+                "power_ratio": power / wsum,
+                "perf_per_watt_ratio": perf / power}}

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Sequence
 from ..errors import ExecError
 from ..obs.tracing import span as _obs_span
 from .cache import ResultCache, task_fingerprint
-from .executor import Engine, resolve_workers
+from .executor import Engine, resolve_workers, run_sim_plan, sim_task
 from .figs import SCENARIOS, get_scenario, run_scenario
 
 QUICK_SCALE_CAP = 1.0
@@ -91,14 +91,15 @@ def run_bench(names: Optional[Sequence[str]] = None, *,
     return summary
 
 
-def _sweep_snapshot(out) -> str:
-    """Canonical serialization of a compare_configs result — equal
-    strings mean bit-identical runs."""
-    return json.dumps(
-        {name: [(r.result.cycles, r.result.instructions,
-                 dict(r.result.activity.events), r.power_w)
-                for r in suite.runs]
-         for name, suite in out.items()}, sort_keys=True)
+def _sweep(configs, traces, engine: Engine):
+    """One config x trace sweep on ``engine``: per run, its cycles,
+    instructions, events and Einspower total."""
+    from ..power.einspower import EinspowerModel
+    runs = [(c, t) for c in configs for t in traces]
+    results = run_sim_plan(engine, [sim_task(c, t) for c, t in runs])
+    return [(r.cycles, r.instructions, dict(r.activity.events),
+             EinspowerModel(c).report(r.activity).total_w)
+            for (c, _t), r in zip(runs, results)]
 
 
 def run_sweep(*, out_dir=".", quick: bool = False,
@@ -108,7 +109,6 @@ def run_sweep(*, out_dir=".", quick: bool = False,
     parallel (cold cache) vs warm-cache rerun, with bit-identity
     verified across all three."""
     from ..core import power9_config, power10_config
-    from ..core.simulator import compare_configs
     from ..workloads import resolve_workload
     workers = resolve_workers(workers)
     n = 2000 if quick else 8000
@@ -119,11 +119,9 @@ def run_sweep(*, out_dir=".", quick: bool = False,
                         "pointer-chase")]
 
     with _obs_span("bench.sweep.serial", "exec") as sp_serial:
-        serial = compare_configs(configs, traces,
-                                 engine=Engine(workers=1))
+        serial = _sweep(configs, traces, Engine(workers=1))
     with _obs_span("bench.sweep.parallel", "exec") as sp_par:
-        parallel = compare_configs(configs, traces,
-                                   engine=Engine(workers=workers))
+        parallel = _sweep(configs, traces, Engine(workers=workers))
 
     out_path = Path(out_dir)
     cache_root = Path(cache_dir) if cache_dir is not None \
@@ -131,15 +129,14 @@ def run_sweep(*, out_dir=".", quick: bool = False,
     cache = ResultCache(cache_root / "sweep")
     cache.clear()  # guarantee the "cold" timing really is cold
     with _obs_span("bench.sweep.cold", "exec") as sp_cold:
-        cold = compare_configs(
-            configs, traces, engine=Engine(workers=workers,
-                                           cache=cache))
+        cold = _sweep(configs, traces,
+                      Engine(workers=workers, cache=cache))
     with _obs_span("bench.sweep.warm", "exec") as sp_warm:
-        warm = compare_configs(
-            configs, traces, engine=Engine(workers=workers,
-                                           cache=cache))
+        warm = _sweep(configs, traces,
+                      Engine(workers=workers, cache=cache))
 
-    snapshots = [_sweep_snapshot(x)
+    # canonical serializations: equal strings mean bit-identical runs
+    snapshots = [json.dumps(x, sort_keys=True)
                  for x in (serial, parallel, cold, warm)]
     bit_identical = all(s == snapshots[0] for s in snapshots[1:])
     doc = {

@@ -536,7 +536,8 @@ _register(ScenarioSpec(
 
 def table1_efficiency(scale: float = 1.0, engine=None):
     from ..core import (POWER9_SOCKET, POWER10_SOCKET, power9_config,
-                        power10_config, project_socket)
+                        power10_config, project_socket,
+                        weighted_comparison)
     from ..power import EinspowerModel
     from ..workloads import specint_proxies
     engine = engine if engine is not None else Engine()
@@ -550,20 +551,20 @@ def table1_efficiency(scale: float = 1.0, engine=None):
         r9, r10 = results[2 * i], results[2 * i + 1]
         w9 = EinspowerModel(p9).report(r9.activity).total_w
         w10 = EinspowerModel(p10).report(r10.activity).total_w
-        rows.append((trace.weight, r10.ipc / r9.ipc, w10 / w9,
-                     r9.ipc, w9, r10.ipc, w10))
-    total = sum(r[0] for r in rows)
+        rows.append((trace.name, trace.weight, r9.ipc, w9, r10.ipc, w10))
+    aggregate = weighted_comparison(rows)["aggregate"]
+    total = sum(r[1] for r in rows)
 
     def wavg(idx):
-        return sum(r[0] * r[idx] for r in rows) / total
+        return sum(r[1] * r[idx] for r in rows) / total
 
     stats = {
-        "perf_ratio": wavg(1),
-        "power_ratio": wavg(2),
-        "p9_ipc": wavg(3), "p9_w": wavg(4),
-        "p10_ipc": wavg(5), "p10_w": wavg(6),
+        "perf_ratio": aggregate["perf_ratio"],
+        "power_ratio": aggregate["power_ratio"],
+        "p9_ipc": wavg(2), "p9_w": wavg(3),
+        "p10_ipc": wavg(4), "p10_w": wavg(5),
+        "core_eff": aggregate["perf_per_watt_ratio"],
     }
-    stats["core_eff"] = stats["perf_ratio"] / stats["power_ratio"]
     p9_socket = project_socket(POWER9_SOCKET, stats["p9_ipc"],
                                stats["p9_w"])
     p10_socket = project_socket(POWER10_SOCKET, stats["p10_ipc"],

@@ -61,24 +61,6 @@ class ApexRun:
     metadata: Dict[str, object] = field(default_factory=dict)
 
 
-def _interval_power_w(config: CoreConfig, counts: Dict[str, int],
-                      cycles: int, utilizations: Dict[str, float]) -> float:
-    """Simplified on-the-fly power from extracted counts: event energies
-    ("pre-extracted activity signal groupings and associated effective
-    capacitance") plus the clock/leakage estimate."""
-    pcfg = config.power
-    runtime_ns = cycles / pcfg.frequency_ghz
-    energy_pj = sum(counts.get(ev, 0) * pcfg.energy.energy_pj(ev)
-                    for ev in counts)
-    dynamic_w = energy_pj / runtime_ns / 1000.0
-    floor = pcfg.gating_floor
-    clock_w = sum(
-        w * (floor + (1.0 - floor) * utilizations.get(unit, 0.0))
-        for unit, w in pcfg.unit_clock_w.items())
-    return dynamic_w + clock_w + pcfg.leakage_w + (
-        pcfg.mma_leakage_w if config.issue.mma_present else 0.0)
-
-
 class Apex:
     """APEX characterization driver for one core configuration."""
 
@@ -120,10 +102,10 @@ class Apex:
                 act = result.activity
                 bank.record({ev: act.events[ev] for ev in self.signals})
                 counts = bank.extract()
-                utils = {u: act.utilization(u)
-                         for u in act.unit_busy_cycles}
-                power = _interval_power_w(self.config, counts,
-                                          act.cycles, utils)
+                power = apex_power_from_activity(
+                    self.config, ActivityCounters(
+                        cycles=act.cycles, events=counts,
+                        unit_busy_cycles=act.unit_busy_cycles))
                 intervals.append(ApexInterval(
                     index=i, instructions=act.instructions,
                     cycles=act.cycles, counts=counts, power_w=power,

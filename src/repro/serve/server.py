@@ -41,9 +41,9 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Awaitable, Callable, Dict, Iterable, List,
-                    Optional, Tuple)
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
+from ..core.simulator import measurement_from_result, weighted_comparison
 from ..errors import DeadlineError, DrainingError, OverloadError, ReproError
 from ..exec.cache import fingerprint_trace, sim_result_from_json
 from ..exec.executor import Engine, campaign_task, sim_task
@@ -75,31 +75,6 @@ def _publish_port(port_file: str, port: int) -> None:
     tmp = Path(f"{port_file}.tmp{os.getpid()}")
     tmp.write_text(str(port))
     os.replace(tmp, port_file)
-
-
-def _compare_result(pairs: Iterable[Tuple[str, float, Dict, Dict]],
-                    ) -> Dict[str, object]:
-    """A compare answer from ``(workload, weight, p9, p10)`` pairs,
-    where each side carries ``ipc`` and ``power_w``: one row per
-    workload and the weighted aggregate ratios."""
-    rows = []
-    perf = power = wsum = 0.0
-    for name, weight, m9, m10 in pairs:
-        wsum += weight
-        perf += weight * m10["ipc"] / m9["ipc"]
-        power += weight * m10["power_w"] / m9["power_w"]
-        rows.append({
-            "workload": name, "weight": weight,
-            "p9_ipc": m9["ipc"], "p10_ipc": m10["ipc"],
-            "p9_power_w": m9["power_w"],
-            "p10_power_w": m10["power_w"],
-            "perf_ratio": m10["ipc"] / m9["ipc"],
-            "power_ratio": m10["power_w"] / m9["power_w"]})
-    return {"workloads": rows,
-            "aggregate": {
-                "perf_ratio": perf / wsum,
-                "power_ratio": power / wsum,
-                "perf_per_watt_ratio": perf / power}}
 
 
 def _task_tags() -> Tuple[str, ...]:
@@ -134,9 +109,7 @@ class ServeConfig:
     calibration_instructions: int = 384
     warm_fast_path: bool = False
     access_log: Optional[str] = None     # JSON-lines path; None = off
-    slo_window_s: float = 60.0
     slo_target_p99_ms: float = 2000.0
-    slo_target_error_rate: float = 0.05
 
 
 class ReproServer(FrontEnd):
@@ -151,9 +124,7 @@ class ReproServer(FrontEnd):
         self.fastpath: Optional[ProxyFastPath] = None
         self.breakers: Dict[str, CircuitBreaker] = {}
         self.slo = SloTracker(
-            window_s=self.config.slo_window_s,
-            target_p99_s=self.config.slo_target_p99_ms / 1000.0,
-            target_error_rate=self.config.slo_target_error_rate)
+            target_p99_s=self.config.slo_target_p99_ms / 1000.0)
         self._access_log = None
         self._configs: Dict[str, object] = {}
         # (workload, instructions) -> (trace, fingerprint), LRU order
@@ -287,7 +258,6 @@ class ReproServer(FrontEnd):
     def _measure(self, generation: str, payload: Dict) -> Dict[str, object]:
         """Decode an engine sim payload into response fields; power is
         recomputed here from exact activity, like every engine caller."""
-        from ..core.simulator import measurement_from_result
         result = sim_result_from_json(payload)
         m = measurement_from_result(self._configs[generation], result)
         return {"config": generation,
@@ -397,11 +367,14 @@ class ReproServer(FrontEnd):
 
         def answer(payloads):
             n = len(weights)
-            return _compare_result(
-                (name, weight, self._measure("power9", p9),
-                 self._measure("power10", p10))
-                for name, weight, p9, p10 in zip(
-                    req.workloads, weights, payloads[:n], payloads[n:]))
+            rows = []
+            for name, weight, p9, p10 in zip(
+                    req.workloads, weights, payloads[:n], payloads[n:]):
+                m9 = self._measure("power9", p9)
+                m10 = self._measure("power10", p10)
+                rows.append((name, weight, m9["ipc"], m9["power_w"],
+                             m10["ipc"], m10["power_w"]))
+            return weighted_comparison(rows)
 
         return await self._guarded(
             req.ROUTE, req.deadline_ms, build, answer,
@@ -409,7 +382,7 @@ class ReproServer(FrontEnd):
 
     async def _degraded_compare(self, req: protocol.CompareRequest,
                                 reason: str) -> Dict[str, object]:
-        pairs = []
+        rows = []
         for name in req.workloads:
             e9 = await asyncio.to_thread(
                 self.fastpath.estimate, "power9", name,
@@ -417,8 +390,9 @@ class ReproServer(FrontEnd):
             e10 = await asyncio.to_thread(
                 self.fastpath.estimate, "power10", name,
                 req.instructions)
-            pairs.append((name, 1.0, e9, e10))
-        body = protocol.ok_body(_compare_result(pairs), degraded=True,
+            rows.append((name, 1.0, e9["ipc"], e9["power_w"],
+                         e10["ipc"], e10["power_w"]))
+        body = protocol.ok_body(weighted_comparison(rows), degraded=True,
                                 source="proxy")
         body["shed_reason"] = reason
         return body

@@ -1,43 +1,12 @@
-"""Tests for metrics, regression and report formatting."""
+"""Tests for regression and report formatting."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import (GreedyFeatureSelector, bips, efficiency_gain,
-                            energy_delay_product, format_comparison,
-                            format_series, format_table, geomean,
-                            mean_abs_pct_error, nnls, ols, perf_per_watt,
-                            predict, weighted_mean)
+from repro.analysis import (GreedyFeatureSelector, format_comparison,
+                            format_series, format_table,
+                            mean_abs_pct_error, nnls, ols, predict)
 from repro.errors import AnalysisError, ModelError
-
-
-class TestMetrics:
-    def test_geomean(self):
-        assert geomean([2, 8]) == pytest.approx(4.0)
-
-    def test_geomean_validation(self):
-        with pytest.raises(ModelError):
-            geomean([])
-        with pytest.raises(ModelError):
-            geomean([1.0, -1.0])
-
-    def test_weighted_mean(self):
-        assert weighted_mean([1, 3], [1, 1]) == 2
-        assert weighted_mean([1, 3], [3, 1]) == 1.5
-
-    def test_bips(self):
-        assert bips(2.0, 4.0) == 8.0
-        with pytest.raises(ModelError):
-            bips(1.0, 0.0)
-
-    def test_perf_per_watt(self):
-        assert perf_per_watt(2.0, 4.0) == 0.5
-
-    def test_edp(self):
-        assert energy_delay_product(2.0, 3.0) == 18.0
-
-    def test_efficiency_gain(self):
-        assert efficiency_gain(1.3, 0.5) == pytest.approx(2.6)
 
 
 class TestRegression:

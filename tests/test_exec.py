@@ -3,7 +3,7 @@
 The acceptance bar for the engine is strict equality, not tolerance:
 serial, ``workers=4``, and warm-cache execution must produce
 bit-identical results for the hot paths that were rewired through it
-(``compare_configs`` and the fault-injection campaign).
+(the config x trace sweep and the fault-injection campaign).
 """
 
 import json
@@ -17,7 +17,7 @@ import pytest
 import repro
 import repro.fastsim.replay
 from repro.core import power9_config, power10_config
-from repro.core.simulator import compare_configs, simulate_suite
+from repro.core.simulator import measurement_from_result, simulate_trace
 from repro.errors import ExecError
 from repro.exec import (Engine, ExecPlan, ResultCache, campaign_task,
                         fingerprint_config, fingerprint_trace,
@@ -321,11 +321,13 @@ class TestEngineLifecycle:
 
 # ---- acceptance: rewired hot paths --------------------------------------
 
-def _compare_snapshot(out):
+def _sweep_snapshot(configs, traces, engine):
+    """run_sim_plan over the config x trace product, with power."""
+    runs = [(c, t) for c in configs for t in traces]
+    results = run_sim_plan(engine, [sim_task(c, t) for c, t in runs])
     return json.dumps(
-        {name: [(sim_result_to_json(r.result), r.power_w)
-                for r in suite.runs]
-         for name, suite in out.items()}, sort_keys=True)
+        [(sim_result_to_json(r), measurement_from_result(c, r).power_w)
+         for (c, _t), r in zip(runs, results)], sort_keys=True)
 
 
 class TestHotPathBitIdentity:
@@ -333,29 +335,25 @@ class TestHotPathBitIdentity:
         configs = [p9, p10]
         traces = [resolve_workload("daxpy", 600),
                   resolve_workload("stream-triad", 600)]
-        serial = _compare_snapshot(
-            compare_configs(configs, traces, engine=Engine(workers=1)))
-        parallel = _compare_snapshot(
-            compare_configs(configs, traces, engine=Engine(workers=4)))
+        serial = _sweep_snapshot(configs, traces, Engine(workers=1))
+        parallel = _sweep_snapshot(configs, traces, Engine(workers=4))
         cache = ResultCache(tmp_path)
-        cold = _compare_snapshot(compare_configs(
-            configs, traces, engine=Engine(workers=4, cache=cache)))
-        warm = _compare_snapshot(compare_configs(
-            configs, traces, engine=Engine(workers=1, cache=cache)))
+        cold = _sweep_snapshot(configs, traces,
+                               Engine(workers=4, cache=cache))
+        warm = _sweep_snapshot(configs, traces,
+                               Engine(workers=1, cache=cache))
         assert serial == parallel == cold == warm
         assert cache.hits == len(configs) * len(traces)
 
     def test_simulate_suite_matches_direct_path(self, p10):
         traces = [resolve_workload("daxpy", 600),
                   resolve_workload("pointer-chase", 600)]
-        via_engine = simulate_suite(p10, traces,
-                                    engine=Engine(workers=1))
-        from repro.core.simulator import simulate_trace
+        via_engine = run_sim_plan(Engine(workers=1),
+                                  [sim_task(p10, t) for t in traces])
         direct = [simulate_trace(p10, t) for t in traces]
-        for a, b in zip(via_engine.runs, direct):
-            assert sim_result_to_json(a.result) \
-                == sim_result_to_json(b.result)
-            assert a.power_w == b.power_w
+        for a, b in zip(via_engine, direct):
+            assert sim_result_to_json(a) == sim_result_to_json(b.result)
+            assert measurement_from_result(p10, a).power_w == b.power_w
 
     def test_fault_campaign(self, tmp_path):
         def cfg():
@@ -416,6 +414,22 @@ class TestBenchRunner:
         on_disk = json.loads(
             (tmp_path / "BENCH_sweep.json").read_text())
         assert on_disk == doc
+
+    def test_sweep_refuses_divergent_runs(self, tmp_path, monkeypatch):
+        from repro.exec import benchrun
+        runs = []
+
+        def warm_differs(configs, traces, engine):
+            runs.append(engine)
+            return [(len(runs) == 4,)]
+
+        monkeypatch.setattr(benchrun, "_sweep", warm_differs)
+        with pytest.raises(ExecError, match="not bit-identical"):
+            benchrun.run_sweep(out_dir=tmp_path, quick=True, workers=1,
+                               cache_dir=tmp_path / "cache")
+        assert len(runs) == 4
+        doc = json.loads((tmp_path / "BENCH_sweep.json").read_text())
+        assert doc["bit_identical"] is False
 
     def test_cli_list_and_run(self, tmp_path, capsys):
         from repro.cli import main

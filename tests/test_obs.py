@@ -379,6 +379,23 @@ class TestCliTelemetry:
         assert payload["aggregate"]["perf_ratio"] > 0
         assert len(payload["proxies"]) > 0
 
+    def test_compare_json_is_table1(self, capsys):
+        # both run the SPEC proxies at 1,200 instructions, warmup 0.3,
+        # through the one weighted comparison
+        from repro.exec.figs import run_scenario
+        assert main(["compare", "--instructions", "1200",
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["command", "instructions", "proxies",
+                                 "aggregate", "paper"]
+        assert list(payload["proxies"][0]) == [
+            "workload", "weight", "p9_ipc", "p10_ipc", "p9_power_w",
+            "p10_power_w", "perf_ratio", "power_ratio"]
+        _rich, scalars = run_scenario("table1", scale=0.15)
+        assert payload["aggregate"]["perf_ratio"] == scalars["perf_ratio"]
+        assert payload["aggregate"]["power_ratio"] \
+            == scalars["power_ratio"]
+
     def test_gemm_json_output(self, capsys):
         assert main(["gemm", "--k", "300", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -3,11 +3,13 @@ and the simulator wrappers."""
 
 import pytest
 
-from repro.core import (POWER9_SOCKET, POWER10_SOCKET, compare_configs,
-                        power9_config, power10_config, precision_speedup,
-                        project_socket, simulate_suite, simulate_trace)
+from repro.core import (POWER9_SOCKET, POWER10_SOCKET, power9_config,
+                        power10_config, precision_speedup, project_socket,
+                        simulate_trace, weighted_comparison)
+from repro.core.simulator import measurement_from_result
 from repro.core.socket import SocketConfig
 from repro.errors import ConfigError, ModelError, SimulationError
+from repro.exec import Engine, run_sim_plan, sim_task
 from repro.power.pipeline_depth import (BASELINE_FO4, analyze_depth,
                                         depth_study, optimal_fo4)
 from repro.power.scaling import (VFCurve, VFPoint,
@@ -112,13 +114,53 @@ class TestSimulatorWrappers:
         with pytest.raises(SimulationError):
             _ = run.perf_per_watt
 
-    def test_suite_aggregation(self, p9, mini_suite):
-        suite = simulate_suite(p9, mini_suite)
-        assert suite.mean_ipc > 0
-        assert suite.mean_power_w > 0
-        assert suite.total_instructions == sum(
+    def test_suite_aggregation(self, p9, p10, mini_suite):
+        results = run_sim_plan(Engine(), [sim_task(c, t)
+                                          for t in mini_suite
+                                          for c in (p9, p10)])
+        assert sum(r.instructions for r in results) == 2 * sum(
             len(t) for t in mini_suite)
+        rows = [(t.name, t.weight,
+                 r9.ipc, measurement_from_result(p9, r9).power_w,
+                 r10.ipc, measurement_from_result(p10, r10).power_w)
+                for t, r9, r10 in zip(mini_suite, results[::2],
+                                      results[1::2])]
+        assert all(row[3] > 0 and row[5] > 0 for row in rows)
+        agg = weighted_comparison(rows)["aggregate"]
+        wsum = sum(t.weight for t in mini_suite)
+        assert agg["perf_ratio"] == pytest.approx(
+            sum(w * i10 / i9 for _n, w, i9, _w9, i10, _w10 in rows) / wsum)
+        assert agg["power_ratio"] == pytest.approx(
+            sum(w * w10 / w9 for _n, w, _i9, w9, _i10, w10 in rows) / wsum)
+        assert agg["perf_per_watt_ratio"] == pytest.approx(
+            agg["perf_ratio"] / agg["power_ratio"])
 
     def test_compare_configs(self, p9, p10, mini_suite):
-        results = compare_configs([p9, p10], mini_suite[:1])
-        assert results["POWER10"].mean_ipc > results["POWER9"].mean_ipc
+        trace = mini_suite[0]
+        m9, m10 = [measurement_from_result(c, r) for c, r in zip(
+            (p9, p10), run_sim_plan(Engine(), [sim_task(c, trace)
+                                               for c in (p9, p10)]))]
+        aggregate = weighted_comparison(
+            [(trace.name, trace.weight, m9.ipc, m9.power_w,
+              m10.ipc, m10.power_w)])["aggregate"]
+        assert aggregate["perf_ratio"] > 1.0
+        assert aggregate["power_ratio"] < 1.0
+
+    def test_weighted_comparison_is_the_compare_answer(self):
+        comparison = weighted_comparison(
+            [("a", 3.0, 1.2, 6.0, 1.5, 3.0),
+             ("b", 1.0, 0.9, 5.0, 1.0, 2.0)])
+        assert comparison["workloads"][0] == {
+            "workload": "a", "weight": 3.0,
+            "p9_ipc": 1.2, "p10_ipc": 1.5,
+            "p9_power_w": 6.0, "p10_power_w": 3.0,
+            "perf_ratio": 1.5 / 1.2, "power_ratio": 3.0 / 6.0}
+        assert list(comparison["workloads"][1]) == [
+            "workload", "weight", "p9_ipc", "p10_ipc", "p9_power_w",
+            "p10_power_w", "perf_ratio", "power_ratio"]
+        # the served arithmetic: (weight * ipc10) / ipc9, summed from 0.0
+        perf = 0.0 + 3.0 * 1.5 / 1.2 + 1.0 * 1.0 / 0.9
+        power = 0.0 + 3.0 * 3.0 / 6.0 + 1.0 * 2.0 / 5.0
+        assert comparison["aggregate"] == {
+            "perf_ratio": perf / 4.0, "power_ratio": power / 4.0,
+            "perf_per_watt_ratio": perf / power}
