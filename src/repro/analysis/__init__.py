@@ -4,8 +4,7 @@ formatting for the benchmark harness."""
 from .regression import (FitResult, GreedyFeatureSelector,
                          mean_abs_pct_error, nnls, ols, predict)
 from .report import format_comparison, format_series, format_table
-from .validate import (EnvironmentRow, PowerValidationRow,
-                       RegressionReport, cross_environment_performance,
+from .validate import (PowerValidationRow, RegressionReport,
                        cross_model_power, generational_goal_check,
                        regression_check)
 
@@ -13,7 +12,6 @@ __all__ = [
     "FitResult", "GreedyFeatureSelector", "mean_abs_pct_error",
     "nnls", "ols", "predict",
     "format_comparison", "format_series", "format_table",
-    "EnvironmentRow", "PowerValidationRow", "RegressionReport",
-    "cross_environment_performance", "cross_model_power",
+    "PowerValidationRow", "RegressionReport", "cross_model_power",
     "generational_goal_check", "regression_check",
 ]

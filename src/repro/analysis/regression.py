@@ -8,17 +8,19 @@ non-negative coefficients, with/without intercept).  This module
 provides exactly that toolbox:
 
 * :func:`ols` — ordinary least squares (numpy lstsq),
-* :func:`nnls` — non-negative least squares (projected coordinate
-  descent; scipy-free fallback is unnecessary since scipy ships, but we
-  keep the implementation explicit for bounded behaviour),
+* :func:`nnls` — non-negative least squares (``scipy.optimize.nnls``,
+  with an unconstrained intercept found by alternating solves),
 * :class:`GreedyFeatureSelector` — forward stepwise selection to the
   requested input budget, the mechanism behind Figs. 11 and 15(a).
+  One selection path answers every budget up to its own: the fit with
+  budget *k* is the path's *k*-th step (:meth:`~GreedyFeatureSelector.
+  sweep`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,8 +45,8 @@ def ols(x: np.ndarray, y: np.ndarray, *,
     return coef
 
 
-def nnls(x: np.ndarray, y: np.ndarray, *, intercept: bool = True,
-         iterations: int = 500) -> np.ndarray:
+def nnls(x: np.ndarray, y: np.ndarray, *,
+         intercept: bool = True) -> np.ndarray:
     """Non-negative least squares via scipy, intercept unconstrained."""
     from scipy.optimize import nnls as scipy_nnls
     x = np.asarray(x, dtype=float)
@@ -111,18 +113,28 @@ class GreedyFeatureSelector:
             return nnls(x, y, intercept=self.intercept)
         return ols(x, y, intercept=self.intercept)
 
-    def fit(self, x: np.ndarray, y: np.ndarray,
-            max_inputs: int) -> FitResult:
-        """Select up to ``max_inputs`` features greedily by train error."""
+    def path(self, x: np.ndarray, y: np.ndarray,
+             max_inputs: int) -> List[FitResult]:
+        """Select up to ``max_inputs`` features greedily by train error;
+        returns the fit after each accepted step.
+
+        Selection stops early when a step no longer improves the train
+        error.  The stop rule depends only on the path so far, so a
+        smaller budget ``k`` selects exactly this path's first ``k``
+        steps: ``path(x, y, K)[min(k, len(path)) - 1]`` is
+        ``fit(x, y, k)`` for every ``k <= K``.
+        """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if max_inputs <= 0:
             raise ModelError("max_inputs must be positive")
-        if x.shape[1] != len(self.feature_names):
+        if x.ndim != 2 or x.shape[1] != len(self.feature_names):
             raise ModelError("feature-name count mismatch")
+        if x.shape[1] == 0:
+            raise ModelError("no candidate features to select from")
         chosen: List[int] = []
         remaining = list(range(x.shape[1]))
-        best_coef: Optional[np.ndarray] = None
+        steps: List[FitResult] = []
         best_err = float("inf")
         while remaining and len(chosen) < max_inputs:
             round_best: Optional[Tuple[float, int, np.ndarray]] = None
@@ -139,11 +151,27 @@ class GreedyFeatureSelector:
             chosen.append(idx)
             remaining.remove(idx)
             best_err = err
-            best_coef = coef
-        return FitResult(
-            feature_indices=chosen,
-            feature_names=[self.feature_names[i] for i in chosen],
-            coefficients=best_coef,
-            intercept_used=self.intercept,
-            nonnegative=self.nonnegative,
-            train_error_pct=best_err)
+            steps.append(FitResult(
+                feature_indices=list(chosen),
+                feature_names=[self.feature_names[i] for i in chosen],
+                coefficients=coef,
+                intercept_used=self.intercept,
+                nonnegative=self.nonnegative,
+                train_error_pct=err))
+        return steps
+
+    def fit(self, x: np.ndarray, y: np.ndarray,
+            max_inputs: int) -> FitResult:
+        """Select up to ``max_inputs`` features greedily by train error."""
+        return self.path(x, y, max_inputs)[-1]
+
+    def sweep(self, x: np.ndarray, y: np.ndarray,
+              budgets: Sequence[int]) -> Dict[int, FitResult]:
+        """``{k: fit(x, y, k)}`` for every budget, from one path at the
+        largest."""
+        if not budgets:
+            return {}
+        if min(budgets) <= 0:
+            raise ModelError("input budgets must be positive")
+        path = self.path(x, y, max(budgets))
+        return {k: path[min(k, len(path)) - 1] for k in budgets}

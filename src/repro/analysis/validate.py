@@ -6,8 +6,6 @@ cross-checked.  This module provides the comparison machinery:
 
 * :func:`cross_model_power` — detailed (Einspower) vs APEX vs a fitted
   counter model on the same runs;
-* :func:`cross_environment_performance` — the timing model at different
-  fidelities (full-chip vs infinite-L2 core model) on the same trace;
 * :func:`regression_check` — the project-tracking use: compare one
   model version's suite results against a stored baseline and flag
   per-workload regressions (the paper's "detect performance regressions
@@ -18,10 +16,9 @@ cross-checked.  This module provides the comparison machinery:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping
 
 from ..core.config import CoreConfig
-from ..core.pipeline import simulate
 from ..errors import ModelError
 from ..power.apex import apex_power_from_activity
 from ..power.einspower import EinspowerModel
@@ -49,13 +46,15 @@ def cross_model_power(config: CoreConfig, traces, model=None, *,
                       warmup_fraction: float = 0.3,
                       ) -> List[PowerValidationRow]:
     """Validate APEX and (optionally) a fitted counter model against the
-    Einspower reference on the same activity."""
+    Einspower reference on the same activity (one engine plan)."""
     import numpy as np
     from ..core.activity import EVENT_NAMES
+    from ..exec.executor import run_traces
+    traces = list(traces)
+    results = run_traces(config, traces, warmup_fraction=warmup_fraction)
     reference = EinspowerModel(config)
     rows: List[PowerValidationRow] = []
-    for trace in traces:
-        result = simulate(config, trace, warmup_fraction=warmup_fraction)
+    for trace, result in zip(traces, results):
         ein = reference.report(result.activity)
         apex = apex_power_from_activity(config, result.activity)
         model_w = ein.total_w
@@ -69,36 +68,6 @@ def cross_model_power(config: CoreConfig, traces, model=None, *,
             apex_w=apex, model_w=model_w))
     if not rows:
         raise ModelError("no workloads to validate")
-    return rows
-
-
-@dataclass
-class EnvironmentRow:
-    workload: str
-    chip_ipc: float
-    core_ipc: float
-
-    @property
-    def divergence_pct(self) -> float:
-        return (self.core_ipc / self.chip_ipc - 1.0) * 100.0
-
-
-def cross_environment_performance(chip_config: CoreConfig,
-                                  core_config: CoreConfig, traces, *,
-                                  warmup_fraction: float = 0.3,
-                                  ) -> List[EnvironmentRow]:
-    """Same traces at two modeling fidelities (Fig. 10's purpose)."""
-    rows = []
-    for trace in traces:
-        chip = simulate(chip_config, trace,
-                        warmup_fraction=warmup_fraction)
-        core = simulate(core_config, trace,
-                        warmup_fraction=warmup_fraction)
-        rows.append(EnvironmentRow(workload=trace.name,
-                                   chip_ipc=chip.ipc,
-                                   core_ipc=core.ipc))
-    if not rows:
-        raise ModelError("no workloads to compare")
     return rows
 
 

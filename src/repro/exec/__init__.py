@@ -12,12 +12,13 @@ from .cache import (ResultCache, code_salt, fingerprint_config,
                     task_fingerprint)
 from .executor import (Engine, ExecPlan, ExecTask, campaign_task,
                        register_task_kind, resolve_workers,
-                       run_sim_plan, sim_task)
+                       run_sim_plan, run_traces, sim_task)
 
 __all__ = [
     "Engine", "ExecPlan", "ExecTask", "ResultCache",
     "campaign_task", "code_salt", "fingerprint_config",
     "fingerprint_trace", "register_task_kind", "resolve_cache",
-    "resolve_workers", "run_sim_plan", "sim_result_from_json",
-    "sim_result_to_json", "sim_task", "task_fingerprint",
+    "resolve_workers", "run_sim_plan", "run_traces",
+    "sim_result_from_json", "sim_result_to_json", "sim_task",
+    "task_fingerprint",
 ]

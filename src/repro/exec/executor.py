@@ -539,3 +539,18 @@ def run_sim_plan(engine: Engine, tasks: Sequence[ExecTask],
                 f"run_sim_plan got a {task.kind!r} task")
     return [sim_result_from_json(p)
             for p in engine.run(ExecPlan(list(tasks)))]
+
+
+def run_traces(config: CoreConfig, traces, *,
+               warmup_fraction: float = 0.0,
+               engine: Optional[Engine] = None) -> List[SimResult]:
+    """Run every trace on ``config`` as one plan, in trace order.
+
+    This is how the figure studies (power, reliability, tracegen,
+    analysis) reach the simulator; ``engine=None`` means ``Engine()``.
+    """
+    if engine is None:
+        engine = Engine()
+    return run_sim_plan(engine, [
+        sim_task(config, trace, warmup_fraction=warmup_fraction)
+        for trace in traces])

@@ -7,9 +7,11 @@ module, refactored into a callable of ``(scale, engine)``:
   the model stays in steady state) — ``scale=1.0`` reproduces the
   benchmark numbers exactly; the golden-regression harness runs every
   scenario at its ``quick_scale``;
-* ``engine`` is a :class:`repro.exec.Engine` — scenarios whose inner
-  loops are simulation fan-outs submit them as one plan, so workers
-  and the result cache apply; None means the environment default.
+* ``engine`` is a :class:`repro.exec.Engine` — every scenario but
+  ``fig06`` submits its simulations to it as plans, so workers and the
+  result cache cover them; None means the environment default.
+  ``fig06`` composes a handful of memoized kernel-rate runs
+  (``workloads.ai``) and ``fig02`` is analytic.
 
 Each :class:`ScenarioSpec` also carries ``scalars``, which flattens the
 rich result into a ``{name: float}`` dict — the representation the
@@ -341,7 +343,7 @@ def fig11_m1_model(scale: float = 1.0, engine=None):
     from ..workloads import specint_proxies
     config = power10_config()
     traces = specint_proxies(instructions=_n(5000, scale, 1200))
-    training = build_training_set(config, traces)
+    training = build_training_set(config, traces, engine=engine)
     return {
         "unconstrained": input_sweep(training, _FIG11_INPUTS),
         "nonnegative": input_sweep(training, _FIG11_INPUTS,
@@ -372,13 +374,15 @@ def fig12_topdown_bottomup(scale: float = 1.0, engine=None):
     from ..workloads import specint_proxies, specint_suite
     config = power10_config()
     train = build_training_set(
-        config, specint_proxies(instructions=_n(5000, scale, 1200)))
+        config, specint_proxies(instructions=_n(5000, scale, 1200)),
+        engine=engine)
     eval_set = build_training_set(
         config,
         specint_suite(instructions=_n(6000, scale, 1500),
                       footprint_scale=8)
         + specint_proxies(instructions=_n(3000, scale, 1000),
-                          names=["xz", "x264"]))
+                          names=["xz", "x264"]),
+        engine=engine)
     top = fit_top_down(train, max_inputs=16)
     bottom = fit_bottom_up(train, max_inputs_per_component=3)
     stats = compare_top_down_bottom_up(top, bottom, eval_set)
@@ -430,7 +434,7 @@ def fig13_derating(scale: float = 1.0, engine=None):
             suites[label] = [merge_smt([t] * smt,
                                        name=f"{t.name}x{smt}")
                              for t in spec]
-    return SERMiner(power10_config()).per_suite(
+    return SERMiner(power10_config(), engine=engine).per_suite(
         suites, vt_values=_FIG13_VT)
 
 
@@ -465,7 +469,8 @@ def fig14_generation_derating(scale: float = 1.0, engine=None):
     suites += specint_proxies(instructions=_n(2500, scale, 800),
                               names=["xz", "x264", "leela"])
     return compare_generations(power9_config(), power10_config(),
-                               suites, vt_values=_FIG14_VT)
+                               suites, vt_values=_FIG14_VT,
+                               engine=engine)
 
 
 def _fig14_scalars(results) -> Dict[str, float]:
@@ -496,12 +501,13 @@ def fig15_power_proxy(scale: float = 1.0, engine=None):
     from ..workloads import specint_proxies
     designer = PowerProxyDesigner(power10_config())
     traces = specint_proxies(instructions=_n(6000, scale, 1200))
-    feats, active, total = designer.characterize(traces)
+    feats, active, total = designer.characterize(traces, engine=engine)
     space = designer.design_space(feats, active, total,
                                   counter_budgets=(2, 4, 8, 16, 32))
     design = designer.select(feats, active, total, num_counters=16)
     gran = designer.granularity_error(design, traces[0].repeated(3),
-                                      _FIG15_GRANULARITIES)
+                                      _FIG15_GRANULARITIES,
+                                      engine=engine)
     return space, design, gran
 
 
@@ -708,11 +714,13 @@ def proxy_coverage(scale: float = 1.0, engine=None):
                         footprint_scale=8, names=["leela"])[0]
     epoch = _n(1600, scale, 400)
     tp = build_tracepoint(config, app, epoch_instructions=epoch,
-                          epochs_to_select=4)
-    tp_stats = validate_against_reference(config, app, tp.trace)
+                          epochs_to_select=4, engine=engine)
+    tp_stats = validate_against_reference(config, app, tp.trace,
+                                          engine=engine)
     sp = pick_simpoints(app, interval=epoch, max_clusters=4)
     best_sp = max(sp.simpoints, key=lambda s: s.weight)
-    sp_stats = validate_against_reference(config, app, best_sp.trace)
+    sp_stats = validate_against_reference(config, app, best_sp.trace,
+                                          engine=engine)
     return per_bench, tp_stats, sp_stats
 
 

@@ -80,9 +80,7 @@ class Apex:
         """
         if interval_instructions <= 0:
             raise ModelError("interval must be positive")
-        from ..exec.executor import Engine, run_sim_plan, sim_task
-        if engine is None:
-            engine = Engine()
+        from ..exec.executor import run_traces
         with _obs_span("apex.run", "power",
                        workload=getattr(trace, "name", "?"),
                        config=self.config.name,
@@ -90,11 +88,9 @@ class Apex:
             bank = LfsrBank(self.signals)
             intervals: List[ApexInterval] = []
             windows = trace.windows(interval_instructions)
-            results = run_sim_plan(
-                engine,
-                [sim_task(self.config, w,
-                          warmup_fraction=warmup_fraction)
-                 for w in windows])
+            results = run_traces(self.config, windows,
+                                 warmup_fraction=warmup_fraction,
+                                 engine=engine)
             total_cycles = 0
             total_instr = 0
             energy_weighted = 0.0

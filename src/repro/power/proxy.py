@@ -17,7 +17,7 @@ granularity (Fig. 15b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from ..analysis.regression import (FitResult, GreedyFeatureSelector,
                                    mean_abs_pct_error)
 from ..core.activity import EVENT_NAMES
 from ..core.config import CoreConfig
-from ..core.pipeline import simulate
 from ..errors import ModelError
 from .einspower import EinspowerModel
 
@@ -103,50 +102,57 @@ class PowerProxyDesigner:
         self.config = config
         self._reference = EinspowerModel(config)
 
-    def _simulate(self, trace, *, warmup_fraction: float):
-        return simulate(self.config, trace,
-                        warmup_fraction=warmup_fraction)
+    def characterize(self, traces, *, warmup_fraction: float = 0.3,
+                     engine=None):
+        """Run workloads, returning (features, active_w, total_w).
 
-    def characterize(self, traces, *, warmup_fraction: float = 0.3):
-        """Run workloads, returning (features, active_w, total_w)."""
-        rate_rows: List[Dict[str, float]] = []
-        active: List[float] = []
-        total: List[float] = []
-        for trace in traces:
-            result = self._simulate(trace,
-                                    warmup_fraction=warmup_fraction)
-            rate_rows.append(dict(result.activity.rates()))
-            report = self._reference.report(result.activity)
-            active.append(report.active_w)
-            total.append(report.total_w)
-        if not rate_rows:
+        The runs form one engine plan (``engine=None`` means
+        ``Engine()``).
+        """
+        from ..exec.executor import run_traces
+        return self.characterize_runs(run_traces(
+            self.config, traces, warmup_fraction=warmup_fraction,
+            engine=engine))
+
+    def characterize_runs(self, results):
+        """(features, active_w, total_w) of finished runs."""
+        if not results:
             raise ModelError("no workloads characterized")
-        return (_feature_matrix(rate_rows), np.array(active),
-                np.array(total))
+        reports = [self._reference.report(r.activity) for r in results]
+        return (_feature_matrix([dict(r.activity.rates())
+                                 for r in results]),
+                np.array([rep.active_w for rep in reports]),
+                np.array([rep.total_w for rep in reports]))
 
     def design_space(self, features: np.ndarray, active_w: np.ndarray,
                      total_w: np.ndarray,
                      counter_budgets: Sequence[int] = (2, 4, 8, 16, 32),
                      ) -> List[DesignPoint]:
-        """Sweep (input budget x coefficient sign x intercept)."""
+        """Sweep (input budget x coefficient sign x intercept).
+
+        One greedy path per (sign, intercept) at the largest budget
+        answers every smaller budget.
+        """
         static = float(np.mean(total_w - active_w))
+        sweeps = {
+            (nonneg, intercept): GreedyFeatureSelector(
+                candidate_counter_names(), nonnegative=nonneg,
+                intercept=intercept).sweep(features, active_w,
+                                           counter_budgets)
+            for nonneg in (True, False) for intercept in (True, False)}
         points: List[DesignPoint] = []
         for budget in counter_budgets:
-            for nonneg in (True, False):
-                for intercept in (True, False):
-                    selector = GreedyFeatureSelector(
-                        candidate_counter_names(),
-                        nonnegative=nonneg, intercept=intercept)
-                    fit = selector.fit(features, active_w, budget)
-                    pred = fit.predict(features)
-                    points.append(DesignPoint(
-                        num_counters=len(fit.feature_indices),
-                        nonnegative=nonneg,
-                        intercept=intercept,
-                        active_error_pct=mean_abs_pct_error(
-                            active_w, pred),
-                        total_error_pct=mean_abs_pct_error(
-                            total_w, pred + static)))
+            for (nonneg, intercept), fits in sweeps.items():
+                fit = fits[budget]
+                pred = fit.predict(features)
+                points.append(DesignPoint(
+                    num_counters=len(fit.feature_indices),
+                    nonnegative=nonneg,
+                    intercept=intercept,
+                    active_error_pct=mean_abs_pct_error(
+                        active_w, pred),
+                    total_error_pct=mean_abs_pct_error(
+                        total_w, pred + static)))
         return points
 
     def select(self, features: np.ndarray, active_w: np.ndarray,
@@ -164,7 +170,7 @@ class PowerProxyDesigner:
     def granularity_error(self, design: ProxyDesign, trace,
                           window_cycles: Sequence[int],
                           *, warmup_fraction: float = 0.2,
-                          ) -> Dict[int, float]:
+                          engine=None) -> Dict[int, float]:
         """Fig. 15(b): total-power prediction error vs time granularity.
 
         The trace is re-measured in instruction windows sized to land
@@ -173,25 +179,32 @@ class PowerProxyDesigner:
         proxies).  Small windows carry high sampling variance — few
         events per sample — reproducing the error blow-up below
         ~50 cycles.
+
+        The whole trace runs first for its CPI, then each granularity's
+        windows as one engine plan (``engine=None`` means ``Engine()``);
+        a plan per granularity holds only that granularity's repeated
+        windows in memory.
         """
-        base = self._simulate(trace, warmup_fraction=warmup_fraction)
-        base_cpi = base.cpi
+        from ..exec.executor import run_traces
+        if any(cycles <= 0 for cycles in window_cycles):
+            raise ModelError("granularity must be positive")
+        base_cpi = run_traces(self.config, [trace],
+                              warmup_fraction=warmup_fraction,
+                              engine=engine)[0].cpi
         errors: Dict[int, float] = {}
         for cycles in window_cycles:
-            if cycles <= 0:
-                raise ModelError("granularity must be positive")
             instr_per_window = max(2, int(cycles / base_cpi))
-            rate_rows = []
-            truth = []
-            for window in trace.windows(instr_per_window):
-                steady = window.repeated(4)
-                result = self._simulate(steady, warmup_fraction=0.5)
-                rate_rows.append(dict(result.activity.rates()))
-                truth.append(
-                    self._reference.report(result.activity).total_w)
-            feats = _feature_matrix(rate_rows)
+            results = run_traces(
+                self.config,
+                [window.repeated(4)
+                 for window in trace.windows(instr_per_window)],
+                warmup_fraction=0.5, engine=engine)
+            feats = _feature_matrix([dict(r.activity.rates())
+                                     for r in results])
             pred = design.predict_total_w(feats)
-            truth_arr = np.array(truth)
+            truth_arr = np.array(
+                [self._reference.report(r.activity).total_w
+                 for r in results])
             # firmware calibrates the proxy's constant offset against a
             # reference measurement; the granularity study isolates the
             # per-window (variance) error on top of that

@@ -23,13 +23,12 @@ unlikely to propagate, i.e. that need no hardening at the chosen VT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..core.config import CoreConfig
-from ..core.pipeline import simulate
 from ..errors import ModelError
 from .latches import LatchGroup, LatchPopulation, build_population
 
@@ -49,21 +48,28 @@ class DeratingResult:
 
 
 class SERMiner:
-    """Derating analysis driver for one core configuration."""
+    """Derating analysis driver for one core configuration.
+
+    Its simulations run on ``engine`` (``None`` means ``Engine()``),
+    one plan per analyzed workload set.
+    """
 
     def __init__(self, config: CoreConfig,
-                 population: LatchPopulation = None):
+                 population: LatchPopulation = None, *, engine=None):
         self.config = config
         self.population = population or build_population(config)
+        self.engine = engine
 
     def _switching_matrix(self, traces,
                           warmup_fraction: float) -> np.ndarray:
         """latch-group x workload switching activity."""
+        from ..exec.executor import run_traces
         rows: List[List[float]] = []
         groups = self.population.groups
-        for trace in traces:
-            result = simulate(self.config, trace,
-                              warmup_fraction=warmup_fraction)
+        results = run_traces(self.config, traces,
+                             warmup_fraction=warmup_fraction,
+                             engine=self.engine)
+        for trace, result in zip(traces, results):
             data_scale = 1.0
             if trace.metadata.get("data_init") == "zero":
                 data_scale = 0.06
@@ -127,11 +133,11 @@ def compare_generations(p9_config: CoreConfig, p10_config: CoreConfig,
                         traces, *,
                         vt_values: Sequence[int] = tuple(
                             range(10, 100, 10)),
-                        ) -> Dict[str, DeratingResult]:
+                        engine=None) -> Dict[str, DeratingResult]:
     """Fig. 14: POWER9 vs POWER10 derating averaged across workloads."""
     out = {}
     for config in (p9_config, p10_config):
-        miner = SERMiner(config)
+        miner = SERMiner(config, engine=engine)
         out[config.name] = miner.analyze(
             traces, vt_values=vt_values, workload_set="all")
     return out

@@ -295,12 +295,18 @@ class ProxyFastPath:
             design = self._designs.get(generation)
             if design is not None:
                 return design
+            from ..core.pipeline import simulate
             from ..power.proxy import PowerProxyDesigner
             from ..workloads.resolve import resolve_workload
-            designer = PowerProxyDesigner(self._config(generation))
-            traces = [resolve_workload(w, self.calibration_instructions)
-                      for w in _calibration_suite(generation)]
-            features, active_w, total_w = designer.characterize(traces)
+            config = self._config(generation)
+            designer = PowerProxyDesigner(config)
+            # in process and off the engine, like the calibration runs:
+            # the fast path answers exactly when the engine is overloaded
+            features, active_w, total_w = designer.characterize_runs([
+                simulate(config,
+                         resolve_workload(w, self.calibration_instructions),
+                         warmup_fraction=0.3)
+                for w in _calibration_suite(generation)])
             design = designer.select(
                 features, active_w, total_w,
                 num_counters=self.num_counters, nonnegative=True)

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..core.config import CoreConfig
-from ..core.isa import InstrClass
-from ..core.pipeline import simulate
 from ..errors import TraceError
 from ..workloads.trace import Trace
 
@@ -41,13 +39,20 @@ class Epoch:
 
 
 def collect_epochs(config: CoreConfig, trace: Trace, *,
-                   epoch_instructions: int = 2000) -> List[Epoch]:
-    """Run a workload epoch by epoch and collect counter snapshots."""
+                   epoch_instructions: int = 2000,
+                   engine=None) -> List[Epoch]:
+    """Run a workload epoch by epoch and collect counter snapshots.
+
+    The epochs form one engine plan (``engine=None`` means
+    ``Engine()``).
+    """
+    from ..exec.executor import run_traces
     if epoch_instructions <= 0:
         raise TraceError("epoch size must be positive")
+    windows = list(trace.windows(epoch_instructions))
+    results = run_traces(config, windows, engine=engine)
     epochs: List[Epoch] = []
-    for i, window in enumerate(trace.windows(epoch_instructions)):
-        result = simulate(config, window)
+    for i, (window, result) in enumerate(zip(windows, results)):
         ev = result.activity.events
         blas_calls = float(window.metadata.get("blas_calls", 0))
         counters = {

@@ -15,13 +15,12 @@ MMA utilization projects correctly onto POWER10.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..core.config import CoreConfig
 from ..core.isa import TraceColumns
-from ..core.pipeline import simulate
 from ..errors import TraceError
 from ..workloads.trace import Trace
 from .counters import Epoch, aggregate_counters, collect_epochs
@@ -53,7 +52,8 @@ def build_tracepoint(config: CoreConfig, trace: Trace, *,
                      bins: int = 6,
                      epochs_to_select: int = 8,
                      metrics: Sequence[str] = ("cpi", "llc_misses"),
-                     mma_aware: bool = False) -> TracepointResult:
+                     mma_aware: bool = False,
+                     engine=None) -> TracepointResult:
     """Build a representative trace from epoch histograms.
 
     Epochs are histogrammed on the requested metrics; the selection
@@ -62,12 +62,14 @@ def build_tracepoint(config: CoreConfig, trace: Trace, *,
     preferring within each bin the epoch closest to the bin's mean CPI.
     With ``mma_aware=True`` the per-bin draw also matches the epoch
     population's BLAS-call mass, the paper's fix for GEMM-heavy AI
-    workloads.
+    workloads.  The epochs run on ``engine`` (``None`` means
+    ``Engine()``).
     """
     if epochs_to_select <= 0:
         raise TraceError("must select at least one epoch")
     epochs = collect_epochs(config, trace,
-                            epoch_instructions=epoch_instructions)
+                            epoch_instructions=epoch_instructions,
+                            engine=engine)
     if len(epochs) < epochs_to_select:
         epochs_to_select = len(epochs)
     aggregate = aggregate_counters(epochs)
@@ -135,12 +137,14 @@ def build_tracepoint(config: CoreConfig, trace: Trace, *,
 
 
 def validate_against_reference(config: CoreConfig, original: Trace,
-                               representative: Trace,
-                               ) -> Dict[str, float]:
+                               representative: Trace, *,
+                               engine=None) -> Dict[str, float]:
     """Validate a representative trace against the full run (the paper
-    validates Tracepoints against real POWER9 hardware)."""
-    full = simulate(config, original, warmup_fraction=0.2)
-    rep = simulate(config, representative, warmup_fraction=0.2)
+    validates Tracepoints against real POWER9 hardware).  Both runs
+    form one engine plan (``engine=None`` means ``Engine()``)."""
+    from ..exec.executor import run_traces
+    full, rep = run_traces(config, [original, representative],
+                           warmup_fraction=0.2, engine=engine)
     return {
         "full_cpi": full.cpi,
         "representative_cpi": rep.cpi,

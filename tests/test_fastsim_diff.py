@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import repro.core.config
 from repro.core import power9_config, power10_config
-from repro.core.isa import ACC_BASE, Instruction, InstrClass
+from repro.core.isa import ACC_BASE, GPR_BASE, Instruction, InstrClass
 import repro.fastsim.replay
 from repro.core.pipeline import simulate
 from repro.errors import SimulationError
@@ -35,6 +35,7 @@ from repro.fastsim import simulate_fast
 from repro.power.einspower import EinspowerModel
 from repro.workloads import resolve_workload, workload_names
 from repro.workloads.trace import Trace
+import tests.walk_oracle
 from tests.walk_oracle import simulate_reference
 
 RTOL = 1e-9
@@ -197,6 +198,66 @@ def test_synthetic_workloads_agree(case):
     config = _CONFIG_BUILDERS[cfg_name]()
     detailed = simulate_reference(config, trace, warmup_fraction=warmup)
     fast = simulate_fast(config, trace, warmup_fraction=warmup)
+    assert_results_equivalent(detailed, fast)
+    assert_energy_equivalent(config, detailed, fast)
+
+
+# ---------------------------------------------------------------------
+# The port trim: a group's occupancy past 65,536 cycles.
+# ---------------------------------------------------------------------
+
+def _port_trim_trace():
+    """A trace whose branch port group trims right behind a far-ahead
+    reservation, and whose next branch is ready before the kept window.
+
+    65,536 serially dependent, not-taken branches fill the group's
+    occupancy with one cycle each.  A chain of twelve load misses then
+    feeds the next branch, which reserves a cycle about 3,000 cycles
+    past dispatch: that is the 65,537th entry, so the group trims and
+    keeps the last 4,096 cycles.  A taken (mispredicted) branch with no
+    inputs follows.  Its ready cycle lies between 2,048 and 4,096
+    cycles behind the trim, so the lookback decides when it issues,
+    and so how much wrong-path work the front end fetches.
+    """
+    chain, fill = GPR_BASE + 1, GPR_BASE + 5
+    instrs = [Instruction(iclass=InstrClass.BRANCH, dests=(fill,),
+                          srcs=(fill,), pc=0x10000 + 4 * (i % 64))
+              for i in range(65536)]
+    instrs += [Instruction(iclass=InstrClass.LOAD, dests=(chain,),
+                           srcs=(chain,), address=(1 << 24) + 200704 * m,
+                           size=8, pc=0x20000 + 4 * m)
+               for m in range(12)]
+    instrs.append(Instruction(iclass=InstrClass.BRANCH, srcs=(chain,),
+                              pc=0x20030))
+    instrs.append(Instruction(iclass=InstrClass.BRANCH, pc=0x30000,
+                              taken=True, target=0x40000))
+    instrs += [Instruction(iclass=InstrClass.FX, dests=(GPR_BASE + 7,),
+                           pc=0x40000 + 4 * k) for k in range(16)]
+    return Trace(name="port-trim", instructions=instrs)
+
+
+def test_port_trim_agrees(monkeypatch):
+    """The replay's inlined unit-interval arbitration trims a group's
+    occupancy exactly as ``_Ports.issue`` does: past 65,536 entries it
+    keeps the last 4,096 cycles and raises the group's low-water mark
+    to the cut."""
+    config = power10_config()
+    trace = _port_trim_trace()
+    groups = []
+    build = tests.walk_oracle.build_ports
+
+    def recorded(issue):
+        ports = build(issue)
+        groups.append(ports)
+        return ports
+
+    monkeypatch.setattr(tests.walk_oracle, "build_ports", recorded)
+    detailed = simulate_reference(config, trace)
+    # the walk trimmed the branch group (its low-water mark moved off
+    # zero only at a trim), so the replay's copy of the trim ran too
+    (ports,) = groups
+    assert ports[InstrClass.BRANCH]._low_water > 0
+    fast = simulate_fast(config, trace)
     assert_results_equivalent(detailed, fast)
     assert_energy_equivalent(config, detailed, fast)
 

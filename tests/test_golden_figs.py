@@ -121,6 +121,38 @@ def test_golden(name, path, request, monkeypatch):
         + "\n  ".join(problems))
 
 
+#: Fig. 6 composes a handful of ``lru_cache``d kernel-rate runs under
+#: three public ``workloads.ai`` functions; they call ``simulate``
+#: directly, so neither workers nor the result cache reach them.
+NOT_ON_THE_ENGINE = {"fig06"}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in SCENARIOS if n not in NOT_ON_THE_ENGINE])
+def test_scenario_simulates_only_through_its_engine(name, tmp_path,
+                                                    monkeypatch):
+    """A cold run on two workers and a cache equals the serial run bit
+    for bit, and a warm rerun on that cache simulates nothing: every
+    simulation the scenario makes is an engine task."""
+    spec = SCENARIOS[name]
+    with Engine(workers=2, cache=tmp_path) as cold:
+        _rich, scalars = run_scenario(name, scale=spec.quick_scale,
+                                      engine=cold)
+    assert scalars == default_scalars(name)
+    calls = []
+    replay = repro.fastsim.replay.simulate_fast
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(repro.fastsim.replay, "simulate_fast", counted)
+    _rich, warm = run_scenario(name, scale=spec.quick_scale,
+                               engine=Engine(workers=1, cache=tmp_path))
+    assert len(calls) == 0
+    assert warm == scalars
+
+
 def test_goldens_cover_every_scenario():
     """A scenario without a committed golden is an uncovered figure."""
     missing = [n for n in SCENARIOS if not golden_path(n).is_file()]

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.analysis import (cross_environment_performance,
-                            cross_model_power, generational_goal_check,
+from repro.analysis import (cross_model_power, generational_goal_check,
                             regression_check)
 from repro.core import power9_config, power10_config
 from repro.errors import ModelError
+from repro.power.apex import compare_core_vs_chip
 from repro.pm import (Offering, ProcessVariation, YieldAnalyzer,
                       find_max_frequency_offering, sample_dies)
 
@@ -97,11 +97,16 @@ class TestCrossModelValidation:
             assert row.apex_error_pct < 15.0
 
     def test_environment_comparison(self, mini_suite):
+        """The same traces at two fidelities: the infinite-L2 core model
+        never falls far below the full-hierarchy chip model."""
         chip = power10_config(cache_scale=8)
         core = power10_config(cache_scale=8, infinite_l2=True)
-        rows = cross_environment_performance(chip, core, mini_suite[:2])
-        for row in rows:
-            assert row.core_ipc >= row.chip_ipc * 0.9
+        points = compare_core_vs_chip(core, chip, mini_suite[:2],
+                                      warmup_fraction=0.3)
+        assert [p["workload"] for p in points] == \
+            [t.name for t in mini_suite[:2]]
+        for point in points:
+            assert point["core_ipc"] >= point["chip_ipc"] * 0.9
 
     def test_empty_rejected(self, p10):
         with pytest.raises(ModelError):
