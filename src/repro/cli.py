@@ -728,8 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool width (default: $REPRO_WORKERS or 1)")
     engine_opts.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="content-addressed result cache (default: "
-             "$REPRO_CACHE_DIR or off)")
+        help="content-addressed result cache directory (default: "
+             "$REPRO_CACHE_DIR, else memory only)")
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -850,8 +850,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="process-pool width (default: $REPRO_WORKERS "
                         "or 1)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="content-addressed result cache (default: "
-                        "$REPRO_CACHE_DIR or off)")
+                   help="content-addressed result cache directory "
+                        "(default: $REPRO_CACHE_DIR, else memory only)")
     p.add_argument("--out", default=".", metavar="DIR",
                    help="directory for BENCH_*.json artifacts "
                         "(default .)")

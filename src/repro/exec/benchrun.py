@@ -35,14 +35,12 @@ def _scenario_payload(name: str, scale: float,
     when possible (the inner sim tasks hit the same cache either way,
     but the scenario key also skips the non-sim analysis work)."""
     key = task_fingerprint("scenario", name, scale)
-    if engine.cache is not None:
-        cached = engine.cache.get(key, kind="scenario")
-        if cached is not None:
-            return cached
+    cached = engine.cache.get(key, kind="scenario")
+    if cached is not None:
+        return cached
     _rich, scalars = run_scenario(name, scale=scale, engine=engine)
     payload = {"scalars": scalars}
-    if engine.cache is not None:
-        engine.cache.put(key, payload)
+    engine.cache.put(key, payload)
     return payload
 
 
@@ -63,9 +61,7 @@ def run_bench(names: Optional[Sequence[str]] = None, *,
         spec = get_scenario(name)
         run_scale = min(QUICK_SCALE_CAP, spec.quick_scale) \
             if quick else scale
-        hits0 = engine.cache.hits if engine.cache is not None else 0
-        misses0 = engine.cache.misses \
-            if engine.cache is not None else 0
+        hits0, misses0 = engine.cache.hits, engine.cache.misses
         with _obs_span("bench.scenario", "exec", scenario=name) as sp:
             payload = _scenario_payload(name, run_scale, engine)
         doc = {
@@ -75,10 +71,8 @@ def run_bench(names: Optional[Sequence[str]] = None, *,
             "workers": engine.workers,
             "wall_s": sp.duration_s,
             "scalars": payload["scalars"],
-            "cache": None if engine.cache is None else {
-                "hits": engine.cache.hits - hits0,
-                "misses": engine.cache.misses - misses0,
-            },
+            "cache": {"hits": engine.cache.hits - hits0,
+                      "misses": engine.cache.misses - misses0},
         }
         artifact = out_path / f"BENCH_{name}.json"
         artifact.write_text(json.dumps(doc, indent=2, sort_keys=True))
@@ -126,14 +120,16 @@ def run_sweep(*, out_dir=".", quick: bool = False,
     out_path = Path(out_dir)
     cache_root = Path(cache_dir) if cache_dir is not None \
         else out_path / ".bench-cache"
-    cache = ResultCache(cache_root / "sweep")
-    cache.clear()  # guarantee the "cold" timing really is cold
+    sweep_root = cache_root / "sweep"
+    ResultCache(sweep_root).clear()  # the "cold" timing really is cold
     with _obs_span("bench.sweep.cold", "exec") as sp_cold:
         cold = _sweep(configs, traces,
-                      Engine(workers=workers, cache=cache))
+                      Engine(workers=workers, cache=sweep_root))
+    # a second cache instance on the directory: its memory tier starts
+    # empty, so the warm pass measures (and checks) disk replay
     with _obs_span("bench.sweep.warm", "exec") as sp_warm:
         warm = _sweep(configs, traces,
-                      Engine(workers=workers, cache=cache))
+                      Engine(workers=workers, cache=sweep_root))
 
     # canonical serializations: equal strings mean bit-identical runs
     snapshots = [json.dumps(x, sort_keys=True)

@@ -10,16 +10,20 @@ fingerprinted as::
     key = sha256(config fingerprint, trace fingerprint, seed/params,
                  code-version salt)
 
-and its JSON-serialized result is stored in an on-disk store with
-atomic writes.  The code-version salt hashes the model's own source
-tree, so *any* model change invalidates every cached result — a cache
-hit is by construction bit-identical to a rerun.
+and its canonical JSON text is kept in two tiers: a bounded
+in-memory LRU per cache instance (at most :data:`MEMORY_BYTES` of
+text), in front of an optional on-disk store with atomic writes.  A
+lookup tries memory, then disk.  The code-version salt hashes the
+model's own source tree, so *any* model change invalidates every
+cached result — a cache hit is by construction bit-identical to a
+rerun.
 
-Hits and misses are reported through :mod:`repro.obs.metrics`
-(``repro_exec_cache_hits_total`` / ``repro_exec_cache_misses_total``);
-the store can be explicitly invalidated per key or cleared wholesale.
-The default store location is taken from ``$REPRO_CACHE_DIR``; with the
-variable unset, caching is off unless a path is passed explicitly.
+Hits (from either tier) and misses are reported through
+:mod:`repro.obs.metrics` (``repro_exec_cache_hits_total`` /
+``repro_exec_cache_misses_total``); entries can be explicitly
+invalidated per key or cleared wholesale.  The default store location
+is taken from ``$REPRO_CACHE_DIR``; with the variable unset and no
+path passed explicitly, the cache is memory only.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ import hashlib
 import json
 import os
 import re
+import threading
+from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -44,6 +50,10 @@ from ..workloads.trace import columns_of
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 _KEY_RE = re.compile(r"^[0-9a-f]{16,64}$")
+
+#: Byte cap on one cache instance's memory tier (the JSON text it
+#: holds).  A golden-scale figures run stores about 1.5 MB.
+MEMORY_BYTES = 8 << 20
 
 # Packages whose source participates in the code-version salt: the
 # model layers whose behavior determines any cacheable result.  The
@@ -201,31 +211,45 @@ def sim_result_from_json(data: Dict[str, object]) -> SimResult:
 
 
 # --------------------------------------------------------------------------
-# The on-disk store.
+# The store: a memory tier in front of an optional directory.
 # --------------------------------------------------------------------------
 
 class ResultCache:
-    """A directory of ``<key>.json`` payloads, written atomically.
+    """Payloads by key: an in-memory LRU in front of a directory of
+    ``<key>.json`` files, written atomically.
 
     Keys are hex fingerprints from :func:`task_fingerprint`; payloads
-    are JSON-serializable dicts.  Writes go through a temp file +
-    ``os.replace`` so a killed process can never leave a torn entry,
-    and a corrupt entry reads as a miss (and is dropped), never as an
-    error — a cache can always be regenerated.
+    are JSON-serializable dicts.  Both tiers hold the same canonical
+    JSON text, and every hit decodes it afresh, so a memory hit is
+    bit-identical to a disk replay and no caller can alter a later
+    answer.  The memory tier belongs to this instance (two instances
+    on one directory share only the disk) and holds at most
+    :data:`MEMORY_BYTES`, dropping the least recently used entries
+    first.  ``ResultCache(None)`` is memory only.
+
+    Disk writes go through a temp file + ``os.replace`` so a killed
+    process can never leave a torn entry, and a corrupt entry reads as
+    a miss (and is dropped), never as an error — a cache can always be
+    regenerated.
     """
 
-    def __init__(self, root: Union[str, os.PathLike]):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+    def __init__(self, root: Union[str, os.PathLike, None] = None):
+        self.root = Path(root) if root is not None else None
+        if self.root is not None:
+            self.root.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
+        # key -> canonical JSON bytes, least recently used first
+        self._memory: "OrderedDict[str, bytes]" = OrderedDict()
+        self._memory_bytes = 0
+        self._memory_lock = threading.Lock()
 
     @classmethod
-    def from_env(cls) -> Optional["ResultCache"]:
-        """The ``$REPRO_CACHE_DIR`` store, or None when unset/empty."""
+    def from_env(cls) -> "ResultCache":
+        """The ``$REPRO_CACHE_DIR`` store; memory only when unset/empty."""
         root = os.environ.get(ENV_CACHE_DIR, "").strip()
-        return cls(root) if root else None
+        return cls(root or None)
 
     @staticmethod
     def _check_key(key: str) -> str:
@@ -237,28 +261,61 @@ class ResultCache:
         key = self._check_key(key)
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str, *, kind: str = "task") -> Optional[Dict]:
+    def _remember(self, key: str, data: bytes) -> None:
+        """Keep ``data`` as the most recent entry, then drop the least
+        recent ones until the tier fits its cap.  An entry larger than
+        the cap is not kept at all."""
+        if len(data) > MEMORY_BYTES:
+            return
+        with self._memory_lock:
+            old = self._memory.pop(key, None)
+            if old is not None:
+                self._memory_bytes -= len(old)
+            self._memory[key] = data
+            self._memory_bytes += len(data)
+            while self._memory_bytes > MEMORY_BYTES:
+                _key, dropped = self._memory.popitem(last=False)
+                self._memory_bytes -= len(dropped)
+
+    def _recall(self, key: str) -> Optional[bytes]:
+        with self._memory_lock:
+            data = self._memory.get(self._check_key(key))
+            if data is not None:
+                self._memory.move_to_end(key)
+        return data
+
+    def _read_disk(self, key: str, kind: str) -> Optional[Dict]:
+        if self.root is None:
+            return None
         path = self._path(key)
-        registry = get_registry()
         if os.environ.get("REPRO_CHAOS_DIR"):  # resilience.chaos.ENV_CHAOS_DIR
             from ..resilience.chaos import chaos_point
             chaos_point("cache_get", path=str(path))
         try:
-            payload = json.loads(path.read_text())
+            data = path.read_bytes()
+            payload = json.loads(data)
         except FileNotFoundError:
-            payload = None
-        except (OSError, json.JSONDecodeError):
+            return None
+        except (OSError, ValueError):
             # torn/corrupt entry: count it, treat as a miss, and drop
             # it so the recompute's put() rewrites a clean entry
             # (otherwise a permanently corrupt file would be re-read
             # and dropped on every subsequent hit)
             self.corrupt += 1
-            registry.counter(
+            get_registry().counter(
                 "repro_exec_cache_corrupt_total",
                 "cache entries dropped as unreadable or corrupt",
                 ).inc(kind=kind)
             self.invalidate(key)
-            payload = None
+            return None
+        self._remember(key, data)
+        return payload
+
+    def get(self, key: str, *, kind: str = "task") -> Optional[Dict]:
+        data = self._recall(key)
+        payload = (json.loads(data) if data is not None
+                   else self._read_disk(key, kind))
+        registry = get_registry()
         if payload is None:
             self.misses += 1
             registry.counter(
@@ -268,18 +325,23 @@ class ResultCache:
         self.hits += 1
         registry.counter(
             "repro_exec_cache_hits_total",
-            "result-cache lookups served from disk").inc(kind=kind)
+            "result-cache lookups served from memory or disk",
+            ).inc(kind=kind)
         return payload
 
     def put(self, key: str, payload: Dict) -> None:
-        """Store one entry, best-effort: a cache that cannot persist
-        (full disk, permission loss) must never fail the already-
-        computed result it was asked to remember."""
+        """Store one entry in memory and, best-effort, on disk: a cache
+        that cannot persist (full disk, permission loss) must never
+        fail the already-computed result it was asked to remember."""
+        data = json.dumps(payload, sort_keys=True).encode()
+        self._remember(self._check_key(key), data)
+        if self.root is None:
+            return
         path = self._path(key)
         tmp = path.with_suffix(f".tmp{os.getpid()}")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(payload, sort_keys=True))
+            tmp.write_bytes(data)
             os.replace(tmp, path)
         except OSError:
             try:
@@ -301,39 +363,57 @@ class ResultCache:
                 "hit_rate": self.hits / lookups if lookups else 0.0}
 
     def invalidate(self, key: str) -> bool:
-        """Drop one entry; returns True when something was removed."""
-        path = self._path(key)
+        """Drop one entry from both tiers; True when something was
+        removed."""
+        with self._memory_lock:
+            data = self._memory.pop(self._check_key(key), None)
+            if data is not None:
+                self._memory_bytes -= len(data)
+        removed = data is not None
+        if self.root is None:
+            return removed
         try:
-            path.unlink()
+            self._path(key).unlink()
             return True
-        except FileNotFoundError:
-            return False
         except OSError:
-            # e.g. a permission-dropped directory: quarantine failed,
-            # but the caller already treats the entry as a miss
-            return False
+            # absent, or e.g. a permission-dropped directory: the
+            # caller already treats the entry as a miss
+            return removed
 
     def clear(self) -> int:
-        """Drop every entry; returns the number removed."""
-        removed = 0
-        for path in sorted(self.root.rglob("*.json")):
-            path.unlink()
-            removed += 1
-        return removed
+        """Drop every entry from both tiers; returns the number of keys
+        removed."""
+        with self._memory_lock:
+            removed = set(self._memory)
+            self._memory.clear()
+            self._memory_bytes = 0
+        if self.root is not None:
+            for path in sorted(self.root.rglob("*.json")):
+                path.unlink()
+                removed.add(path.stem)
+        return len(removed)
 
     def keys(self) -> List[str]:
-        return sorted(p.stem for p in self.root.rglob("*.json"))
+        with self._memory_lock:
+            keys = set(self._memory)
+        if self.root is not None:
+            keys.update(p.stem for p in self.root.rglob("*.json"))
+        return sorted(keys)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.root.rglob("*.json"))
+        return len(self.keys())
 
     def __contains__(self, key: str) -> bool:
-        return self._path(key).is_file()
+        with self._memory_lock:
+            if self._check_key(key) in self._memory:
+                return True
+        return self.root is not None and self._path(key).is_file()
 
 
 def resolve_cache(cache: Union["ResultCache", str, os.PathLike, None],
-                  ) -> Optional[ResultCache]:
-    """Normalize a cache argument: pass-through, path, or env default."""
+                  ) -> ResultCache:
+    """Normalize a cache argument: pass-through, path, or the
+    ``$REPRO_CACHE_DIR`` default (memory only when that is unset)."""
     if cache is None:
         return ResultCache.from_env()
     if isinstance(cache, ResultCache):

@@ -10,9 +10,12 @@ test-enforced) to produce bit-identical results:
   order-independent assembly: results are collected by task index as
   workers finish, then reassembled in plan order, so submission and
   completion order never influence output;
-* cache replay: keys found in the :class:`~repro.exec.cache.ResultCache`
-  skip execution entirely and return the stored JSON payload, which the
-  codec round-trips exactly.
+* cache replay: keys found in the engine's
+  :class:`~repro.exec.cache.ResultCache` skip execution entirely and
+  return the stored JSON payload, which the codec round-trips exactly.
+  The lookup tries the cache's bounded in-memory tier first (every
+  engine has one, so a task repeated within one engine's lifetime runs
+  once), then its directory, if it has one.
 
 The guarantee holds because every registered task kind is a pure
 function of its payload (the timing model is deterministic, per-run
@@ -21,9 +24,9 @@ boundaries as canonical JSON.
 
 Worker count resolves from the ``workers`` argument, else
 ``$REPRO_WORKERS``, else 1; the cache from the ``cache`` argument, else
-``$REPRO_CACHE_DIR``, else off.  Note that metrics incremented inside
-worker processes (e.g. ``repro_simulations_total``) stay in the worker:
-the parent registry only sees the engine's own
+``$REPRO_CACHE_DIR``, else memory only.  Note that metrics incremented
+inside worker processes (e.g. ``repro_simulations_total``) stay in the
+worker: the parent registry only sees the engine's own
 ``repro_exec_tasks_total`` / batch-latency series.
 """
 
@@ -210,20 +213,24 @@ def sim_task(config: CoreConfig, trace, *,
              warmup_fraction: float = 0.0,
              max_instructions: Optional[int] = None,
              tags: Tuple[str, ...] = (),
-             trace_fingerprint: Optional[str] = None) -> ExecTask:
+             trace_fingerprint: Optional[str] = None,
+             config_fingerprint: Optional[str] = None) -> ExecTask:
     """A timing-model run as a pure task.
 
     ``trace_fingerprint`` is ``fingerprint_trace(trace)`` precomputed
     by a caller that memoizes its traces (the server), so a repeated
-    request does not re-hash the whole trace.  The key is the same
-    either way.
+    request does not re-hash the whole trace; ``config_fingerprint``
+    is ``fingerprint_config(config)`` taken once by a caller that
+    builds many tasks on one config.  The key is the same either way.
     """
     params = {"warmup_fraction": warmup_fraction,
               "max_instructions": max_instructions}
     if trace_fingerprint is None:
         trace_fingerprint = fingerprint_trace(trace)
-    key = task_fingerprint("sim", fingerprint_config(config),
-                           trace_fingerprint, params)
+    if config_fingerprint is None:
+        config_fingerprint = fingerprint_config(config)
+    key = task_fingerprint("sim", config_fingerprint, trace_fingerprint,
+                           params)
     return ExecTask(kind="sim", key=key,
                     payload=(config, trace, params), tags=tuple(tags))
 
@@ -292,7 +299,7 @@ class Engine:
     def __init__(self, workers: Optional[int] = None,
                  cache=None, max_restarts: int = 2):
         self.workers = resolve_workers(workers)
-        self.cache: Optional[ResultCache] = resolve_cache(cache)
+        self.cache: ResultCache = resolve_cache(cache)
         if max_restarts < 0:
             raise ExecError(
                 f"max_restarts must be >= 0, got {max_restarts}")
@@ -353,8 +360,7 @@ class Engine:
             for i, task in enumerate(tasks):
                 if task.key in by_key or task.key in pending_keys:
                     continue
-                cached = (self.cache.get(task.key, kind=task.kind)
-                          if self.cache is not None else None)
+                cached = self.cache.get(task.key, kind=task.kind)
                 if cached is not None:
                     by_key[task.key] = cached
                     counter.inc(kind=task.kind, source="cache")
@@ -370,8 +376,7 @@ class Engine:
             for i, task in pending:
                 payload = executed[i]
                 by_key[task.key] = payload
-                if self.cache is not None:
-                    self.cache.put(task.key, payload)
+                self.cache.put(task.key, payload)
                 counter.inc(kind=task.kind, source="executed")
                 if sanitizer is not None:
                     sanitizer.observe_result(task.kind, task.key,
@@ -551,6 +556,8 @@ def run_traces(config: CoreConfig, traces, *,
     """
     if engine is None:
         engine = Engine()
+    config_fingerprint = fingerprint_config(config)
     return run_sim_plan(engine, [
-        sim_task(config, trace, warmup_fraction=warmup_fraction)
+        sim_task(config, trace, warmup_fraction=warmup_fraction,
+                 config_fingerprint=config_fingerprint)
         for trace in traces])

@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..errors import ExecError
 from ..obs.tracing import span as _obs_span
+from .cache import fingerprint_config
 from .executor import Engine, run_sim_plan, sim_task
 
 DEFAULT_RTOL = 1e-6
@@ -144,14 +145,14 @@ def fig04_unit_gains(scale: float = 1.0, engine=None):
         smt_configs[feature] = apply_features(
             power9_config(smt=8, cache_scale=fscale), [feature])
     keys, tasks = [], []
-    for label, cfg in st_configs.items():
-        for t in traces_st:
-            keys.append(("st", label, t.name))
-            tasks.append(sim_task(cfg, t, warmup_fraction=0.4))
-    for label, cfg in smt_configs.items():
-        for t in traces_smt8:
-            keys.append(("smt8", label, t.name))
-            tasks.append(sim_task(cfg, t, warmup_fraction=0.4))
+    for mode, configs, traces in (("st", st_configs, traces_st),
+                                  ("smt8", smt_configs, traces_smt8)):
+        for label, cfg in configs.items():
+            fingerprint = fingerprint_config(cfg)
+            for t in traces:
+                keys.append((mode, label, t.name))
+                tasks.append(sim_task(cfg, t, warmup_fraction=0.4,
+                                      config_fingerprint=fingerprint))
     results = dict(zip(keys, run_sim_plan(engine, tasks)))
 
     out = {}
@@ -549,8 +550,9 @@ def table1_efficiency(scale: float = 1.0, engine=None):
     engine = engine if engine is not None else Engine()
     proxies = specint_proxies(instructions=_n(8000, scale, 1200))
     p9, p10 = power9_config(), power10_config()
-    tasks = [sim_task(cfg, t, warmup_fraction=0.3)
-             for t in proxies for cfg in (p9, p10)]
+    fingerprints = [(cfg, fingerprint_config(cfg)) for cfg in (p9, p10)]
+    tasks = [sim_task(cfg, t, warmup_fraction=0.3, config_fingerprint=fp)
+             for t in proxies for cfg, fp in fingerprints]
     results = run_sim_plan(engine, tasks)
     rows = []
     for i, trace in enumerate(proxies):
@@ -615,9 +617,11 @@ def ablations(scale: float = 1.0, engine=None):
             base.power, gating_floor=0.52))
     keys, tasks = [], []
     for name, config in variants.items():
+        fingerprint = fingerprint_config(config)
         for trace in traces:
             keys.append((name, config))
-            tasks.append(sim_task(config, trace, warmup_fraction=0.3))
+            tasks.append(sim_task(config, trace, warmup_fraction=0.3,
+                                  config_fingerprint=fingerprint))
     sims = run_sim_plan(engine, tasks)
     per_variant: Dict[str, List] = {}
     for (name, config), result in zip(keys, sims):

@@ -200,18 +200,21 @@ def compare_core_vs_chip(core_config: CoreConfig, chip_config: CoreConfig,
         raise ModelError("core model must be built with infinite_l2=True")
     if chip_config.hierarchy.infinite_l2:
         raise ModelError("chip model must have the full hierarchy")
+    from ..exec.cache import fingerprint_config
     from ..exec.executor import Engine, run_sim_plan, sim_task
     if engine is None:
         engine = Engine()
     traces = list(traces)
+    models = (("core", core_config), ("chip", chip_config))
+    fingerprints = {label: fingerprint_config(config)
+                    for label, config in models}
     pairs = [(trace, label, config)
-             for trace in traces
-             for label, config in (("core", core_config),
-                                   ("chip", chip_config))]
+             for trace in traces for label, config in models]
     results = run_sim_plan(
         engine,
-        [sim_task(config, trace, warmup_fraction=warmup_fraction)
-         for trace, _label, config in pairs])
+        [sim_task(config, trace, warmup_fraction=warmup_fraction,
+                  config_fingerprint=fingerprints[label])
+         for trace, label, config in pairs])
     points = [{"workload": trace.name} for trace in traces]
     for k, ((_trace, label, config), result) in enumerate(
             zip(pairs, results)):

@@ -16,6 +16,7 @@ granularity (Fig. 15b).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -181,33 +182,36 @@ class PowerProxyDesigner:
         ~50 cycles.
 
         The whole trace runs first for its CPI, then each granularity's
-        windows as one engine plan (``engine=None`` means ``Engine()``);
+        windows as one engine plan, all on one engine (``engine=None``
+        means an ``Engine()`` built for this call and closed after it);
         a plan per granularity holds only that granularity's repeated
         windows in memory.
         """
-        from ..exec.executor import run_traces
+        from ..exec.executor import Engine, run_traces
         if any(cycles <= 0 for cycles in window_cycles):
             raise ModelError("granularity must be positive")
-        base_cpi = run_traces(self.config, [trace],
-                              warmup_fraction=warmup_fraction,
-                              engine=engine)[0].cpi
-        errors: Dict[int, float] = {}
-        for cycles in window_cycles:
-            instr_per_window = max(2, int(cycles / base_cpi))
-            results = run_traces(
-                self.config,
-                [window.repeated(4)
-                 for window in trace.windows(instr_per_window)],
-                warmup_fraction=0.5, engine=engine)
-            feats = _feature_matrix([dict(r.activity.rates())
-                                     for r in results])
-            pred = design.predict_total_w(feats)
-            truth_arr = np.array(
-                [self._reference.report(r.activity).total_w
-                 for r in results])
-            # firmware calibrates the proxy's constant offset against a
-            # reference measurement; the granularity study isolates the
-            # per-window (variance) error on top of that
-            pred = pred + float(np.mean(truth_arr - pred))
-            errors[cycles] = mean_abs_pct_error(truth_arr, pred)
-        return errors
+        with (Engine() if engine is None
+              else contextlib.nullcontext(engine)) as engine:
+            base_cpi = run_traces(self.config, [trace],
+                                  warmup_fraction=warmup_fraction,
+                                  engine=engine)[0].cpi
+            errors: Dict[int, float] = {}
+            for cycles in window_cycles:
+                instr_per_window = max(2, int(cycles / base_cpi))
+                results = run_traces(
+                    self.config,
+                    [window.repeated(4)
+                     for window in trace.windows(instr_per_window)],
+                    warmup_fraction=0.5, engine=engine)
+                feats = _feature_matrix([dict(r.activity.rates())
+                                         for r in results])
+                pred = design.predict_total_w(feats)
+                truth_arr = np.array(
+                    [self._reference.report(r.activity).total_w
+                     for r in results])
+                # firmware calibrates the proxy's constant offset against a
+                # reference measurement; the granularity study isolates the
+                # per-window (variance) error on top of that
+                pred = pred + float(np.mean(truth_arr - pred))
+                errors[cycles] = mean_abs_pct_error(truth_arr, pred)
+            return errors

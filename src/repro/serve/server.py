@@ -45,7 +45,8 @@ from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 from ..core.simulator import measurement_from_result, weighted_comparison
 from ..errors import DeadlineError, DrainingError, OverloadError, ReproError
-from ..exec.cache import fingerprint_trace, sim_result_from_json
+from ..exec.cache import (fingerprint_config, fingerprint_trace,
+                          sim_result_from_json)
 from ..exec.executor import Engine, campaign_task, sim_task
 from ..obs.context import (RequestContext, activate, clean_request_id,
                            current_request_id, deactivate,
@@ -95,7 +96,8 @@ class ServeConfig:
     #                                    learn a subprocess's ephemeral
     #                                    port)
     workers: Optional[int] = None      # None = $REPRO_WORKERS or 1
-    cache_dir: Optional[str] = None    # None = $REPRO_CACHE_DIR or off
+    cache_dir: Optional[str] = None    # None = $REPRO_CACHE_DIR or
+    #                                    memory only
     window_ms: float = 2.0
     max_batch: int = 64
     max_inflight: int = 32
@@ -127,6 +129,7 @@ class ReproServer(FrontEnd):
             target_p99_s=self.config.slo_target_p99_ms / 1000.0)
         self._access_log = None
         self._configs: Dict[str, object] = {}
+        self._config_fingerprints: Dict[str, str] = {}
         # (workload, instructions) -> (trace, fingerprint), LRU order
         self._traces: OrderedDict = OrderedDict()
         self._trace_lock = threading.Lock()
@@ -144,6 +147,9 @@ class ReproServer(FrontEnd):
         cfg = self.config
         self._configs = {"power9": power9_config(),
                          "power10": power10_config()}
+        # taken once here, not once per task
+        self._config_fingerprints = {
+            g: fingerprint_config(c) for g, c in self._configs.items()}
         self.engine = Engine(workers=cfg.workers, cache=cfg.cache_dir,
                              max_restarts=cfg.max_pool_restarts)
         self.batcher = MicroBatcher(self.engine,
@@ -337,10 +343,11 @@ class ReproServer(FrontEnd):
         async def build():
             trace, fingerprint = await asyncio.to_thread(
                 self._build_trace, req.workload, req.instructions)
-            return [sim_task(self._configs[req.config], trace,
-                             warmup_fraction=req.warmup_fraction,
-                             tags=_task_tags(),
-                             trace_fingerprint=fingerprint)]
+            return [sim_task(
+                self._configs[req.config], trace,
+                warmup_fraction=req.warmup_fraction, tags=_task_tags(),
+                trace_fingerprint=fingerprint,
+                config_fingerprint=self._config_fingerprints[req.config])]
 
         def answer(payloads):
             fields = self._measure(req.config, payloads[0])
@@ -362,7 +369,8 @@ class ReproServer(FrontEnd):
             weights.extend(float(getattr(trace, "weight", 1.0))
                            for trace, _ in built)
             return [sim_task(self._configs[g], trace, tags=_task_tags(),
-                             trace_fingerprint=fp)
+                             trace_fingerprint=fp,
+                             config_fingerprint=self._config_fingerprints[g])
                     for g in protocol.GENERATIONS for trace, fp in built]
 
         def answer(payloads):
@@ -523,7 +531,6 @@ class ReproServer(FrontEnd):
 
     def _healthz_doc(self) -> Dict[str, object]:
         from .. import __version__
-        cache = self.engine.cache if self.engine is not None else None
         return {"status": "draining" if self._draining else "ok",
                 "version": __version__,
                 "workers": self.engine.workers,
@@ -531,7 +538,7 @@ class ReproServer(FrontEnd):
                 "admitted": self.admission.inflight,
                 "breakers": {route: b.state
                              for route, b in self.breakers.items()},
-                "cache": (cache.stats() if cache is not None else None),
+                "cache": self.engine.cache.stats(),
                 "slo": self.slo.snapshot()}
 
 
@@ -549,7 +556,7 @@ async def _serve_main(config: ServeConfig) -> bool:
             pass
     print(f"repro serve listening on http://{config.host}:{server.port} "
           f"(workers={server.engine.workers}, "
-          f"cache={'on' if server.engine.cache is not None else 'off'})",
+          f"cache_dir={server.engine.cache.root or 'none (memory only)'})",
           flush=True)
     await stop.wait()
     print("draining ...", flush=True)

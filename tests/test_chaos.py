@@ -217,9 +217,10 @@ class TestSupervisedEngine:
 
 class TestCacheUnderChaos:
     def test_corrupt_entry_is_counted_dropped_and_rewritten(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
         key = "ab" * 16
-        cache.put(key, {"cycles": 123})
+        ResultCache(tmp_path / "cache").put(key, {"cycles": 123})
+        # a second instance: its memory tier cannot shadow the disk
+        cache = ResultCache(tmp_path / "cache")
         (path,) = list((tmp_path / "cache").rglob(f"{key}.json"))
         path.write_bytes(b'{"torn": ')
         corrupt = get_registry().counter("repro_exec_cache_corrupt_total")
@@ -234,9 +235,9 @@ class TestCacheUnderChaos:
     @pytest.mark.skipif(os.geteuid() == 0,
                         reason="root reads chmod-000 files")
     def test_permission_loss_reads_as_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
         key = "cd" * 16
-        cache.put(key, {"cycles": 5})
+        ResultCache(tmp_path / "cache").put(key, {"cycles": 5})
+        cache = ResultCache(tmp_path / "cache")   # nothing in memory
         (path,) = list((tmp_path / "cache").rglob(f"{key}.json"))
         os.chmod(path, 0)
         try:
@@ -251,7 +252,8 @@ class TestCacheUnderChaos:
         os.chmod(tmp_path / "cache", 0o555)
         try:
             cache.put("ef" * 16, {"cycles": 1})       # must not raise
-            assert cache.get("ef" * 16) is None
+            assert cache.get("ef" * 16) == {"cycles": 1}  # memory
+            assert ResultCache(tmp_path / "cache").get("ef" * 16) is None
         finally:
             os.chmod(tmp_path / "cache", 0o755)
 

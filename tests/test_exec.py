@@ -10,6 +10,7 @@ import json
 import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -21,9 +22,10 @@ from repro.core.simulator import measurement_from_result, simulate_trace
 from repro.errors import ExecError
 from repro.exec import (Engine, ExecPlan, ResultCache, campaign_task,
                         fingerprint_config, fingerprint_trace,
-                        resolve_workers, run_sim_plan,
-                        sim_result_from_json, sim_result_to_json,
-                        sim_task, task_fingerprint)
+                        resolve_cache, resolve_workers, run_sim_plan,
+                        run_traces, sim_result_from_json,
+                        sim_result_to_json, sim_task, task_fingerprint)
+from repro.exec import cache as cache_module
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.resilience import CampaignConfig, CampaignRunner
 from repro.workloads import daxpy_trace, resolve_workload
@@ -109,6 +111,29 @@ class TestFingerprints:
         with pytest.raises(TypeError):
             sim_task(p10, t, fingerprint_trace(t))
 
+    def test_precomputed_config_fingerprint_same_key(self, p10):
+        t = daxpy_trace(300)
+        for params in ({}, {"warmup_fraction": 0.3}):
+            assert sim_task(power10_config(), t, **params,
+                            config_fingerprint=fingerprint_config(p10),
+                            ).key == sim_task(p10, t, **params).key
+        assert sim_task(p10, t, trace_fingerprint=fingerprint_trace(t),
+                        config_fingerprint=fingerprint_config(p10),
+                        ).key == sim_task(p10, t).key
+
+    def test_run_traces_fingerprints_its_config_once(self, p10,
+                                                     monkeypatch):
+        import repro.exec.executor as executor
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return fingerprint_config(config)
+
+        monkeypatch.setattr(executor, "fingerprint_config", counted)
+        run_traces(p10, [daxpy_trace(300 + 20 * i) for i in range(3)])
+        assert len(calls) == 1
+
     def test_task_fingerprint_is_hex(self):
         key = task_fingerprint("anything", 1, {"a": [2, 3]})
         assert len(key) == 32
@@ -137,13 +162,16 @@ class TestResultCache:
                 cache.get(bad)
 
     def test_corrupt_entry_is_a_miss_and_dropped(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        writer = ResultCache(tmp_path)
         key = task_fingerprint("k", 2)
-        cache.put(key, {"ok": True})
+        writer.put(key, {"ok": True})
         path = tmp_path / key[:2] / f"{key}.json"
         path.write_text("{not json")
-        assert cache.get(key) is None
+        # the disk tier is read by a cache whose memory lacks the key
+        assert ResultCache(tmp_path).get(key) is None
         assert not path.exists()
+        # the writer's memory tier still holds the intact text
+        assert writer.get(key) == {"ok": True}
 
     def test_invalidate_and_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -188,6 +216,153 @@ class TestResultCache:
     def test_malformed_payload_raises(self):
         with pytest.raises(ExecError):
             sim_result_from_json({"cycles": 1})
+
+
+# ---- the memory tier -----------------------------------------------------
+
+def _held(cache):
+    """Bytes in ``cache``'s memory tier, checked against its tally."""
+    assert cache._memory_bytes == sum(len(v)
+                                      for v in cache._memory.values())
+    return cache._memory_bytes
+
+
+class TestMemoryTier:
+    def test_filling_past_the_cap_drops_least_recent_first(
+            self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_BYTES", 100)
+        cache = ResultCache()
+        keys = [task_fingerprint("cap", i) for i in range(8)]
+        for key in keys:
+            cache.put(key, {"v": "x" * 20})      # 29 bytes of JSON
+            assert _held(cache) <= 100
+        assert list(cache._memory) == keys[-3:]
+        assert cache.get(keys[0]) is None
+        cache.get(keys[-3])                      # now the most recent
+        cache.put(task_fingerprint("cap", 8), {"v": "y" * 20})
+        assert keys[-2] not in cache and keys[-3] in cache
+        assert _held(cache) <= 100
+
+    def test_an_entry_over_the_cap_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_BYTES", 100)
+        cache = ResultCache()
+        small, big = task_fingerprint("small"), task_fingerprint("big")
+        cache.put(small, {"v": 1})
+        cache.put(big, {"v": "x" * 200})
+        assert cache.get(big) is None
+        assert cache.get(small) == {"v": 1}
+
+    def test_invalidate_and_clear_drop_memory(self, tmp_path):
+        for root in (None, tmp_path):
+            cache = ResultCache(root)
+            k1, k2 = task_fingerprint("a"), task_fingerprint("b")
+            cache.put(k1, {"v": 1}), cache.put(k2, {"v": 2})
+            assert cache.invalidate(k1) is True
+            assert cache.invalidate(k1) is False
+            assert cache.get(k1) is None
+            assert cache.clear() == 1
+            assert cache.get(k2) is None
+            assert len(cache) == 0 and _held(cache) == 0
+
+    def test_callers_cannot_change_a_later_hit(self):
+        cache = ResultCache()
+        key = task_fingerprint("mut")
+        stored = {"events": {"a": 1}, "xs": [1, 2]}
+        cache.put(key, stored)
+        stored["xs"].append(3)
+        first = cache.get(key)
+        first["events"]["a"] = 99
+        first["xs"].clear()
+        assert cache.get(key) == {"events": {"a": 1}, "xs": [1, 2]}
+
+    def test_memory_hits_count_as_hits(self):
+        registry = MetricsRegistry()
+        set_registry(registry)
+        try:
+            cache = ResultCache()
+            key = task_fingerprint("h")
+            assert cache.get(key) is None
+            cache.put(key, {"v": 1})
+            cache.get(key), cache.get(key)
+            assert cache.stats() == {"hits": 2, "misses": 1,
+                                     "corrupt": 0, "hit_rate": 2 / 3}
+            snap = registry.collect()
+            assert snap["repro_exec_cache_hits_total"][
+                "series"][0]["value"] == 2
+        finally:
+            set_registry(None)
+
+    def test_instances_on_one_directory_do_not_share_memory(
+            self, tmp_path):
+        a, b = ResultCache(tmp_path), ResultCache(tmp_path)
+        key = task_fingerprint("shared")
+        a.put(key, {"v": 1})
+        assert b.get(key) == {"v": 1}            # through the disk
+        a.invalidate(key)                        # a's memory and disk
+        assert a.get(key) is None
+        assert b.get(key) == {"v": 1}            # b's own memory
+        assert ResultCache(tmp_path).get(key) is None
+
+    def test_memory_only_cache_has_no_directory(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = resolve_cache(None)
+        assert cache.root is None
+        cache.put(task_fingerprint("m"), {"v": 1})
+        assert cache.keys() == [task_fingerprint("m")]
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
+        assert resolve_cache(None).root == tmp_path / "c"
+
+    def test_threads_keep_the_tally_exact(self, monkeypatch):
+        """Eight threads put, get and invalidate overlapping keys with a
+        tiny switch interval; the byte tally must still match what the
+        tier holds, and stay under the cap."""
+        monkeypatch.setattr(cache_module, "MEMORY_BYTES", 2000)
+        cache = ResultCache()
+        keys = [task_fingerprint("t", i) for i in range(64)]
+        errors = []
+
+        def worker(seed):
+            try:
+                for i in range(1000):
+                    key = keys[(seed * 7 + i) % len(keys)]
+                    if cache.get(key) is None:
+                        cache.put(key, {"v": "x" * (i % 50)})
+                    if i % 37 == 0:
+                        cache.invalidate(key)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,))
+                       for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert _held(cache) <= 2000
+
+    def test_engine_runs_a_repeated_task_once(self, p10):
+        engine = Engine(workers=1)
+        assert engine.cache.root is None
+        plan = _plan(p10, 2)
+        first, again = {}, {}
+        results = engine.run(ExecPlan(list(plan)), first)
+        assert engine.run(ExecPlan(list(plan)), again) == results
+        assert set(first.values()) == {"executed"}
+        assert set(again.values()) == {"cache"}
+        assert engine.cache.hits == 2
+        # a fresh engine has a fresh tier: it executes everything
+        fresh = {}
+        Engine(workers=1).run(ExecPlan(list(plan)), fresh)
+        assert set(fresh.values()) == {"executed"}
 
 
 # ---- engine configuration ------------------------------------------------

@@ -153,6 +153,64 @@ def test_scenario_simulates_only_through_its_engine(name, tmp_path,
     assert warm == scalars
 
 
+class _TaskLog(Engine):
+    """A serial engine without a cache directory that records, per
+    plan, how each task key was answered ("executed" or "cache")."""
+
+    def __init__(self):
+        super().__init__(workers=1)
+        self.plans = []
+
+    def run(self, plan, sources=None):
+        answered = {}
+        results = super().run(plan, answered)
+        self.plans.append(answered)
+        return results
+
+    def sources(self, start=0):
+        """Task key -> every answer it got, over plans ``start:``."""
+        out = {}
+        for plan in self.plans[start:]:
+            for key, source in plan.items():
+                out.setdefault(key, []).append(source)
+        return out
+
+
+@pytest.mark.parametrize("first, then", [("fig11", "fig12"),
+                                         ("fig15", "table1")])
+def test_one_engine_executes_a_repeated_task_once(first, then):
+    """``fig12`` re-runs ``fig11``'s 52 training runs and ``table1``
+    re-runs ``fig15``'s 52 characterization runs; on one engine the
+    second scenario executes none of them."""
+    engine = _TaskLog()
+    answers = {}
+    for name in (first, then):
+        start = len(engine.plans)
+        _rich, scalars = run_scenario(
+            name, scale=SCENARIOS[name].quick_scale, engine=engine)
+        assert scalars == default_scalars(name)
+        answers[name] = engine.sources(start)
+    repeated = set(answers[first]) & set(answers[then])
+    assert len(repeated) == 52
+    assert {s for key in repeated for s in answers[then][key]} \
+        == {"cache"}
+    executed = [key for key, got in engine.sources().items()
+                for s in got if s == "executed"]
+    assert len(executed) == len(set(executed))
+
+
+def test_proxy_coverage_simulates_its_reference_once():
+    """Both validations compare against the same full ``leela`` run,
+    which one engine simulates once."""
+    engine = _TaskLog()
+    _rich, scalars = run_scenario(
+        "proxy_coverage", scale=SCENARIOS["proxy_coverage"].quick_scale,
+        engine=engine)
+    assert scalars == default_scalars("proxy_coverage")
+    repeats = [got for got in engine.sources().values() if len(got) > 1]
+    assert repeats == [["executed", "cache"]]
+
+
 def test_goldens_cover_every_scenario():
     """A scenario without a committed golden is an uncovered figure."""
     missing = [n for n in SCENARIOS if not golden_path(n).is_file()]

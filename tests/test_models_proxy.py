@@ -104,3 +104,35 @@ class TestProxy:
                                        counter_budgets=(8,))
         for p in points:
             assert p.total_error_pct <= p.active_error_pct + 1e-9
+
+    def test_granularity_error_runs_on_one_engine(self, p9_module,
+                                                  monkeypatch):
+        """Without an engine, the base run and every granularity share
+        one ``Engine()``, closed when the call returns."""
+        import repro.exec.executor as executor
+        built, closed = [], []
+
+        class Counted(executor.Engine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+            def close(self, wait=True):
+                closed.append(self)
+                super().close(wait)
+
+        designer = PowerProxyDesigner(p9_module)
+        traces = _traces()
+        feats, active, total = designer.characterize(traces)
+        design = designer.select(feats, active, total, num_counters=8)
+        monkeypatch.setattr(executor, "Engine", Counted)
+        errors = designer.granularity_error(design, traces[0],
+                                            (50, 400))
+        assert sorted(errors) == [50, 400]
+        assert len(built) == 1 and closed == built
+        # an engine that is passed in is used, never closed
+        built.clear(), closed.clear()
+        mine = executor.Engine(workers=1)
+        assert designer.granularity_error(design, traces[0], (50, 400),
+                                          engine=mine) == errors
+        assert built == [mine] and closed == []

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import power10_config
+from repro.core import power9_config, power10_config
 from repro.core.pipeline import simulate
 from repro.core.simulator import measurement_from_result
 from repro.errors import (ConfigError, DrainingError, OverloadError,
@@ -403,6 +403,32 @@ class TestTraceMemo:
             assert len(fingerprint_calls) == 2
         finally:
             handle.stop()
+
+    def test_configs_are_fingerprinted_once_per_generation(
+            self, monkeypatch):
+        import repro.exec.executor
+        import repro.serve.server
+        from repro.exec import cache
+        calls = []
+
+        def counted(config):
+            calls.append(config.name)
+            return cache.fingerprint_config(config)
+
+        monkeypatch.setattr(repro.serve.server, "fingerprint_config",
+                            counted)
+        monkeypatch.setattr(repro.exec.executor, "fingerprint_config",
+                            counted)
+        handle = start_in_thread(ServeConfig(window_ms=1.0))
+        try:
+            client = _client(handle, timeout_s=120.0)
+            assert client.simulate(workload="daxpy",
+                                   instructions=500).ok
+            assert client.compare(["daxpy", "xz"], instructions=500).ok
+        finally:
+            handle.stop()
+        assert sorted(calls) == sorted(
+            [power9_config().name, power10_config().name])
 
     def test_no_trace_is_hashed_on_the_event_loop(self,
                                                    fingerprint_calls):
