@@ -491,7 +491,7 @@ def _serve_config(args: argparse.Namespace, *, port: int):
         host=args.host, port=port,
         port_file=getattr(args, "port_file", None),
         workers=args.workers,
-        cache_dir=args.cache_dir, window_ms=args.window_ms,
+        cache_dir=args.cache_dir,
         max_inflight=args.max_inflight, rate_per_s=args.rate_limit,
         drain_timeout_s=args.drain_timeout,
         warm_fast_path=args.warm,
@@ -646,9 +646,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             or replace(serve, access_log=None) != ServeConfig(
                 host=args.host, slo_target_p99_ms=args.slo_p99_ms)):
         raise ServeError(
-            "server flags (--workers, --cache-dir, --window-ms, "
-            "--max-inflight, --rate-limit, --drain-timeout, --warm, "
-            "--access-log) configure a server this command starts: "
+            "server flags (--workers, --cache-dir, --max-inflight, "
+            "--rate-limit, --drain-timeout, --warm, --access-log) "
+            "configure a server this command starts: "
             "add --self-serve or --cluster")
     sanitizing = sanitize_enabled(getattr(args, "sanitize", False))
     sanitizer_rc = 0
@@ -865,8 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_opts = argparse.ArgumentParser(add_help=False,
                                          parents=[engine_opts])
     serve_opts.add_argument("--host", default="127.0.0.1")
-    serve_opts.add_argument("--window-ms", type=float, default=2.0,
-                            help="micro-batching window (default 2 ms)")
     serve_opts.add_argument("--max-inflight", type=int, default=32,
                             help="admitted-request bound (default 32)")
     serve_opts.add_argument("--rate-limit", type=float, default=None,

@@ -505,7 +505,8 @@ def fig15_power_proxy(scale: float = 1.0, engine=None):
     feats, active, total = designer.characterize(traces, engine=engine)
     space = designer.design_space(feats, active, total,
                                   counter_budgets=(2, 4, 8, 16, 32))
-    design = designer.select(feats, active, total, num_counters=16)
+    design = designer.select(feats, active, total, num_counters=16,
+                             space=space)
     gran = designer.granularity_error(design, traces[0].repeated(3),
                                       _FIG15_GRANULARITIES,
                                       engine=engine)

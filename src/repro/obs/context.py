@@ -12,8 +12,9 @@ off it:
   active, so one Perfetto track shows the whole request;
 * the latency breakdown: the context tiles the request's wall time
   into ``queue`` (validation / admission / trace build), ``batch``
-  (micro-batching window wait) and ``exec`` (engine run) segments that
-  the access log reports per request;
+  (the wait for the batch already running on the engine; zero on an
+  idle server) and ``exec`` (engine run) segments that the access log
+  reports per request;
 * cache attribution (did the engine answer from the content-addressed
   cache?).
 

@@ -8,10 +8,12 @@ One line per served request, written at response time::
      "batch_ms": 1.1, "exec_ms": 8.4, "finalize_ms": 0.1,
      "total_ms": 9.8, "seq": 17}
 
-``queue_ms + batch_ms + exec_ms + finalize_ms`` tiles ``total_ms``
-exactly (the segments come from one :class:`~repro.obs.context.
-RequestContext`), so the log is also the ground truth the acceptance
-check sums against.  Lines are append-only, flushed per record, and
+``batch_ms`` is the wait for the batch the engine was already running
+when the request was submitted (the batcher keeps no timer, so it is
+about zero on an idle server).  ``queue_ms + batch_ms + exec_ms +
+finalize_ms`` tiles ``total_ms`` exactly (the segments come from one
+:class:`~repro.obs.context.RequestContext`), so the log is also the
+ground truth the acceptance check sums against.  Lines are append-only, flushed per record, and
 keyed by the same request id the trace and the client log carry.
 """
 

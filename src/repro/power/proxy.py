@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +94,8 @@ class DesignPoint:
     intercept: bool
     active_error_pct: float
     total_error_pct: float
+    budget: int                  # the input budget this fit was given
+    fit: FitResult
 
 
 class PowerProxyDesigner:
@@ -153,18 +155,29 @@ class PowerProxyDesigner:
                     active_error_pct=mean_abs_pct_error(
                         active_w, pred),
                     total_error_pct=mean_abs_pct_error(
-                        total_w, pred + static)))
+                        total_w, pred + static),
+                    budget=budget, fit=fit))
         return points
 
     def select(self, features: np.ndarray, active_w: np.ndarray,
                total_w: np.ndarray, *, num_counters: int = 16,
-               nonnegative: bool = True) -> ProxyDesign:
+               nonnegative: bool = True,
+               space: Optional[Sequence[DesignPoint]] = None,
+               ) -> ProxyDesign:
         """Pick the final proxy implementation (paper: 16 counters,
-        hardware-friendly non-negative weights)."""
-        selector = GreedyFeatureSelector(
+        hardware-friendly non-negative weights).
+
+        ``space`` is a :meth:`design_space` sweep of the same data: a
+        point at this budget, sign and intercept already holds the fit
+        (a greedy path's prefix is the smaller budget's fit), so it is
+        taken from there instead of walking the path again.
+        """
+        fits = [p.fit for p in space or ()
+                if (p.budget, p.nonnegative, p.intercept)
+                == (num_counters, nonnegative, True)]
+        fit = fits[0] if fits else GreedyFeatureSelector(
             candidate_counter_names(), nonnegative=nonnegative,
-            intercept=True)
-        fit = selector.fit(features, active_w, num_counters)
+            intercept=True).fit(features, active_w, num_counters)
         static = float(np.mean(total_w - active_w))
         return ProxyDesign(fit=fit, include_static_w=static)
 

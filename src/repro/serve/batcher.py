@@ -1,13 +1,16 @@
 """Micro-batching with single-flight dedupe over the execution engine.
 
-Requests that arrive within one batching window are coalesced into a
-single :class:`~repro.exec.executor.ExecPlan`, so the engine's in-plan
-dedupe plus the content-addressed cache make N identical concurrent
-requests cost exactly one simulation.  A request whose key is already
+Batches form while the engine is busy, not on a timer: the runner
+starts a batch as soon as a task is pending and no batch is running,
+and every task that arrives while that batch runs goes into the next
+:class:`~repro.exec.executor.ExecPlan` (up to ``max_batch``).  An idle
+server hands a request to the engine at once; under load, requests
+coalesce by themselves.  A request whose key is already queued or
 executing joins the in-flight future instead of resubmitting
-(single-flight), whatever window it arrives in — the service-layer
-analog of the paper's "never measure the same thing twice" methodology
-(§III-C motivates APEX the same way).
+(single-flight), so N identical concurrent requests cost exactly one
+simulation — the service-layer analog of the paper's "never measure
+the same thing twice" methodology (§III-C motivates APEX the same
+way).
 
 Batched results are bit-identical to direct serial Engine runs: the
 batcher only *groups* tasks, and every task is a pure function of its
@@ -71,14 +74,10 @@ def mark_retrieved(fut: "asyncio.Future") -> None:
 class MicroBatcher:
     """Coalesces concurrent requests into single engine plans."""
 
-    def __init__(self, engine: Engine, *, window_s: float = 0.002,
-                 max_batch: int = 64):
-        if window_s < 0:
-            raise ServeError(f"window_s must be >= 0, got {window_s}")
+    def __init__(self, engine: Engine, *, max_batch: int = 64):
         if max_batch < 1:
             raise ServeError(f"max_batch must be >= 1, got {max_batch}")
         self.engine = engine
-        self.window_s = window_s
         self.max_batch = max_batch
         self._pending: List[ExecTask] = []
         self._inflight: Dict[str, asyncio.Future] = {}
@@ -155,10 +154,10 @@ class MicroBatcher:
                                 time.perf_counter_ns(), source)
 
     async def _run_loop(self) -> None:
+        # no timer: whatever queued while the last batch ran is the
+        # next batch, and an idle runner wakes on the first submit
         while True:
             await self._wakeup.wait()
-            if self.window_s:
-                await asyncio.sleep(self.window_s)   # collect the window
             batch = self._pending[:self.max_batch]
             del self._pending[:len(batch)]
             if not self._pending:

@@ -98,7 +98,6 @@ class ServeConfig:
     workers: Optional[int] = None      # None = $REPRO_WORKERS or 1
     cache_dir: Optional[str] = None    # None = $REPRO_CACHE_DIR or
     #                                    memory only
-    window_ms: float = 2.0
     max_batch: int = 64
     max_inflight: int = 32
     rate_per_s: Optional[float] = None   # None = no rate limit
@@ -152,9 +151,7 @@ class ReproServer(FrontEnd):
             g: fingerprint_config(c) for g, c in self._configs.items()}
         self.engine = Engine(workers=cfg.workers, cache=cfg.cache_dir,
                              max_restarts=cfg.max_pool_restarts)
-        self.batcher = MicroBatcher(self.engine,
-                                    window_s=cfg.window_ms / 1000.0,
-                                    max_batch=cfg.max_batch)
+        self.batcher = MicroBatcher(self.engine, max_batch=cfg.max_batch)
         bucket = (TokenBucket(cfg.rate_per_s, cfg.burst)
                   if cfg.rate_per_s is not None else None)
         self.admission = AdmissionController(
@@ -216,26 +213,49 @@ class ReproServer(FrontEnd):
 
     # ---- shared helpers ----------------------------------------------
 
+    def _memo_trace(self, key: Tuple[str, int]) -> Optional[Tuple]:
+        """The memoized ``(trace, fingerprint)`` for ``key``, or None;
+        a hit becomes the most recently used entry."""
+        with self._trace_lock:
+            entry = self._traces.get(key)
+            if entry is not None:
+                self._traces.move_to_end(key)
+            return entry
+
     def _build_trace(self, workload: str,
                      instructions: int) -> Tuple[object, str]:
         """Resolve-and-memoize a workload trace with its fingerprint.
 
         The memo is an LRU bounded at ``_TRACE_MEMO_SIZE`` entries.  The
         fingerprint is taken once, when the trace is built, so a warm
-        hit never walks the trace again; callers run this through
-        ``asyncio.to_thread``, so no trace is hashed on the event loop.
+        hit never walks the trace again.  The lock guards only the dict
+        operations: a cold build runs outside it, so it never holds up
+        a hit on another key, and when two callers build one key the
+        first entry stored wins, so both get the same trace object.
         """
         from ..workloads.resolve import resolve_workload
         key = (workload, instructions)
+        entry = self._memo_trace(key)
+        if entry is not None:
+            return entry
+        trace = resolve_workload(workload, instructions)
+        built = (trace, fingerprint_trace(trace))
         with self._trace_lock:
-            entry = self._traces.get(key)
-            if entry is not None:
-                self._traces.move_to_end(key)
-                return entry
-            if len(self._traces) >= _TRACE_MEMO_SIZE:
+            entry = self._traces.setdefault(key, built)
+            self._traces.move_to_end(key)
+            if len(self._traces) > _TRACE_MEMO_SIZE:
                 self._traces.popitem(last=False)
-            trace = resolve_workload(workload, instructions)
-            entry = self._traces[key] = (trace, fingerprint_trace(trace))
+        return entry
+
+    async def _trace(self, workload: str,
+                     instructions: int) -> Tuple[object, str]:
+        """:meth:`_build_trace` for a handler: a memo hit is answered on
+        the event loop, and only a miss takes a thread, so no trace is
+        resolved or hashed on the loop."""
+        entry = self._memo_trace((workload, instructions))
+        if entry is None:
+            entry = await asyncio.to_thread(self._build_trace, workload,
+                                            instructions)
         return entry
 
     def _deadline_s(self, deadline_ms: Optional[int]) -> float:
@@ -341,8 +361,8 @@ class ReproServer(FrontEnd):
 
     async def _handle_simulate(self, req: protocol.SimulateRequest):
         async def build():
-            trace, fingerprint = await asyncio.to_thread(
-                self._build_trace, req.workload, req.instructions)
+            trace, fingerprint = await self._trace(req.workload,
+                                                   req.instructions)
             return [sim_task(
                 self._configs[req.config], trace,
                 warmup_fraction=req.warmup_fraction, tags=_task_tags(),
@@ -363,8 +383,7 @@ class ReproServer(FrontEnd):
         weights: List[float] = []
 
         async def build():
-            built = [await asyncio.to_thread(self._build_trace, w,
-                                             req.instructions)
+            built = [await self._trace(w, req.instructions)
                      for w in req.workloads]
             weights.extend(float(getattr(trace, "weight", 1.0))
                            for trace, _ in built)

@@ -61,12 +61,15 @@ class TestRegression:
 
 
 def _same_fit(a, b) -> bool:
+    """Bit for bit: errors compare as bytes, like the coefficients, so
+    two NaN errors (a fit whose coefficients overflowed) are the same."""
     return (a.feature_indices == b.feature_indices
             and a.feature_names == b.feature_names
             and a.coefficients.tobytes() == b.coefficients.tobytes()
             and a.intercept_used == b.intercept_used
             and a.nonnegative == b.nonnegative
-            and a.train_error_pct == b.train_error_pct)
+            and np.float64(a.train_error_pct).tobytes()
+            == np.float64(b.train_error_pct).tobytes())
 
 
 @st.composite

@@ -40,7 +40,7 @@ def _no_ambient_engine_env(monkeypatch):
 def _cluster_config(tmp_path, **kw):
     kw.setdefault("shards", 2)
     kw.setdefault("worker_mode", "thread")
-    kw.setdefault("serve", ServeConfig(window_ms=1.0))
+    kw.setdefault("serve", ServeConfig())
     kw.setdefault("cache_dir", str(tmp_path / "cache"))
     return ClusterConfig(**kw)
 
@@ -135,7 +135,7 @@ class TestShardMap:
 
 class TestThreadWorker:
     def test_start_stop_bumps_generation(self):
-        worker = ThreadWorker(0, ServeConfig(port=0, window_ms=1.0))
+        worker = ThreadWorker(0, ServeConfig(port=0))
         worker.start()
         try:
             assert worker.alive()
@@ -152,7 +152,7 @@ class TestThreadWorker:
             worker.stop()
 
     def test_double_start_rejected(self):
-        worker = ThreadWorker(0, ServeConfig(port=0, window_ms=1.0))
+        worker = ThreadWorker(0, ServeConfig(port=0))
         worker.start()
         try:
             with pytest.raises(ClusterError, match="already running"):
@@ -199,7 +199,7 @@ class TestProcessWorker:
                                               monkeypatch):
         import repro.serve.server as server_mod
         template = ServeConfig(
-            window_ms=1.0, default_deadline_ms=1234,
+            default_deadline_ms=1234,
             max_pool_restarts=5, drain_timeout_s=9.0, max_batch=8,
             warm_fast_path=True, slo_target_p99_ms=777.0)
         _FakeChild.decoded = []
@@ -229,13 +229,12 @@ class TestProcessWorker:
         payload = {"workload": "daxpy", "instructions": 500,
                    "config": "power10"}
         single = start_in_thread(ServeConfig(
-            window_ms=1.0, cache_dir=str(tmp_path / "single-cache")))
+            cache_dir=str(tmp_path / "single-cache")))
         try:
             cluster = Cluster(ClusterConfig(
                 shards=2, worker_mode="process",
                 cache_dir=str(tmp_path / "cache"),
-                serve=ServeConfig(slo_target_p99_ms=1234.0,
-                                  window_ms=1.0)))
+                serve=ServeConfig(slo_target_p99_ms=1234.0)))
             cluster.start()
             try:
                 for worker in cluster.workers:
@@ -253,7 +252,7 @@ class TestProcessWorker:
         ``stop()`` reports the drain as forced."""
         from repro.resilience.chaos import ServiceFault, service_chaos
         worker = ProcessWorker(0, ServeConfig(
-            window_ms=1.0, drain_timeout_s=0.2,
+            drain_timeout_s=0.2,
             port_file=str(tmp_path / "worker.port")))
         # the child inherits the armed fault: its first batch sleeps
         # far past the drain budget
@@ -388,8 +387,7 @@ class TestBitIdentity:
             ("/v1/simulate", {"workload": "no-such-kernel"}),  # 400
         ]
         single = start_in_thread(ServeConfig(
-            port=0, window_ms=1.0,
-            cache_dir=str(tmp_path / "single-cache")))
+            port=0, cache_dir=str(tmp_path / "single-cache")))
         try:
             with Cluster(_cluster_config(tmp_path)) as cluster:
                 for path, payload in payloads:
@@ -408,7 +406,7 @@ class TestBitIdentity:
         lg = dict(seed=7, requests=12, rate_per_s=30.0,
                   timeout_s=60.0)
         ref = run_phase(LoadgenConfig(**lg), lambda: start_in_thread(
-            ServeConfig(port=0, window_ms=1.0,
+            ServeConfig(port=0,
                         cache_dir=str(tmp_path / "single-cache")))).report
         cur = run_phase(LoadgenConfig(**lg), lambda: Cluster(
             _cluster_config(tmp_path)).start()).report
@@ -540,7 +538,7 @@ class TestClientTargets:
             parse_target("h:eight")
 
     def test_dead_target_fails_over_to_live_one(self, tmp_path):
-        handle = start_in_thread(ServeConfig(port=0, window_ms=1.0))
+        handle = start_in_thread(ServeConfig(port=0))
         try:
             # a port nothing listens on, then the live server
             dead = f"127.0.0.1:1"
@@ -657,11 +655,10 @@ class TestCliServeFlags:
     """Every serve flag reaches every server the command starts, or
     the command refuses it with a usage error (exit 2)."""
 
-    _SERVE_FLAGS = ["--workers", "3", "--window-ms", "1.5",
-                    "--max-inflight", "7", "--rate-limit", "50",
-                    "--drain-timeout", "9", "--warm",
+    _SERVE_FLAGS = ["--workers", "3", "--max-inflight", "7",
+                    "--rate-limit", "50", "--drain-timeout", "9", "--warm",
                     "--slo-p99-ms", "900"]
-    _TEMPLATE = ServeConfig(workers=3, window_ms=1.5, max_inflight=7,
+    _TEMPLATE = ServeConfig(workers=3, max_inflight=7,
                             rate_per_s=50.0, drain_timeout_s=9.0,
                             warm_fast_path=True, slo_target_p99_ms=900.0)
 

@@ -159,9 +159,9 @@ def front_ends(tmp_path_factory):
     """One single server and one two-shard router, by name."""
     saved = {k: os.environ.pop(k) for k in _ENV if k in os.environ}
     root = tmp_path_factory.mktemp("wire")
-    single = start_in_thread(ServeConfig(window_ms=1.0))
+    single = start_in_thread(ServeConfig())
     cluster = Cluster(ClusterConfig(shards=2, worker_mode="thread",
-                                    serve=ServeConfig(window_ms=1.0),
+                                    serve=ServeConfig(),
                                     cache_dir=str(root / "cache")))
     cluster.start()
     try:

@@ -95,6 +95,29 @@ class TestProxy:
         combos = {(p.nonnegative, p.intercept) for p in points}
         assert len(combos) == 4
 
+    def test_select_takes_its_fit_from_the_design_space(self, p9_module,
+                                                          monkeypatch):
+        """Given the sweep, ``select`` returns the design it would have
+        fit, exactly, and walks no greedy path of its own; a budget the
+        sweep lacks is fit as before."""
+        import repro.power.proxy as proxy
+        designer = PowerProxyDesigner(p9_module)
+        feats, active, total = designer.characterize(_traces())
+        fresh = designer.select(feats, active, total, num_counters=8)
+        points = designer.design_space(feats, active, total,
+                                       counter_budgets=(2, 8, 32))
+        with monkeypatch.context() as patched:
+            patched.setattr(proxy, "GreedyFeatureSelector", None)
+            reused = designer.select(feats, active, total,
+                                     num_counters=8, space=points)
+        assert reused.counters == fresh.counters
+        assert reused.fit.coefficients.tobytes() == \
+            fresh.fit.coefficients.tobytes()
+        assert reused.include_static_w == fresh.include_static_w
+        assert designer.select(feats, active, total, num_counters=4,
+                               space=points).counters == \
+            designer.select(feats, active, total, num_counters=4).counters
+
     def test_total_error_below_active_error(self, p9_module):
         # adding the static contribution shrinks the *relative* error,
         # the paper's 9.8% -> <5% observation

@@ -364,7 +364,6 @@ class TestServerObservability:
     def handle(self, tmp_path_factory):
         logdir = tmp_path_factory.mktemp("obs-serve")
         handle = start_in_thread(ServeConfig(
-            window_ms=1.0,
             access_log=str(logdir / "access.jsonl")))
         handle.access_log_path = logdir / "access.jsonl"
         yield handle
@@ -453,7 +452,6 @@ class TestServerObservability:
 class TestCacheAttribution:
     def test_second_identical_request_is_a_cache_hit(self, tmp_path):
         handle = start_in_thread(ServeConfig(
-            window_ms=1.0,
             cache_dir=str(tmp_path / "cache"),
             access_log=str(tmp_path / "access.jsonl")))
         try:
@@ -493,10 +491,9 @@ class TestTelemetryNeutrality:
             handle.stop()
 
     def test_responses_identical_with_telemetry_on(self, tmp_path):
-        plain = self._collect(ServeConfig(window_ms=1.0))
+        plain = self._collect(ServeConfig())
         with TelemetrySession(tmp_path / "t"):
             traced = self._collect(ServeConfig(
-                window_ms=1.0,
                 access_log=str(tmp_path / "t" / "access.jsonl")))
         assert plain == traced
 
@@ -509,7 +506,7 @@ class TestEndToEndTrace:
         rids = [f"rid-e2e-{i}" for i in range(2)]
         with TelemetrySession(outdir) as session:
             handle = start_in_thread(ServeConfig(
-                window_ms=1.0, workers=2,
+                workers=2,
                 access_log=str(outdir / "access.jsonl")))
             try:
                 client = _client(handle)

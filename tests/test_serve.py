@@ -206,7 +206,7 @@ def server():
     saved = {k: os.environ.pop(k)
              for k in ("REPRO_WORKERS", "REPRO_CACHE_DIR")
              if k in os.environ}
-    handle = start_in_thread(ServeConfig(window_ms=1.0))
+    handle = start_in_thread(ServeConfig())
     yield handle
     handle.stop()
     os.environ.update(saved)
@@ -388,7 +388,7 @@ class TestTraceMemo:
         assert len(srv._traces) == 128
 
     def test_warm_hits_fingerprint_each_trace_once(self, fingerprint_calls):
-        handle = start_in_thread(ServeConfig(window_ms=1.0))
+        handle = start_in_thread(ServeConfig())
         try:
             client = _client(handle, timeout_s=120.0)
             bodies = {json.dumps(client.simulate(
@@ -419,7 +419,7 @@ class TestTraceMemo:
                             counted)
         monkeypatch.setattr(repro.exec.executor, "fingerprint_config",
                             counted)
-        handle = start_in_thread(ServeConfig(window_ms=1.0))
+        handle = start_in_thread(ServeConfig())
         try:
             client = _client(handle, timeout_s=120.0)
             assert client.simulate(workload="daxpy",
@@ -430,9 +430,46 @@ class TestTraceMemo:
         assert sorted(calls) == sorted(
             [power9_config().name, power10_config().name])
 
+    def test_a_cold_build_does_not_block_a_warm_hit(self, monkeypatch):
+        """While one key's trace is still being resolved, a simulate of
+        another, memoized key answers: the memo lock is never held
+        across a build."""
+        import repro.workloads.resolve
+        real_resolve = repro.workloads.resolve.resolve_workload
+        entered, release = threading.Event(), threading.Event()
+
+        def gated(workload, instructions):
+            if workload == "xz":
+                entered.set()
+                release.wait(60)
+            return real_resolve(workload, instructions)
+
+        cold = {}
+        handle = start_in_thread(ServeConfig())
+        blocked = threading.Thread(target=lambda: cold.update(
+            resp=_client(handle, timeout_s=120.0).simulate(
+                workload="xz", instructions=500)))
+        try:
+            assert _client(handle, timeout_s=120.0).simulate(
+                workload="daxpy", instructions=500).ok
+            monkeypatch.setattr(repro.workloads.resolve,
+                                "resolve_workload", gated)
+            blocked.start()
+            assert entered.wait(30)
+            warm = _client(handle, timeout_s=5.0).simulate(
+                workload="daxpy", instructions=500)
+            assert warm.ok and not warm.degraded
+            assert "resp" not in cold          # the build is still held
+        finally:
+            release.set()
+            if blocked.is_alive():
+                blocked.join(60)
+            handle.stop()
+        assert cold["resp"].ok
+
     def test_no_trace_is_hashed_on_the_event_loop(self,
                                                    fingerprint_calls):
-        handle = start_in_thread(ServeConfig(window_ms=1.0))
+        handle = start_in_thread(ServeConfig())
         try:
             client = _client(handle, timeout_s=120.0)
             client.simulate(workload="daxpy", instructions=600)
@@ -444,6 +481,80 @@ class TestTraceMemo:
         assert loop_thread not in fingerprint_calls
 
 
+# ---- batch formation: no timer, batches form while the engine runs -------
+
+class _GatedEngine:
+    """Stands in for the engine: records each plan's keys and holds
+    every call until the test releases the gate once for it."""
+
+    def __init__(self):
+        self.plans = []
+        self.entered = threading.Semaphore(0)
+        self.gate = threading.Semaphore(0)
+
+    def run(self, plan, sources):
+        self.plans.append([task.key for task in plan.tasks])
+        self.entered.release()
+        assert self.gate.acquire(timeout=30)
+        return [{"key": task.key} for task in plan.tasks]
+
+
+class TestBatchFormation:
+    def test_batches_form_while_the_engine_is_busy(self, monkeypatch):
+        from repro.exec.executor import ExecTask
+        from repro.serve.batcher import MicroBatcher
+        timed_sleeps = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            if delay > 0:
+                timed_sleeps.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+        engine = _GatedEngine()
+        joins = get_registry().counter(
+            "repro_serve_singleflight_joins_total")
+
+        def task(key):
+            return ExecTask(kind="sim", key=key, payload=None)
+
+        async def scenario():
+            batcher = MicroBatcher(engine)
+            await batcher.start()
+            submit = asyncio.get_running_loop().create_task
+            try:
+                first = submit(batcher.submit(task("a")))
+                # an idle batcher hands the task over at once
+                assert await asyncio.to_thread(engine.entered.acquire,
+                                               True, 30)
+                assert engine.plans == [["a"]]
+                assert timed_sleeps == []
+                # arrivals while that batch is held queue for the next
+                # one; identical keys join the in-flight futures
+                joins0 = joins.total
+                later = [submit(batcher.submit(task(k)))
+                         for k in ("b", "a", "c", "b", "d")]
+                await real_sleep(0)
+                assert joins.total - joins0 == 2
+                assert batcher.inflight == 4
+                engine.gate.release()
+                assert await first == {"key": "a"}
+                assert await asyncio.to_thread(engine.entered.acquire,
+                                               True, 30)
+                engine.gate.release()
+                answers = await asyncio.gather(*later)
+            finally:
+                engine.gate.release(10)
+                await batcher.drain(5.0)
+            return answers
+
+        answers = asyncio.run(scenario())
+        assert engine.plans == [["a"], ["b", "c", "d"]]
+        assert [a["key"] for a in answers] == ["b", "a", "c", "b", "d"]
+        assert timed_sleeps == []
+
+
 # ---- overload: degrade before 503 ----------------------------------------
 
 class TestOverload:
@@ -451,7 +562,7 @@ class TestOverload:
         # burst=1 and a glacial refill: the first simulate takes the
         # only token, everything after is shed
         handle = start_in_thread(ServeConfig(
-            window_ms=1.0, rate_per_s=0.001, burst=1))
+            rate_per_s=0.001, burst=1))
         try:
             client = _client(handle, timeout_s=120.0)
             first = client.simulate(workload="daxpy", instructions=400)
@@ -485,7 +596,7 @@ class TestOverload:
 
     def test_degraded_answers_are_deterministic(self):
         handle = start_in_thread(ServeConfig(
-            window_ms=1.0, rate_per_s=0.001, burst=1))
+            rate_per_s=0.001, burst=1))
         try:
             client = _client(handle, timeout_s=120.0)
             client.simulate(workload="daxpy", instructions=400)
@@ -501,7 +612,7 @@ class TestOverload:
 
 class TestDrain:
     def test_clean_drain_after_idle(self):
-        handle = start_in_thread(ServeConfig(window_ms=1.0))
+        handle = start_in_thread(ServeConfig())
         client = _client(handle)
         assert client.simulate(workload="daxpy",
                                instructions=300).ok
@@ -512,8 +623,7 @@ class TestDrain:
         flight: the waiter gets a structured shutting_down body (not a
         hang, not a dropped connection) and stop() reports the forced
         drain."""
-        handle = start_in_thread(ServeConfig(window_ms=1.0,
-                                             drain_timeout_s=0.3))
+        handle = start_in_thread(ServeConfig(drain_timeout_s=0.3))
         outcome = {}
 
         def slow_request():
@@ -545,7 +655,7 @@ class TestDrain:
         assert resp.body["error"]["code"] == "shutting_down"
 
     def test_requests_after_drain_start_are_refused(self):
-        handle = start_in_thread(ServeConfig(window_ms=1.0))
+        handle = start_in_thread(ServeConfig())
         port = handle.port
         assert handle.stop() is True
         client = ServeClient(host="127.0.0.1", port=port, retries=0)
@@ -559,7 +669,7 @@ class TestDrain:
         from repro.resilience.chaos import ServiceFault, service_chaos
         with service_chaos([ServiceFault("worker_kill")], tmp_path):
             handle = start_in_thread(ServeConfig(
-                window_ms=1.0, workers=2, drain_timeout_s=0.3))
+                workers=2, drain_timeout_s=0.3))
             outcome = {}
 
             def slow_request():
@@ -610,7 +720,7 @@ class TestDeadline:
         assert "deadline_ms" not in data
 
     def test_bad_header_is_a_400(self):
-        handle = start_in_thread(ServeConfig(window_ms=1.0))
+        handle = start_in_thread(ServeConfig())
         try:
             resp = _client(handle).request(
                 "/v1/simulate", {"workload": "daxpy",
@@ -626,7 +736,7 @@ class TestDeadline:
             handle.stop()
 
     def test_impossible_deadline_degrades_simulate(self):
-        handle = start_in_thread(ServeConfig(window_ms=1.0))
+        handle = start_in_thread(ServeConfig())
         try:
             client = _client(handle, timeout_s=120.0)
             resp = client.request(
@@ -641,7 +751,7 @@ class TestDeadline:
             handle.stop()
 
     def test_impossible_deadline_rejects_inject_with_504(self):
-        handle = start_in_thread(ServeConfig(window_ms=1.0))
+        handle = start_in_thread(ServeConfig())
         try:
             client = _client(handle, timeout_s=120.0)
             resp = client.request(
@@ -667,7 +777,7 @@ class TestAbandonedCompare:
             loop = asyncio.get_running_loop()
             loop.set_exception_handler(
                 lambda _loop, ctx: calls.append(ctx.get("message")))
-            server = ReproServer(ServeConfig(window_ms=1.0, port=0))
+            server = ReproServer(ServeConfig(port=0))
             await server.start()
             submitted = asyncio.Event()
             try:
@@ -719,7 +829,7 @@ class TestBreakerIntegration:
         faults = [ServiceFault("worker_kill")] * 4
         with service_chaos(faults, tmp_path):
             handle = start_in_thread(ServeConfig(
-                window_ms=1.0, workers=2, max_pool_restarts=0,
+                workers=2, max_pool_restarts=0,
                 breaker_threshold=1, breaker_reset_s=60.0))
             try:
                 client = _client(handle, timeout_s=120.0)
@@ -746,7 +856,7 @@ class TestBreakerIntegration:
 
     def test_open_inject_breaker_rejects_with_retry_hint(self):
         handle = start_in_thread(ServeConfig(
-            window_ms=1.0, breaker_threshold=1, breaker_reset_s=60.0))
+            breaker_threshold=1, breaker_reset_s=60.0))
         try:
             # trip the inject breaker via an impossible deadline
             client = _client(handle, timeout_s=120.0)
@@ -765,7 +875,7 @@ class TestBreakerIntegration:
             handle.stop()
 
     def test_healthz_reports_breaker_states(self):
-        handle = start_in_thread(ServeConfig(window_ms=1.0))
+        handle = start_in_thread(ServeConfig())
         try:
             health = _client(handle).healthz()
             assert health["breakers"] == {
@@ -798,7 +908,7 @@ class TestLoadgen:
     def test_loadgen_against_live_server(self):
         phase = run_phase(
             LoadgenConfig(seed=5, requests=8, rate_per_s=50.0),
-            lambda: start_in_thread(ServeConfig(window_ms=1.0)))
+            lambda: start_in_thread(ServeConfig()))
         assert phase.clean_drain is True
         assert phase.healthz["status"] == "ok"
         report = phase.report
@@ -850,7 +960,7 @@ class TestLoadgen:
     def test_report_carries_availability_section(self):
         report = run_phase(
             LoadgenConfig(seed=5, requests=8, rate_per_s=50.0),
-            lambda: start_in_thread(ServeConfig(window_ms=1.0))).report
+            lambda: start_in_thread(ServeConfig())).report
         avail = report["availability"]
         assert avail["good"] == report["ok"] - report["degraded"]
         assert avail["degraded"] == report["degraded"]
@@ -862,7 +972,7 @@ class TestLoadgen:
     def test_refusals_count_as_rejected_not_failed(self):
         # a drained port refuses connections -> every request is a
         # connection failure, i.e. failed, never rejected
-        handle = start_in_thread(ServeConfig(window_ms=1.0))
+        handle = start_in_thread(ServeConfig())
         port = handle.port
         handle.stop()
         phase = run_phase(LoadgenConfig(
@@ -986,7 +1096,7 @@ async def _pin_leave(server, state):
 
 
 def _pin_server():
-    return start_in_thread(ServeConfig(window_ms=1.0, max_inflight=1))
+    return start_in_thread(ServeConfig(max_inflight=1))
 
 
 def _pin_fetch(handle, case):

@@ -16,6 +16,10 @@ scalar methods (``Cache.access``/``fill``/``probe``,
 :func:`process` for a branch record.  Each scalar call is a one-element
 call of the production batched rule.
 
+The execution ports are the walk's own frozen copy (:class:`_Ports`,
+:func:`build_ports`), not the production pool the replay drives, so a
+change to the production port arbitration shows up as a divergence.
+
 Trace-record faults are applied to ``Instruction`` copies
 (:func:`begin_sim`), the way the injector did before it edited columns,
 so the column edits are checked too.
@@ -35,7 +39,7 @@ from repro.core.config import CoreConfig
 from repro.core.fusion import EFFECT_BY_CODE, FusionEffect, fuse
 from repro.core.isa import BASE_LATENCY, Instruction, InstrClass, TraceColumns
 from repro.core.pipeline import (_FRONT_DEPTH, _WRONG_PATH_WINDOW, SimResult,
-                                 _Ports, build_ports, derive_busy_cycles)
+                                 derive_busy_cycles)
 from repro.errors import ConfigError, SimulationError
 from repro.resilience.injector import InjectionRecord, get_injector
 
@@ -102,6 +106,70 @@ class _Pool:
         if len(self._heap) >= self.capacity:
             heapq.heappop(self._heap)
         heapq.heappush(self._heap, release_cycle)
+
+
+# --- execution ports ----------------------------------------------------------
+
+class _Ports:
+    """A small pool of pipelined execution ports.
+
+    Issue bandwidth is tracked per cycle (out-of-order backfill: a
+    late-ready instruction reserving cycle *t* does not block an
+    earlier-ready one from using the port at *t-3*).  An op with
+    initiation interval > 1 occupies its port for that many cycles.
+    """
+
+    __slots__ = ("count", "interval", "_occ", "_low_water")
+
+    def __init__(self, count: int, initiation_interval: int = 1):
+        if count <= 0:
+            raise ConfigError("port count must be positive")
+        self.count = count
+        self.interval = initiation_interval
+        self._occ: Dict[int, int] = {}
+        self._low_water = 0
+
+    def issue(self, earliest: int) -> int:
+        """Reserve a port at the first cycle >= ``earliest`` with a free
+        slot; returns the granted issue cycle."""
+        cycle = max(earliest, self._low_water)
+        occ = self._occ
+        count = self.count
+        interval = self.interval
+        while True:
+            if all(occ.get(cycle + k, 0) < count for k in range(interval)):
+                for k in range(interval):
+                    occ[cycle + k] = occ.get(cycle + k, 0) + 1
+                break
+            cycle += 1
+        if len(occ) > 65536:
+            cutoff = cycle - 4096
+            self._occ = {c: n for c, n in occ.items() if c >= cutoff}
+            self._low_water = max(self._low_water, cutoff)
+        return cycle
+
+
+def build_ports(issue) -> Dict[InstrClass, _Ports]:
+    """The per-class execution-port map for an ``IssueConfig``."""
+    ports: Dict[InstrClass, _Ports] = {
+        InstrClass.FX: _Ports(issue.fx_ports),
+        InstrClass.FX_MULDIV: _Ports(issue.fx_muldiv_ports, 4),
+        InstrClass.LOAD: _Ports(issue.load_ports),
+        InstrClass.STORE: _Ports(issue.store_ports),
+        InstrClass.BRANCH: _Ports(issue.branch_ports),
+        InstrClass.BRANCH_IND: _Ports(issue.branch_ports),
+        InstrClass.FP: _Ports(issue.vsx_ports),
+        InstrClass.VSX: _Ports(issue.vsx_ports),
+        InstrClass.CR: _Ports(max(1, issue.branch_ports)),
+        InstrClass.SYSTEM: _Ports(1, 8),
+    }
+    if issue.mma_present:
+        ports[InstrClass.MMA] = _Ports(issue.mma_ops_per_cycle)
+        ports[InstrClass.MMA_MOVE] = _Ports(1)
+    # Loads and VSX loads share the same physical AGEN ports:
+    ports[InstrClass.VSX_LOAD] = ports[InstrClass.LOAD]
+    ports[InstrClass.VSX_STORE] = ports[InstrClass.STORE]
+    return ports
 
 
 # --- one access at a time -----------------------------------------------------
