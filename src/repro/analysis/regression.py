@@ -119,10 +119,14 @@ class GreedyFeatureSelector:
         returns the fit after each accepted step.
 
         Selection stops early when a step no longer improves the train
-        error.  The stop rule depends only on the path so far, so a
-        smaller budget ``k`` selects exactly this path's first ``k``
-        steps: ``path(x, y, K)[min(k, len(path)) - 1]`` is
-        ``fit(x, y, k)`` for every ``k <= K``.
+        error.  A candidate whose coefficients or train error are not
+        finite (a solver overflow) is never taken: a round without a
+        finite candidate ends the path, or raises
+        :class:`~repro.errors.ModelError` if it is the first.  The stop
+        rule depends only on the path so far, so a smaller budget ``k``
+        selects exactly this path's first ``k`` steps:
+        ``path(x, y, K)[min(k, len(path)) - 1]`` is ``fit(x, y, k)`` for
+        every ``k <= K``.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -141,10 +145,18 @@ class GreedyFeatureSelector:
             for idx in remaining:
                 cols = chosen + [idx]
                 coef = self._fit(x[:, cols], y)
+                if not np.all(np.isfinite(coef)):
+                    continue
                 err = mean_abs_pct_error(
                     y, predict(x[:, cols], coef, intercept=self.intercept))
+                if not np.isfinite(err):
+                    continue
                 if round_best is None or err < round_best[0]:
                     round_best = (err, idx, coef)
+            if round_best is None:
+                if not chosen:
+                    raise ModelError("no candidate feature gives a finite fit")
+                break
             err, idx, coef = round_best
             if err >= best_err - 1e-9 and chosen:
                 break       # no further improvement

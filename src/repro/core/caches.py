@@ -15,9 +15,11 @@ prefetcher (16 streams on POWER10) can be attached in front of the L2.
 
 Each structure takes its accesses in batches (:meth:`Cache.access_lines`,
 :meth:`StreamPrefetcher.train_lines`, :meth:`CacheHierarchy.lower_walk`),
-which the activity extraction calls once per run.  Batching is exact
-because the structures share no state: an L1 sees only its own stream,
-and the L2, its prefetcher and the L3 see only L1 misses.  The test
+which the activity extraction calls once per chunk of the trace, on
+the same objects, so state carries from one chunk to the next.
+Batching is exact because the structures share no state: an L1 sees
+only its own stream, and the L2, its prefetcher and the L3 see only L1
+misses.  The test
 oracle (``tests/walk_oracle.py``) adds one-access-at-a-time methods
 that make one-element calls of the same rules.
 """
@@ -59,7 +61,10 @@ class Cache:
     def __init__(self, geometry: CacheGeometry, name: str = "cache"):
         self.geometry = geometry
         self.name = name
-        self._sets: Dict[int, OrderedDict] = {}
+        # set index -> its lines, least recently used first: a list of
+        # at most ``associativity`` lines is scanned as fast as a hash
+        # is looked up, in under half an ordered dict's memory
+        self._sets: Dict[int, List[int]] = {}
         self.accesses = 0
         self.misses = 0
 
@@ -95,14 +100,18 @@ class Cache:
             last = line
             cache_set = sets.get(line % num_sets)
             if cache_set is None:
-                cache_set = sets[line % num_sets] = OrderedDict()
+                sets[line % num_sets] = [line]
+                missed.append(pos)
+                continue
             if line in cache_set:
-                cache_set.move_to_end(line)
+                if cache_set[-1] != line:
+                    cache_set.remove(line)
+                    cache_set.append(line)
                 continue
             missed.append(pos)
-            cache_set[line] = True
+            cache_set.append(line)
             if len(cache_set) > ways:
-                cache_set.popitem(last=False)
+                del cache_set[0]
         return missed
 
     def invalidate_all(self) -> None:
@@ -211,9 +220,9 @@ class CacheHierarchy:
         g = self.geometry
         return g.l2.latency, g.l3.latency, g.memory_latency
 
-    def lower_walk(self, addresses: Sequence[int]) -> List[int]:
+    def lower_walk(self, addresses: Sequence[int]) -> np.ndarray:
         """Serve L1 misses (byte addresses) in order; returns the level
-        that serves each, as an index into ``LOWER_LEVELS``.
+        that serves each (int8), as an index into ``LOWER_LEVELS``.
 
         The prefetcher trains on every miss and depends on nothing else,
         so it runs first.  The L2 then sees each demand access followed
@@ -221,8 +230,9 @@ class CacheHierarchy:
         Past the core model's infinite L2 nothing is touched.
         """
         n = len(addresses)
+        code = np.zeros(n, dtype=np.int8)
         if self.geometry.infinite_l2 or not n:
-            return [0] * n
+            return code
         address = np.asarray(addresses, dtype=np.int64)
         line = address // LINE_BYTES
         depth = self.prefetcher.depth
@@ -244,9 +254,8 @@ class CacheHierarchy:
         # prefetches that follow an L2 hit keep a confirmed stream ahead
         self.prefetcher.useful += depth * int(np.sum(fired & ~l2_miss))
         l2_missed = np.flatnonzero(l2_miss)
-        code = np.zeros(n, dtype=np.int64)
         code[l2_missed] = 1
         l3_missed = self.l3.access_lines(
             (address[l2_missed] // self.l3.geometry.line_bytes).tolist())
         code[l2_missed[l3_missed]] = 2
-        return code.tolist()
+        return code

@@ -193,6 +193,14 @@ class FusionStats:
     def fusion_rate(self) -> float:
         return self.fused / self.candidates if self.candidates else 0.0
 
+    def add(self, other: "FusionStats") -> None:
+        """Count ``other``'s pairs too: the stats of a run fused in
+        pieces of whole decode groups are the sum of the pieces'."""
+        self.candidates += other.candidates
+        self.fused += other.fused
+        for kind, count in other.by_kind.items():
+            self.by_kind[kind] += count
+
 
 @dataclass
 class FusionOutcome:
@@ -215,6 +223,9 @@ def fuse(columns: TraceColumns, enabled: bool,
     cannot fuse again, so in a run of consecutive fusable pairs the
     1st, 3rd, 5th... fuse.  ``stats.candidates`` counts the pairs that
     greedy rule considers (the pair after a fused one is skipped).
+    No pair crosses a group, so a run cut into pieces of whole groups
+    fuses piece by piece to the same outcome (:meth:`FusionStats.add`
+    sums the pieces' stats).
     """
     n = len(columns)
     kind = np.full(n, -1, dtype=np.int8)

@@ -8,7 +8,8 @@ up only on an L1 miss.  That policy is applied by the LSU/pipeline —
 this module just provides the structures and their hit/miss behaviour.
 
 Translations come in batches (:meth:`MMU.translate_pages`): the
-activity extraction makes one call for the whole run.  The TLB sees
+activity extraction makes one call per chunk of the trace, on the same
+MMU, so both tables carry from one chunk to the next.  The TLB sees
 only ERAT misses, so each table is walked in one loop of its own.
 """
 

@@ -155,7 +155,7 @@ def simulate_fast(config: CoreConfig, trace, *,
         st.codes, st.is_load.astype(np.int8) + 2 * st.is_store.astype(np.int8),
         fus.fused, st.is_store & ~(fus.fused & fus.single_storeq),
         wrong, fus.latency, mem.load_miss, mem.load_delay)
-    gstall_l = mem.gstall.tolist()
+    gstall = mem.gstall
     dep_off = memoryview(st.dep_off)
     dep_p = memoryview(st.dep_p)
     dep_acc = memoryview(st.dep_acc)
@@ -195,7 +195,6 @@ def simulate_fast(config: CoreConfig, trace, *,
     wps_append = wps.append
     snap = None
     delta0: dict = {}
-    g = 0
     # the loop pauses only between groups: at every chunk of rows, at
     # each poll and at the warmup boundary
     chunk = decode_w * _CHUNK_GROUPS
@@ -208,12 +207,12 @@ def simulate_fast(config: CoreConfig, trace, *,
         codes, *rest = (col[c0:c1].tolist() for col in loop_columns)
         # one row tuple per instruction: single unpack in the loop
         rows = list(zip([state_by_code[c] for c in codes], *rest))
-        for s in range(c0, c1, decode_w):
+        for s, gs in zip(range(c0, c1, decode_w),
+                         gstall[c0 // decode_w:-(-c1 // decode_w)].tolist()):
             e = s + decode_w
             if e > c1:
                 e = c1
-            front_cycle += 1 + gstall_l[g]
-            g += 1
+            front_cycle += 1 + gs
             dispatch_base = front_cycle + front_depth
             prev_issue = 0
             for i in range(s, e):
@@ -429,6 +428,9 @@ def _tally(stream: ActivityStream, lo: int, hi: int) -> dict:
     def tot(arr) -> int:
         return int(arr[lo:hi].sum())
 
+    def edges(off) -> int:
+        return int(off[hi] - off[lo])
+
     per_class = np.bincount(st.codes[lo:hi].astype(np.int64),
                             minlength=len(CLASS_ORDER))
     fused_c = cnt(fus.fused)
@@ -440,7 +442,15 @@ def _tally(stream: ActivityStream, lo: int, hi: int) -> dict:
     l1d_miss = cnt(mem.load_miss) + cnt(mem.store_miss)
     erat_miss = tot(mem.erat_miss)
     tlb_miss = tot(mem.tlb_miss)
-    dests = tot(st.n_dests)
+    dests = edges(st.dest_off)
+    # memory ops and stores whose fused pair shares the AGEN / the
+    # store-queue entry
+    paired = fus.fused[lo:hi]
+    is_store = st.is_store[lo:hi]
+    shared_agen = int(np.count_nonzero(
+        paired & fus.single_agen[lo:hi] & (st.is_load[lo:hi] | is_store)))
+    shared_storeq = int(np.count_nonzero(
+        paired & fus.single_storeq[lo:hi] & is_store))
     dm_l3 = cnt(mem.dm_l3)
     dm_mem = cnt(mem.dm_mem)
 
@@ -468,16 +478,15 @@ def _tally(stream: ActivityStream, lo: int, hi: int) -> dict:
     ev["issue_mma"] = int(per_class[CLASS_CODE[InstrClass.MMA]])
     ev["mma_acc_access"] = ev["issue_mma"]
     ev["mma_move"] = int(per_class[CLASS_CODE[InstrClass.MMA_MOVE]])
-    ev["rf_read"] = tot(st.n_srcs)
+    ev["rf_read"] = edges(st.dep_off)
     ev["rf_write"] = dests
-    ev["agen"] = cnt(st.is_memory & ~(fus.fused & fus.single_agen))
+    ev["agen"] = loads + stores - shared_agen
     ev["l1d_access"] = loads + cnt(mem.access_store)
     ev["l1d_miss"] = l1d_miss
     ev["load_issue"] = loads
     ev["store_issue"] = stores
     ev["loadq_write"] = loads
-    ev["storeq_write"] = cnt(st.is_store
-                             & ~(fus.fused & fus.single_storeq))
+    ev["storeq_write"] = stores - shared_storeq
     ev["storeq_merge"] = cnt(mem.merged)
     ev["lmq_alloc"] = cnt(mem.load_miss)
     ev["erat_lookup"] = tot(mem.erat_lookup)

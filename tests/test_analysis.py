@@ -98,8 +98,20 @@ class TestGreedyPath:
         selector = GreedyFeatureSelector(
             [f"f{i}" for i in range(x.shape[1])],
             nonnegative=nonnegative, intercept=intercept)
-        path = selector.path(x, y, budget)
+        try:
+            path = selector.path(x, y, budget)
+        except ModelError:
+            # no finite first step: every budget refuses alike
+            with pytest.raises(ModelError):
+                selector.sweep(x, y, range(budget, 0, -1))
+            for k in range(1, budget + 1):
+                with pytest.raises(ModelError):
+                    selector.fit(x, y, k)
+            return
         assert 1 <= len(path) <= min(budget, x.shape[1])
+        for step in path:
+            assert np.isfinite(step.train_error_pct)
+            assert np.all(np.isfinite(step.coefficients))
         fits = selector.sweep(x, y, range(budget, 0, -1))
         assert list(fits) == list(range(budget, 0, -1))
         for k in range(1, budget + 1):
@@ -122,6 +134,26 @@ class TestGreedyPath:
         assert len(path) == 1
         for k in (1, 2, 3):
             assert _same_fit(selector.fit(x, y, k), path[0])
+
+    def test_overflowed_step_is_never_taken(self):
+        """NNLS without an intercept returns ``[inf]`` on a denormal
+        column, whose error is NaN: no such step is taken, so a path
+        with no finite first step raises, and a later one stops."""
+        x = np.array([[5e-324], [0.0], [0.0]])
+        y = np.ones(3)
+        selector = GreedyFeatureSelector(["d"], nonnegative=True,
+                                         intercept=False)
+        assert not np.all(np.isfinite(nnls(x, y, intercept=False)))
+        for call in (lambda: selector.path(x, y, 1),
+                     lambda: selector.fit(x, y, 1),
+                     lambda: selector.sweep(x, y, (1,))):
+            with pytest.raises(ModelError):
+                call()
+        wide = np.hstack([np.array([[1.0], [2.0], [4.0]]), x])
+        path = GreedyFeatureSelector(
+            ["a", "d"], nonnegative=True, intercept=False).path(
+                wide, np.array([1.0, 3.0, 2.0]), 2)
+        assert [step.feature_names for step in path] == [["a"]]
 
     def test_sweep_budgets_are_checked(self):
         selector = GreedyFeatureSelector(["a", "b"])
