@@ -19,6 +19,7 @@ provides exactly that toolbox:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -60,6 +61,11 @@ def nnls(x: np.ndarray, y: np.ndarray, *,
     for _ in range(12):
         coef, _ = scipy_nnls(x, y - icept)
         icept = float(np.mean(y - x @ coef))
+        if not math.isfinite(icept):
+            # a denormal column overflowed ``coef``: scipy would refuse
+            # the NaN target of another round, and the caller rejects
+            # this non-finite fit
+            break
     return np.append(coef, icept)
 
 

@@ -141,10 +141,14 @@ class Cluster:
         self.cache_dir = cfg.cache_dir \
             or str(Path(self._tmp.name) / "cache")
         try:
+            # launch every child, then wait for each: process workers
+            # start up side by side instead of one after another
             for index in range(cfg.shards):
                 worker = self._build_worker(index)
-                worker.start(timeout_s=cfg.worker_start_timeout_s)
                 self.workers.append(worker)
+                worker.spawn()
+            for worker in self.workers:
+                worker.await_port(timeout_s=cfg.worker_start_timeout_s)
             backends = [(w.host, w.port) for w in self.workers]
             self.router.start(
                 lambda: ClusterRouter(cfg.router, backends),

@@ -1,7 +1,9 @@
 """Worker lifecycles for the serving cluster.
 
 Two interchangeable backends behind one small protocol (``start`` /
-``stop`` / ``kill`` / ``alive`` / ``port``), both built from the one
+``stop`` / ``kill`` / ``alive`` / ``port``, with ``start`` split into
+``spawn`` and ``await_port`` so a cluster launches every child before
+it waits for any), both built from the one
 :class:`~repro.serve.server.ServeConfig` the worker runs:
 
 * :class:`ThreadWorker` hosts a full :class:`~repro.serve.server.
@@ -60,6 +62,14 @@ class ThreadWorker:
         return self._handle.port if self._handle is not None else None
 
     def start(self, timeout_s: float = 60.0) -> None:
+        self.spawn()
+        self.await_port(timeout_s)
+
+    def spawn(self) -> None:
+        """Nothing to launch ahead: an in-process server has no spawn
+        cost, so it starts whole in :meth:`await_port`."""
+
+    def await_port(self, timeout_s: float = 60.0) -> None:
         if self.alive():
             raise ClusterError(
                 f"worker {self.index} is already running")
@@ -112,6 +122,11 @@ class ProcessWorker:
         self._proc: Optional[subprocess.Popen] = None
 
     def start(self, timeout_s: float = 60.0) -> None:
+        self.spawn()
+        self.await_port(timeout_s)
+
+    def spawn(self) -> None:
+        """Launch the child without waiting for it to listen."""
         if self.alive():
             raise ClusterError(
                 f"worker {self.index} is already running")
@@ -123,6 +138,9 @@ class ProcessWorker:
             [sys.executable, "-c", _CHILD_CODE,
              json.dumps(asdict(self.config))],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+    def await_port(self, timeout_s: float = 60.0) -> None:
+        """Wait for the spawned child to publish its port."""
         self.port = self._await_port(timeout_s)
         self.generation += 1
 

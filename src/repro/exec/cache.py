@@ -13,7 +13,8 @@ fingerprinted as::
 and its canonical JSON text is kept in two tiers: a bounded
 in-memory LRU per cache instance (at most :data:`MEMORY_BYTES` of
 text), in front of an optional on-disk store with atomic writes.  A
-lookup tries memory, then disk.  The code-version salt hashes the
+lookup tries memory, then disk (or memory alone, when the caller
+must not wait on a file).  The code-version salt hashes the
 model's own source tree, so *any* model change invalidates every
 cached result — a cache hit is by construction bit-identical to a
 rerun.
@@ -311,18 +312,33 @@ class ResultCache:
         self._remember(key, data)
         return payload
 
-    def get(self, key: str, *, kind: str = "task") -> Optional[Dict]:
+    def get(self, key: str, *, kind: str = "task",
+            memory_only: bool = False) -> Optional[Dict]:
+        """The payload stored under ``key``, or None.
+
+        ``memory_only`` asks the memory tier alone, a lookup cheap
+        enough for an event loop: it never touches the disk, and a
+        miss counts nothing, since the caller goes on to a full lookup
+        that counts it.
+        """
         data = self._recall(key)
-        payload = (json.loads(data) if data is not None
-                   else self._read_disk(key, kind))
+        if data is not None:
+            payload = json.loads(data)
+        elif memory_only:
+            return None
+        else:
+            payload = self._read_disk(key, kind)
         registry = get_registry()
         if payload is None:
-            self.misses += 1
+            with self._memory_lock:
+                self.misses += 1
             registry.counter(
                 "repro_exec_cache_misses_total",
                 "result-cache lookups that missed").inc(kind=kind)
             return None
-        self.hits += 1
+        # the engine thread and a server's event loop both look up
+        with self._memory_lock:
+            self.hits += 1
         registry.counter(
             "repro_exec_cache_hits_total",
             "result-cache lookups served from memory or disk",

@@ -15,7 +15,9 @@ test-enforced) to produce bit-identical results:
   return the stored JSON payload, which the codec round-trips exactly.
   The lookup tries the cache's bounded in-memory tier first (every
   engine has one, so a task repeated within one engine's lifetime runs
-  once), then its directory, if it has one.
+  once), then its directory, if it has one.  :meth:`Engine.lookup`
+  asks the memory tier alone, for a caller (the serving batcher) that
+  answers a hit without handing the task to ``run``.
 
 The guarantee holds because every registered task kind is a pure
 function of its payload (the timing model is deterministic, per-run
@@ -249,6 +251,19 @@ def campaign_task(config, index: int, *,
 
 # ---- the engine ----------------------------------------------------------
 
+def _note_cache_hit(task: ExecTask, payload: Dict[str, object]) -> None:
+    """What a task answered from the cache counts: the engine's task
+    counter and, under the concurrency sanitizer, the result digest."""
+    get_registry().counter(
+        "repro_exec_tasks_total",
+        "tasks processed by the execution engine").inc(
+            kind=task.kind, source="cache")
+    from ..lint.sanitizer import get_sanitizer
+    sanitizer = get_sanitizer()
+    if sanitizer is not None:
+        sanitizer.observe_result(task.kind, task.key, payload, "cache")
+
+
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Worker count: explicit argument, else ``$REPRO_WORKERS``, else 1."""
     if workers is None:
@@ -332,6 +347,20 @@ class Engine:
         self.close()
         return False
 
+    def lookup(self, task: ExecTask) -> Optional[Dict[str, object]]:
+        """``task``'s result from the cache's memory tier, or None.
+
+        Never reads the disk or runs anything, so an event loop may
+        call it: a hit is accounted exactly as :meth:`run` accounts a
+        cache hit, and a miss counts nothing (the :meth:`run` that
+        follows looks the task up again and counts it).
+        """
+        cached = self.cache.get(task.key, kind=task.kind,
+                                memory_only=True)
+        if cached is not None:
+            _note_cache_hit(task, cached)
+        return cached
+
     def run(self, plan,
             sources: Optional[Dict[str, str]] = None,
             ) -> List[Dict[str, object]]:
@@ -363,10 +392,7 @@ class Engine:
                 cached = self.cache.get(task.key, kind=task.kind)
                 if cached is not None:
                     by_key[task.key] = cached
-                    counter.inc(kind=task.kind, source="cache")
-                    if sanitizer is not None:
-                        sanitizer.observe_result(task.kind, task.key,
-                                                 cached, "cache")
+                    _note_cache_hit(task, cached)
                     if sources is not None:
                         sources[task.key] = "cache"
                 else:

@@ -255,9 +255,10 @@ class ProxyFastPath:
     :class:`~repro.power.proxy.ProxyDesign` fitted over the calibration
     suite turns rates into watts.  After first touch an estimate is a
     dict lookup plus a dot product, so the fast path stays cheap under
-    exactly the overload that triggers it.  Everything is seeded and
-    pure in its inputs: the same request always gets the same degraded
-    answer.
+    exactly the overload that triggers it: :meth:`built_estimate`
+    gives it without a build, and only a build needs a thread.
+    Everything is seeded and pure in its inputs: the same request
+    always gets the same degraded answer.
     """
 
     def __init__(self, *, calibration_instructions: int = 384,
@@ -340,6 +341,16 @@ class ProxyFastPath:
             self._design(generation)
             for workload in workloads:
                 self._calibration(generation, workload)
+
+    def built_estimate(self, generation: str, workload: str,
+                       instructions: int) -> Optional[Dict[str, object]]:
+        """:meth:`estimate` when the generation's design and the
+        workload's calibration are both built, else None: it never
+        builds, so an event loop may call it."""
+        if generation not in self._designs \
+                or (generation, workload) not in self._calib:
+            return None
+        return self.estimate(generation, workload, instructions)
 
     def estimate(self, generation: str, workload: str,
                  instructions: int) -> Dict[str, object]:

@@ -12,6 +12,12 @@ simulation — the service-layer analog of the paper's "never measure
 the same thing twice" methodology (§III-C motivates APEX the same
 way).
 
+A task whose answer is already in the engine cache's memory tier
+never reaches a batch: ``submit`` asks :meth:`~repro.exec.executor.
+Engine.lookup` first and returns a hit on the event loop, counted as
+the engine counts a cache hit.  Only a miss (or an entry that is only
+on disk, which the loop must not read) goes to the engine thread.
+
 Batched results are bit-identical to direct serial Engine runs: the
 batcher only *groups* tasks, and every task is a pure function of its
 payload (test-guarded in ``tests/test_serve.py``).
@@ -71,6 +77,15 @@ def mark_retrieved(fut: "asyncio.Future") -> None:
         fut.exception()
 
 
+def _note_result(submit_ns: int, batch_start_ns: Optional[int],
+                 done_ns: int, source: Optional[str]) -> None:
+    """Close the active request's round trip through :meth:`MicroBatcher.
+    submit`, so its queue/batch/exec/finalize segments tile."""
+    ctx = current_request()
+    if ctx is not None:
+        ctx.note_result(submit_ns, batch_start_ns, done_ns, source)
+
+
 class MicroBatcher:
     """Coalesces concurrent requests into single engine plans."""
 
@@ -106,10 +121,12 @@ class MicroBatcher:
     async def submit(self, task: ExecTask, *,
                      deadline_s: Optional[float] = None,
                      ) -> Dict[str, object]:
-        """Enqueue one task; resolves with its JSON result payload.
+        """One task's JSON result payload.
 
-        Identical keys share one future (and one engine task): the
-        caller that arrives first enqueues, everyone else joins.
+        A memory-tier hit is returned at once; anything else is
+        enqueued.  Identical keys share one future (and one engine
+        task): the caller that arrives first enqueues, everyone else
+        joins.
 
         ``deadline_s`` is this waiter's execution budget.  Joiners
         merge budgets loosest-wins (an unbounded waiter makes the
@@ -120,8 +137,16 @@ class MicroBatcher:
         if self._closed or self._runner is None:
             raise DrainingError(
                 "server is draining; no new work accepted")
+        submit_ns = time.perf_counter_ns()
         fut = self._inflight.get(task.key)
         if fut is None:
+            # an answer already in the cache's memory tier costs one
+            # lookup, here on the loop: no batch, no thread hop
+            cached = self.engine.lookup(task)
+            if cached is not None:
+                _note_result(submit_ns, submit_ns,
+                             time.perf_counter_ns(), "cache")
+                return cached
             fut = asyncio.get_running_loop().create_future()
             fut.add_done_callback(mark_retrieved)
             self._inflight[task.key] = fut
@@ -138,20 +163,17 @@ class MicroBatcher:
                 "repro_serve_singleflight_joins_total",
                 "requests served by joining an identical in-flight "
                 "computation").inc(kind=task.kind)
-        submit_ns = time.perf_counter_ns()
         try:
             # shield: one waiter hitting its deadline must not cancel
             # the computation other waiters (or the cache) still want
             return await asyncio.shield(fut)
         finally:
-            ctx = current_request()
-            if ctx is not None:
-                # _run_batch stamps (batch_start_ns, source) via
-                # detach_future before it settles; joiners read the
-                # same stamp
-                batch_start_ns, source = future_meta(fut)
-                ctx.note_result(submit_ns, batch_start_ns,
-                                time.perf_counter_ns(), source)
+            # _run_batch stamps (batch_start_ns, source) via
+            # detach_future before it settles; joiners read the same
+            # stamp
+            batch_start_ns, source = future_meta(fut)
+            _note_result(submit_ns, batch_start_ns,
+                         time.perf_counter_ns(), source)
 
     async def _run_loop(self) -> None:
         # no timer: whatever queued while the last batch ran is the

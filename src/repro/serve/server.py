@@ -15,11 +15,14 @@ Request flow: the route's circuit breaker → admission control (token
 bucket + bounded in-flight) → micro-batcher (single-flight dedupe into
 one Engine plan) → the PR 4 execution engine with its
 content-addressed cache.  Every engine-backed route runs that chain
-through one guarded path (``ReproServer._guarded``).  A request that
-meets an open breaker, cannot be admitted or misses its deadline
-degrades to the power-proxy fast path (``"degraded": true``) when a
-proxy answer exists, and is refused (503 + ``Retry-After``, or 504
-for a missed deadline) only when it does not.  Shutdown drains: the listener closes, in-flight work gets
+through one guarded path (``ReproServer._guarded``); an answer already
+in the cache's memory tier stops at the batcher, on the event loop,
+and a proxy estimate whose design and calibration are built never
+takes a thread.  A request that meets an open breaker, cannot be
+admitted or misses its deadline degrades to the power-proxy fast path
+(``"degraded": true``) when a proxy answer exists, and is refused
+(503 + ``Retry-After``, or 504 for a missed deadline) only when it
+does not.  Shutdown drains: the listener closes, in-flight work gets
 ``drain_timeout_s`` to finish, and whatever remains is answered with a
 well-formed ``shutting_down`` error body — never a hang.
 
@@ -262,12 +265,23 @@ class ReproServer(FrontEnd):
         return (deadline_ms if deadline_ms is not None
                 else self.config.default_deadline_ms) / 1000.0
 
+    async def _estimate(self, generation: str, workload: str,
+                        instructions: int) -> Dict[str, object]:
+        """A proxy estimate: on the event loop once its design and
+        calibration are built; only a build takes a thread."""
+        est = self.fastpath.built_estimate(generation, workload,
+                                           instructions)
+        if est is None:
+            est = await asyncio.to_thread(
+                self.fastpath.estimate, generation, workload,
+                instructions)
+        return est
+
     async def _proxy_answer(self, generation: str, workload: str,
                             instructions: int,
                             reason: str = "") -> Dict[str, object]:
         """The proxy body; a shed ``reason`` marks it degraded."""
-        est = await asyncio.to_thread(
-            self.fastpath.estimate, generation, workload, instructions)
+        est = await self._estimate(generation, workload, instructions)
         body = protocol.ok_body(est, degraded=bool(reason),
                                 source="proxy")
         if reason:
@@ -411,12 +425,9 @@ class ReproServer(FrontEnd):
                                 reason: str) -> Dict[str, object]:
         rows = []
         for name in req.workloads:
-            e9 = await asyncio.to_thread(
-                self.fastpath.estimate, "power9", name,
-                req.instructions)
-            e10 = await asyncio.to_thread(
-                self.fastpath.estimate, "power10", name,
-                req.instructions)
+            e9 = await self._estimate("power9", name, req.instructions)
+            e10 = await self._estimate("power10", name,
+                                       req.instructions)
             rows.append((name, 1.0, e9["ipc"], e9["power_w"],
                          e10["ipc"], e10["power_w"]))
         body = protocol.ok_body(weighted_comparison(rows), degraded=True,

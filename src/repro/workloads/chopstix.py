@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List
 
 import numpy as np
 
@@ -94,12 +94,13 @@ def _rebase_snippet(columns: TraceColumns) -> TraceColumns:
         columns, pc=0x1000 + line * 32 + (pc & 0x1f), address=address)
 
 
-def extract_proxies(trace: Trace, *, top_functions: int = 10,
-                    coverage: float = 1.0, snippet_instructions: int = 1500,
-                    loop_iterations: int = 2) -> List[Trace]:
-    """Extract Chopstix-style proxy workloads from an application trace.
+def iter_proxies(trace: Trace, *, top_functions: int = 10,
+                 coverage: float = 1.0, snippet_instructions: int = 1500,
+                 loop_iterations: int = 2) -> Iterator[Trace]:
+    """Chopstix-style proxy workloads of an application trace, most
+    executed function first, each built only when it is asked for.
 
-    Returns up to ``top_functions`` proxies whose cumulative share does
+    Yields up to ``top_functions`` proxies whose cumulative share does
     not exceed ``coverage``; each proxy's ``weight`` is its function's
     share of the application, so suite-level projections can reweight
     (Section III-A: "based on the weight assigned to each snippet").
@@ -107,7 +108,6 @@ def extract_proxies(trace: Trace, *, top_functions: int = 10,
     if not 0.0 < coverage <= 1.0:
         raise TraceError("coverage must be in (0, 1]")
     profiles = profile_functions(trace)
-    proxies: List[Trace] = []
     covered = 0.0
     for profile in profiles[:top_functions]:
         if covered >= coverage:
@@ -127,8 +127,14 @@ def extract_proxies(trace: Trace, *, top_functions: int = 10,
         proxy = proxy.repeated(loop_iterations)
         proxy.weight = profile.share
         proxy.columns = proxy.columns[:_SNIPPET_MAX]
-        proxies.append(proxy)
+        yield proxy
         covered += profile.share
+
+
+def extract_proxies(trace: Trace, **options) -> List[Trace]:
+    """Every proxy :func:`iter_proxies` yields for ``trace``, as a list
+    (same options); an application with none is an error."""
+    proxies = list(iter_proxies(trace, **options))
     if not proxies:
         raise TraceError(f"no proxies extracted from {trace.name!r}")
     return proxies

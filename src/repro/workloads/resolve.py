@@ -33,8 +33,8 @@ def resolve_workload(name: str, instructions: int):
     """
     from . import (daxpy_trace, dgemm_mma_trace, dgemm_vsu_trace,
                    max_power_stressmark, pointer_chase_trace,
-                   specint_proxies, stream_triad_trace)
-    from .spec import SPECINT_NAMES
+                   stream_triad_trace)
+    from .spec import SPECINT_NAMES, specint_proxy
 
     if instructions <= 0:
         raise ConfigError("instructions must be positive")
@@ -51,8 +51,7 @@ def resolve_workload(name: str, instructions: int):
     if name == "stressmark":
         return max_power_stressmark(instructions)
     if name in SPECINT_NAMES:
-        return specint_proxies(instructions=instructions,
-                               names=[name])[0]
+        return specint_proxy(name, instructions)
     choices = ", ".join(workload_names())
     raise ConfigError(
         f"unknown workload {name!r} (choices: {choices})")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core.isa import InstrClass
-from ..errors import ConfigError
+from ..errors import ConfigError, TraceError
 from .synthetic import WorkloadSpec, generate
 from .trace import Trace
 
@@ -177,9 +177,24 @@ def specint_proxies(instructions: int = 8000,
     chosen = names or list(SPECINT_NAMES)
     proxies: List[Trace] = []
     for name in chosen:
-        app = SPECINT_PROFILES[name]
-        app = WorkloadSpec(**{**app.__dict__,
-                              "instructions": instructions})
-        proxies.extend(extract_proxies(generate(app),
+        proxies.extend(extract_proxies(_application(name, instructions),
                                        coverage=PROXY_COVERAGE[name]))
     return proxies
+
+
+def specint_proxy(name: str, instructions: int) -> Trace:
+    """The first of ``specint_proxies(instructions, [name])``, built
+    alone: the snippets after it are never cut or repeated."""
+    from .chopstix import iter_proxies
+    app = _application(name, instructions)
+    proxy = next(iter_proxies(app, coverage=PROXY_COVERAGE[name]), None)
+    if proxy is None:
+        raise TraceError(f"no proxies extracted from {app.name!r}")
+    return proxy
+
+
+def _application(name: str, instructions: int) -> Trace:
+    """The synthetic application behind the SPECint proxy ``name``."""
+    app = SPECINT_PROFILES[name]
+    return generate(WorkloadSpec(**{**app.__dict__,
+                                    "instructions": instructions}))

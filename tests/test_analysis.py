@@ -155,6 +155,21 @@ class TestGreedyPath:
                 wide, np.array([1.0, 3.0, 2.0]), 2)
         assert [step.feature_names for step in path] == [["a"]]
 
+    def test_overflowed_step_with_an_intercept_is_never_taken(self):
+        """With an intercept the overflow must not reach scipy again as
+        a NaN target (a ``ValueError``): the fit comes back non-finite
+        and the path refuses it like any other."""
+        x = np.array([[-5e-324], [0.0], [-5e-324]])
+        y = np.array([-1.0, 0.0, 0.0])
+        assert not np.all(np.isfinite(nnls(x, y, intercept=True)))
+        selector = GreedyFeatureSelector(["d"], nonnegative=True,
+                                         intercept=True)
+        for call in (lambda: selector.path(x, y, 1),
+                     lambda: selector.fit(x, y, 1),
+                     lambda: selector.sweep(x, y, (1,))):
+            with pytest.raises(ModelError):
+                call()
+
     def test_sweep_budgets_are_checked(self):
         selector = GreedyFeatureSelector(["a", "b"])
         x, y = np.eye(4)[:, :2], np.arange(4.0)

@@ -223,6 +223,62 @@ class TestProcessWorker:
                     port_file=c.port_file, cache_dir=cache)
             for c in decoded]
 
+    @staticmethod
+    def _fake_children(monkeypatch, events, fail_index=None):
+        """Fake child processes; ``events`` records each worker's spawn
+        and port wait in order, and ``fail_index``'s wait fails."""
+        import repro.serve.server as server_mod
+        _FakeChild.decoded = []
+        monkeypatch.setattr(
+            server_mod, "run_server",
+            lambda config: _FakeChild.decoded.append(config) or 0)
+        monkeypatch.setattr("repro.cluster.workers.subprocess.Popen",
+                            _FakeChild)
+        real_spawn = ProcessWorker.spawn
+        real_await = ProcessWorker.await_port
+
+        def spawn(worker):
+            events.append(("spawn", worker.index, worker))
+            real_spawn(worker)
+
+        def await_port(worker, timeout_s=60.0):
+            events.append(("await", worker.index, worker))
+            if worker.index == fail_index:
+                raise ClusterError(f"worker {worker.index} failed")
+            real_await(worker, timeout_s)
+
+        monkeypatch.setattr(ProcessWorker, "spawn", spawn)
+        monkeypatch.setattr(ProcessWorker, "await_port", await_port)
+
+    def test_every_child_spawns_before_any_port_is_awaited(
+            self, tmp_path, monkeypatch):
+        events = []
+        self._fake_children(monkeypatch, events)
+        cluster = Cluster(ClusterConfig(shards=3, worker_mode="process",
+                                        cache_dir=str(tmp_path / "c")))
+        cluster.start()
+        try:
+            assert [w.port for w in cluster.workers] == [1, 1, 1]
+            assert [w.generation for w in cluster.workers] == [1, 1, 1]
+        finally:
+            assert cluster.stop() is True
+        assert [e[:2] for e in events] == [
+            ("spawn", 0), ("spawn", 1), ("spawn", 2),
+            ("await", 0), ("await", 1), ("await", 2)]
+
+    def test_a_failed_start_stops_every_child(self, tmp_path,
+                                              monkeypatch):
+        events = []
+        self._fake_children(monkeypatch, events, fail_index=1)
+        cluster = Cluster(ClusterConfig(shards=3, worker_mode="process",
+                                        cache_dir=str(tmp_path / "c")))
+        with pytest.raises(ClusterError, match="worker 1 failed"):
+            cluster.start()
+        spawned = [w for kind, _, w in events if kind == "spawn"]
+        assert len(spawned) == 3
+        assert not any(w.alive() for w in spawned)
+        assert cluster.workers == [] and cluster.router.port is None
+
     def test_process_cluster_runs_its_config(self, tmp_path):
         """Two child workers report the template's SLO target, answer
         byte-identically to the in-process server, and drain clean."""

@@ -292,6 +292,23 @@ class TestMemoryTier:
         finally:
             set_registry(None)
 
+    def test_memory_only_lookup_never_reads_the_disk(self, tmp_path,
+                                                     monkeypatch):
+        key = task_fingerprint("disk-only")
+        ResultCache(tmp_path).put(key, {"v": 1})
+        cache = ResultCache(tmp_path)
+        reads = []
+        real_read = cache._read_disk
+        monkeypatch.setattr(cache, "_read_disk",
+                            lambda *a: reads.append(a) or real_read(*a))
+        # a miss counts nothing: the full lookup after it does
+        assert cache.get(key, memory_only=True) is None
+        assert (cache.hits, cache.misses, reads) == (0, 0, [])
+        assert cache.get(key) == {"v": 1}
+        assert (cache.hits, cache.misses, len(reads)) == (1, 0, 1)
+        assert cache.get(key, memory_only=True) == {"v": 1}
+        assert (cache.hits, cache.misses, len(reads)) == (2, 0, 1)
+
     def test_instances_on_one_directory_do_not_share_memory(
             self, tmp_path):
         a, b = ResultCache(tmp_path), ResultCache(tmp_path)
@@ -317,18 +334,25 @@ class TestMemoryTier:
     def test_threads_keep_the_tally_exact(self, monkeypatch):
         """Eight threads put, get and invalidate overlapping keys with a
         tiny switch interval; the byte tally must still match what the
-        tier holds, and stay under the cap."""
+        tier holds, and stay under the cap.  Half the threads look up
+        the memory tier alone, as a server's event loop does beside its
+        engine thread; no hit or miss count may be lost."""
         monkeypatch.setattr(cache_module, "MEMORY_BYTES", 2000)
         cache = ResultCache()
         keys = [task_fingerprint("t", i) for i in range(64)]
         errors = []
+        hits, misses = [0] * 8, [0] * 8
 
         def worker(seed):
             try:
                 for i in range(1000):
                     key = keys[(seed * 7 + i) % len(keys)]
-                    if cache.get(key) is None:
+                    memory_only = seed % 2 == 1
+                    if cache.get(key, memory_only=memory_only) is None:
+                        misses[seed] += not memory_only
                         cache.put(key, {"v": "x" * (i % 50)})
+                    else:
+                        hits[seed] += 1
                     if i % 37 == 0:
                         cache.invalidate(key)
             except Exception as exc:  # noqa: BLE001 - asserted below
@@ -348,6 +372,7 @@ class TestMemoryTier:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert _held(cache) <= 2000
+        assert (cache.hits, cache.misses) == (sum(hits), sum(misses))
 
     def test_engine_runs_a_repeated_task_once(self, p10):
         engine = Engine(workers=1)
@@ -425,6 +450,31 @@ class TestEngine:
         assert results[0] == results[1] == results[2]
         assert cache.misses == 1      # looked up once, ran once
         assert len(cache) == 1
+
+    def test_lookup_counts_a_hit_as_run_does(self, p10):
+        registry = MetricsRegistry()
+        set_registry(registry)
+        try:
+            engine = Engine(workers=1)
+            task = sim_task(p10, daxpy_trace(300))
+            assert engine.lookup(task) is None
+            executed = engine.run(ExecPlan([task]))[0]
+
+            def counts():
+                tasks = registry.counter("repro_exec_tasks_total")
+                return (tasks.value(kind="sim", source="cache"),
+                        registry.counter(
+                            "repro_exec_cache_hits_total").value(
+                                kind="sim"),
+                        engine.cache.hits, engine.cache.misses)
+
+            assert counts() == (0, 0, 0, 1)
+            assert engine.run(ExecPlan([task]))[0] == executed
+            assert counts() == (1, 1, 1, 1)
+            assert engine.lookup(task) == executed
+            assert counts() == (2, 2, 2, 1)
+        finally:
+            set_registry(None)
 
     def test_serial_vs_parallel_vs_cached_bit_identical(
             self, p10, tmp_path):

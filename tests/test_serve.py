@@ -25,6 +25,7 @@ from repro.core.simulator import measurement_from_result
 from repro.errors import (ConfigError, DrainingError, OverloadError,
                           ServeError)
 from repro.obs.metrics import get_registry
+from repro.obs.requestlog import read_access_log
 from repro.serve import (EstimateRequest, LoadgenConfig, ReproServer,
                          ServeClient, ServeConfig, SimulateRequest,
                          TokenBucket,
@@ -481,6 +482,182 @@ class TestTraceMemo:
         assert loop_thread not in fingerprint_calls
 
 
+# ---- answers already known stay on the event loop -----------------------
+
+#: route, payload, task kind, engine tasks per request
+_KNOWN_ANSWERS = (
+    ("/v1/simulate", {"workload": "daxpy", "instructions": 600}, "sim",
+     1),
+    ("/v1/compare", {"workloads": ["daxpy", "xz"], "instructions": 500},
+     "sim", 4),
+    ("/v1/inject", {"workload": "daxpy", "instructions": 400, "seed": 3,
+                    "faults": 1}, "campaign", 1),
+)
+
+
+def _post_bytes(port, route, payload):
+    """Status and raw body bytes of one POST."""
+    import http.client
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+    try:
+        conn.request("POST", route, body=json.dumps(payload).encode(),
+                     headers={"Content-Type": "application/json"})
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
+
+
+@pytest.fixture
+def engine_threads(monkeypatch):
+    """Thread id of every ``Engine.run`` call and every ``ResultCache``
+    disk read."""
+    from repro.exec.cache import ResultCache
+    from repro.exec.executor import Engine
+    seen = {"run": [], "disk": []}
+    real_run, real_read = Engine.run, ResultCache._read_disk
+
+    def run(self, plan, sources=None):
+        seen["run"].append(threading.get_ident())
+        return real_run(self, plan, sources)
+
+    def read_disk(self, key, kind):
+        seen["disk"].append(threading.get_ident())
+        return real_read(self, key, kind)
+
+    monkeypatch.setattr(Engine, "run", run)
+    monkeypatch.setattr(ResultCache, "_read_disk", read_disk)
+    return seen
+
+
+def _hit_accounting(handle, kind):
+    """Every count a cache hit moves: the registry's hit, miss and task
+    counters for ``kind`` and the server cache's own tallies."""
+    registry = get_registry()
+    tasks = registry.counter("repro_exec_tasks_total")
+    cache = handle.app.engine.cache
+    return (registry.counter("repro_exec_cache_hits_total").value(
+                kind=kind),
+            registry.counter("repro_exec_cache_misses_total").value(
+                kind=kind),
+            tasks.value(kind=kind, source="cache"),
+            tasks.value(kind=kind, source="executed"),
+            cache.hits, cache.misses)
+
+
+def _delta(before, after):
+    return tuple(b - a for a, b in zip(before, after))
+
+
+class TestKnownAnswersOnTheLoop:
+    @pytest.mark.parametrize("route,payload,kind,tasks", _KNOWN_ANSWERS,
+                             ids=[r[0] for r in _KNOWN_ANSWERS])
+    def test_memory_hit_is_the_engine_hit(self, route, payload, kind,
+                                          tasks, tmp_path,
+                                          engine_threads):
+        """A repeat on one server is answered from the memory tier on
+        the loop; the same request on a fresh server over the filled
+        directory is a disk hit on the engine thread.  Both give the
+        body bytes of the executed run and move every counter alike."""
+        from repro.lint.sanitizer import sanitized
+        cache_dir = str(tmp_path / "cache")
+        observed = []
+        with sanitized() as sanitizer:
+            real_observe = sanitizer.observe_result
+
+            def observe(kind_, key, payload_, source):
+                observed.append((key, source, threading.get_ident()))
+                real_observe(kind_, key, payload_, source)
+
+            sanitizer.observe_result = observe
+            warm = start_in_thread(ServeConfig(
+                cache_dir=cache_dir,
+                access_log=str(tmp_path / "access.jsonl")))
+            try:
+                executed = _post_bytes(warm.port, route, payload)
+                assert executed[0] == 200
+                engine_threads["run"].clear()
+                observed.clear()
+                before = _hit_accounting(warm, kind)
+                assert _post_bytes(warm.port, route, payload) == executed
+                loop_hit = _delta(before, _hit_accounting(warm, kind))
+                loop_thread = warm._thread.ident
+                assert engine_threads["run"] == []
+                loop_observed = list(observed)
+            finally:
+                warm.stop()
+            fresh = start_in_thread(ServeConfig(cache_dir=cache_dir))
+            try:
+                observed.clear()
+                engine_threads["disk"].clear()
+                before = _hit_accounting(fresh, kind)
+                assert _post_bytes(fresh.port, route, payload) == executed
+                disk_hit = _delta(before, _hit_accounting(fresh, kind))
+                fresh_loop = fresh._thread.ident
+                assert len(engine_threads["run"]) == 1
+                assert engine_threads["run"][0] != fresh_loop
+            finally:
+                fresh.stop()
+        assert sanitizer.reports == []
+        assert loop_hit == disk_hit == (tasks, 0, tasks, 0, tasks, 0)
+        assert sorted(k for k, _, _ in loop_observed) \
+            == sorted(k for k, _, _ in observed)
+        assert {(src, t) for _, src, t in loop_observed} \
+            == {("cache", loop_thread)}
+        assert {src for _, src, _ in observed} == {"cache"}
+        assert len(engine_threads["disk"]) == tasks
+        assert fresh_loop not in engine_threads["disk"]
+        assert loop_thread not in engine_threads["disk"]
+        rows = read_access_log(tmp_path / "access.jsonl")
+        assert [r["cache_hit"] for r in rows] == [False, True]
+        hit = rows[1]
+        assert hit["source"] == rows[0]["source"]
+        assert hit["batch_ms"] == 0.0
+        parts = (hit["queue_ms"] + hit["batch_ms"] + hit["exec_ms"]
+                 + hit["finalize_ms"])
+        assert parts == pytest.approx(hit["total_ms"], abs=0.01)
+
+    def test_a_miss_goes_to_the_engine_thread(self, engine_threads):
+        handle = start_in_thread(ServeConfig())
+        try:
+            before = _hit_accounting(handle, "sim")
+            assert _client(handle, timeout_s=120.0).simulate(
+                workload="xz", instructions=500).ok
+            after = _hit_accounting(handle, "sim")
+            loop_thread = handle._thread.ident
+        finally:
+            handle.stop()
+        # the loop's probe missed without counting; the engine's own
+        # lookup counted the one miss
+        assert _delta(before, after) == (0, 1, 0, 1, 0, 1)
+        assert len(engine_threads["run"]) == 1
+        assert engine_threads["run"][0] != loop_thread
+
+    def test_a_warm_estimate_never_takes_a_thread(self, monkeypatch):
+        from repro.serve.admission import ProxyFastPath
+        real_estimate = ProxyFastPath.estimate
+        threads = []
+
+        def estimate(self, *args):
+            threads.append(threading.get_ident())
+            return real_estimate(self, *args)
+
+        monkeypatch.setattr(ProxyFastPath, "estimate", estimate)
+        handle = start_in_thread(ServeConfig())
+        try:
+            client = _client(handle, timeout_s=120.0)
+            bodies = [client.estimate(workload="daxpy",
+                                      instructions=n).body
+                      for n in (700, 700, 900)]
+            loop_thread = handle._thread.ident
+        finally:
+            handle.stop()
+        assert bodies[0] == bodies[1]
+        assert bodies[2]["result"]["instructions"] == 900
+        assert threads[0] != loop_thread
+        assert threads[1:] == [loop_thread, loop_thread]
+
+
 # ---- batch formation: no timer, batches form while the engine runs -------
 
 class _GatedEngine:
@@ -491,6 +668,9 @@ class _GatedEngine:
         self.plans = []
         self.entered = threading.Semaphore(0)
         self.gate = threading.Semaphore(0)
+
+    def lookup(self, task):
+        return None                     # nothing is ever cached
 
     def run(self, plan, sources):
         self.plans.append([task.key for task in plan.tasks])
